@@ -205,3 +205,88 @@ def test_threads_env_does_not_change_results(monkeypatch):
     base.pop("_elapsed_text_only", None)
     threaded.pop("_elapsed_text_only", None)
     assert json.dumps(base, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+
+
+# -- golden output -----------------------------------------------------------------
+
+# Exact stdout and exit code of reference invocations.  Short outputs are
+# pinned byte for byte, long ones by length and SHA-256.  `verify morphisms`
+# and `verify all` are left out: their group-law deviations are libm floats.
+GOLDEN = [
+    (
+        ["--format", "text", "delta", "F6: g2"],
+        0,
+        "F1(x)F6: g1(x)g2 (+) F2(x)F3: g1(x)g2 (+) F3(x)F2: g1(x)g2 (+) F6(x)F1: g2(x)g1\n",
+    ),
+    (
+        ["delta", "F12: (1/2-3i)*g1*g5^-2 + 2*g12 - 1"],
+        0,
+        (1728, "0864cc73af31332f2c4d36ad925bba05dbe8fb61a32b26d0d07cdc2a348987f0"),
+    ),
+    (
+        ["counit", "F1: (1/3+1i)*g1^2 - 2"],
+        2,
+        '{"error": "expected \'*\' after coefficient (at offset 21)"}\n',
+    ),
+    (
+        ["phi", "3", "2", "g6^3*g1"],
+        0,
+        '{"canonical": "(g3^3*g1, g2^3*g1)", "command": "phi", "result": '
+        '{"first": [[3, 3], [1, 1]], "second": [[2, 3], [1, 1]]}}\n',
+    ),
+    (
+        ["tensor-pd", "2", "3", "2", "1", "--radius", "4"],
+        0,
+        (5155, "19fb5ab9937769885aaa7048aed042b57a607eb7db43ab07da7b974e0fe28691"),
+    ),
+    (
+        ["orbit", "2", "2", "--radius", "4", "--find", "g1*g2*g1^-1*g2^-1,1"],
+        0,
+        '{"command": "orbit", "count": 1929, "found": true, '
+        '"params": {"m": 2, "n": 2}, "radius": 4}\n',
+    ),
+    (
+        ["verify", "words"],
+        0,
+        (533, "c81293d440141d88897268af29db7a386bd8ad90d84a2fa20f652d531b81d302"),
+    ),
+    (
+        ["verify", "bialgebra"],
+        0,
+        (806, "16f93503efc98a76da86298b6725d1c413d91069fa479e68e4bcb93d0d9ab59f"),
+    ),
+    (
+        ["verify", "reps"],
+        0,
+        (579, "69f2b1291a0862980b2137de6cf7f09c92478e2ed8cef715f185ea75d29b3a58"),
+    ),
+    (
+        ["probe", "claims", "--radius", "3"],
+        0,
+        (5477, "041f7c47a17a8a8dd83a56aa535e7f58396f7d2b39fa63911787cbc118f90a49"),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,want", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(argv, code, want, capsys):
+    import hashlib
+
+    from freebialg.cli import main
+
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    if isinstance(want, str):
+        assert out == want
+    else:
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == want
+
+
+def test_golden_delta_matches_readme():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.splitlines()
+    idx = lines.index('freebialg --format text delta "F6: g2"')
+    assert lines[idx + 1] == "# " + GOLDEN[0][2].rstrip("\n")
