@@ -1,7 +1,7 @@
 """Exact linear algebra over free-group bases.
 
 Elements are finitely supported linear combinations of reduced words (or
-pairs / triples of words for tensors) with either exact Gaussian-rational or
+tuples of words for tensors) with either exact Gaussian-rational or
 approximate complex coefficients.  The two coefficient modes never mix
 inside one element or one operation; converting is always explicit via
 ``to_approx``.
@@ -10,7 +10,7 @@ inside one element or one operation; converting is always explicit via
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from functools import partial
 
 from .scalars import QI, ZERO
 from .words import INFINITE, Rank, ReducedWord, multiply, phi, phi_inf
@@ -49,54 +49,69 @@ def _approx_scalar(c) -> complex:
     raise TypeError(f"cannot use {type(c).__name__} as an approximate coefficient")
 
 
-class _Linear:
-    """Shared machinery for finitely supported linear combinations.
+# A label or a space is one word (one rank) or a tuple of them, one per slot.
 
-    Subclasses fix the label type (a word, or a tuple of words), validate it
-    against their ambient ranks, and provide printing hooks.
+
+def _label_str(x) -> str:
+    return "(x)".join(map(str, x)) if type(x) is tuple else str(x)
+
+
+def _label_key(x):
+    return tuple(map(ReducedWord.sort_key, x)) if type(x) is tuple else x.sort_key()
+
+
+def _to_json(x):
+    return [y.to_json() for y in x] if type(x) is tuple else x.to_json()
+
+
+class _Linear:
+    """A finitely supported linear combination of labels over a space.
+
+    The constructor is the one place where coefficients of equal labels are
+    merged; every operation hands it ``(label, coefficient)`` pairs.  It
+    checks each label against the space and coerces each coefficient unless
+    ``_trusted`` is set, which operations use for pairs they built from
+    checked elements.  Subclasses fix the space (a rank, a tuple of ranks or
+    a basis descriptor) and provide ``_check_label``.
     """
 
-    __slots__ = ("terms", "exact", "tol")
+    __slots__ = ("space", "terms", "exact", "tol")
 
-    def __init__(self, terms=(), exact: bool = True, tol: float = DEFAULT_TOL):
-        coerce = _exact_scalar if exact else _approx_scalar
+    def __init__(
+        self, space, terms=(), exact: bool = True, tol: float = DEFAULT_TOL, _trusted: bool = False
+    ):
+        self.space = space
+        check = None if _trusted else self._check_label
+        scalar, coerce = (QI, _exact_scalar) if exact else (complex, _approx_scalar)
         acc: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for label, c in items:
-            label = self._check_label(label)
-            c = coerce(c)
+        for label, c in terms.items() if hasattr(terms, "items") else terms:
+            if check is not None:
+                label = check(label)
+                if type(c) is not scalar:
+                    c = coerce(c)
             if label in acc:
                 acc[label] = acc[label] + c
             else:
                 acc[label] = c
         if exact:
-            cleaned = {k: v for k, v in acc.items() if v}
+            self.terms = {k: v for k, v in acc.items() if v}
         else:
-            cleaned = {k: v for k, v in acc.items() if abs(v) > tol}
-        self.terms = cleaned
+            self.terms = {k: v for k, v in acc.items() if abs(v) > tol}
         self.exact = exact
         self.tol = tol
 
-    # subclass hooks
     def _check_label(self, label):
         raise NotImplementedError
 
-    def _make(self, terms):
-        raise NotImplementedError
+    def _make(self, pairs):
+        return type(self)(self.space, pairs, self.exact, self.tol, _trusted=True)
 
-    def _space(self):
-        raise NotImplementedError
+    @classmethod
+    def zero(cls, space, exact: bool = True, tol: float = DEFAULT_TOL):
+        return cls(space, (), exact, tol)
 
-    def _label_str(self, label) -> str:
-        raise NotImplementedError
-
-    @staticmethod
-    def _label_key(label):
-        raise NotImplementedError
-
-    # common surface
     def _require_compatible(self, other):
-        if type(other) is not type(self) or self._space() != other._space():
+        if type(other) is not type(self) or self.space != other.space:
             raise ValueError("elements live in different spaces")
         if self.exact != other.exact:
             raise ValueError("cannot mix exact and approximate elements")
@@ -118,25 +133,62 @@ class _Linear:
 
     def __add__(self, other):
         self._require_compatible(other)
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged[k] + v if k in merged else v
-        return self._make(merged)
+        return self._make([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._make({k: -v for k, v in self.terms.items()})
+        return self._make([(k, -v) for k, v in self.terms.items()])
 
     def scale(self, c):
         c = _exact_scalar(c) if self.exact else _approx_scalar(c)
-        return self._make({k: c * v for k, v in self.terms.items()})
+        return self._make([(k, c * v) for k, v in self.terms.items()])
+
+    def __mul__(self, other):
+        """Slotwise product of labels, bilinear in the coefficients; any
+        other factor is a scalar."""
+        if not isinstance(other, _Linear):
+            return self.scale(other)
+        self._require_compatible(other)
+        right = other.terms.items()
+        if type(self.space) is tuple:
+            pairs = [
+                (tuple(map(multiply, k1, k2)), c1 * c2)
+                for k1, c1 in self.terms.items()
+                for k2, c2 in right
+            ]
+        else:
+            pairs = [
+                (multiply(k1, k2), c1 * c2)
+                for k1, c1 in self.terms.items()
+                for k2, c2 in right
+            ]
+        return self._make(pairs)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def star(self):
+        """Antilinear antimultiplicative involution: conjugate coefficients,
+        invert every word."""
+        inverse = ReducedWord.inverse
+        if type(self.space) is tuple:
+            pairs = [(tuple(map(inverse, k)), c.conjugate()) for k, c in self.terms.items()]
+        else:
+            pairs = [(inverse(k), c.conjugate()) for k, c in self.terms.items()]
+        return self._make(pairs)
+
+    def to_approx(self, tol: float = DEFAULT_TOL):
+        if not self.exact:
+            return self
+        pairs = [(k, complex(c)) for k, c in self.terms.items()]
+        return type(self)(self.space, pairs, False, tol, _trusted=True)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self._space() != other._space() or self.exact != other.exact:
+        if self.space != other.space or self.exact != other.exact:
             return False
         if self.exact:
             return self.terms == other.terms
@@ -145,7 +197,7 @@ class _Linear:
     __hash__ = None
 
     def allclose(self, other, tol: float) -> bool:
-        if self._space() != other._space():
+        if self.space != other.space:
             return False
         for k in self.terms.keys() | other.terms.keys():
             a = complex(self.terms.get(k, 0))
@@ -155,16 +207,22 @@ class _Linear:
         return True
 
     def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self._label_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _label_key(kv[0]))
 
-    def _linear_str(self) -> str:
-        if not self.terms:
-            return "0"
+    def __str__(self):
         parts: list[str] = []
         for label, c in self._sorted_terms():
-            body = self._label_str(label)
-            parts.append(_format_term(c, body, first=not parts))
-        return "".join(parts)
+            parts.append(_format_term(c, _label_str(label), first=not parts))
+        return f"{_label_str(self.space)}: {''.join(parts) or '0'}"
+
+    def to_json(self) -> dict:
+        space_key, label_key = self._json_keys
+        out = []
+        for label, c in self._sorted_terms():
+            entry = {label_key: _to_json(label)}
+            entry.update(c.to_json() if self.exact else {"re": c.real, "im": c.imag})
+            out.append(entry)
+        return {space_key: _to_json(self.space), "terms": out}
 
 
 def _format_term(c, body: str, first: bool) -> str:
@@ -192,15 +250,16 @@ class AlgebraElement(_Linear):
     with convolution product and the star involution of the group algebra.
     """
 
-    __slots__ = ("ambient",)
+    __slots__ = ()
+    ambient = _Linear.space  # the rank, under its public name
+    _json_keys = ("rank", "word")
 
-    def __init__(self, ambient: Rank | int, terms=(), exact: bool = True, tol: float = DEFAULT_TOL):
-        self.ambient = ambient if isinstance(ambient, Rank) else Rank(ambient)
-        super().__init__(terms, exact, tol)
-
-    @classmethod
-    def zero(cls, ambient, exact: bool = True, tol: float = DEFAULT_TOL):
-        return cls(ambient, (), exact, tol)
+    def __init__(
+        self, ambient: Rank | int, terms=(), exact: bool = True, tol: float = DEFAULT_TOL,
+        _trusted: bool = False,
+    ):
+        ambient = ambient if isinstance(ambient, Rank) else Rank(ambient)
+        super().__init__(ambient, terms, exact, tol, _trusted)
 
     @classmethod
     def unit(cls, ambient, exact: bool = True):
@@ -212,227 +271,96 @@ class AlgebraElement(_Linear):
         return cls(w.ambient, {w: coeff}, exact)
 
     def _check_label(self, label):
-        if not isinstance(label, ReducedWord) or label.ambient != self.ambient:
-            raise ValueError(f"term {label!r} does not live in {self.ambient}")
+        if not isinstance(label, ReducedWord) or label.ambient != self.space:
+            raise ValueError(f"term {label!r} does not live in {self.space}")
         return label
-
-    def _make(self, terms):
-        return AlgebraElement(self.ambient, terms, self.exact, self.tol)
-
-    def _space(self):
-        return self.ambient
-
-    def _label_str(self, label):
-        return str(label)
-
-    @staticmethod
-    def _label_key(label):
-        return label.sort_key()
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._require_compatible(other)
-            acc: dict = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = multiply(w1, w2)
-                    c = c1 * c2
-                    acc[w] = acc[w] + c if w in acc else c
-            return self._make(acc)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def star(self) -> "AlgebraElement":
-        """Antilinear antimultiplicative involution: conjugate coefficients,
-        invert words."""
-        return self._make({w.inverse(): c.conjugate() for w, c in self.terms.items()})
-
-    def to_approx(self, tol: float = DEFAULT_TOL) -> "AlgebraElement":
-        if not self.exact:
-            return self
-        return AlgebraElement(
-            self.ambient, {w: complex(c) for w, c in self.terms.items()}, False, tol
-        )
-
-    def __str__(self):
-        return f"{self.ambient}: {self._linear_str()}"
-
-    def to_json(self) -> dict:
-        out = []
-        for w, c in self._sorted_terms():
-            entry = {"word": w.to_json()}
-            if self.exact:
-                entry.update(c.to_json())
-            else:
-                entry.update({"re": c.real, "im": c.imag})
-            out.append(entry)
-        return {"rank": self.ambient.to_json(), "terms": out}
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraElement":
         ambient = Rank.from_json(data["rank"])
-        terms = {}
+        pairs = []
         for entry in data["terms"]:
             w = ReducedWord.from_json(ambient, entry["word"])
             re, im = entry["re"], entry["im"]
             if isinstance(re, str):
-                c = QI(Fraction(re), Fraction(im))
+                pairs.append((w, QI(Fraction(re), Fraction(im))))
             else:
-                c = complex(re, im)
-            terms[w] = terms.get(w, 0) + c if w in terms else c
-        exact = all(isinstance(v, QI) for v in terms.values())
-        return cls(ambient, terms, exact)
+                pairs.append((w, complex(re, im)))
+        exact = all(isinstance(c, QI) for _, c in pairs)
+        return cls(ambient, pairs, exact)
 
 
-class TensorElement(_Linear):
+class _Tensor(_Linear):
+    """Combinations of word tuples over a tuple of ranks, one per slot: the
+    algebraic tensor product of group algebras, with slotwise product and
+    involution.  ``_arity`` fixes the number of slots (any when ``None``)."""
+
+    __slots__ = ()
+    ambients = _Linear.space  # the slot ranks, under their public name
+    _json_keys = ("ranks", "words")
+    _arity = None
+
+    def __init__(
+        self, ambients, terms=(), exact: bool = True, tol: float = DEFAULT_TOL,
+        _trusted: bool = False,
+    ):
+        if not _trusted:
+            ambients = tuple([r if isinstance(r, Rank) else Rank(r) for r in ambients])
+            if self._arity is not None and len(ambients) != self._arity:
+                raise ValueError(f"expected {self._arity} tensor slots, got {len(ambients)}")
+        super().__init__(ambients, terms, exact, tol, _trusted)
+
+    def _check_label(self, label):
+        label = tuple(label)
+        if tuple([w.ambient for w in label]) != self.space:
+            raise ValueError(f"tensor term {label!r} does not match {self.space}")
+        return label
+
+
+class TensorElement(_Tensor):
     """A finitely supported combination of word pairs: the algebraic tensor
     product of two group algebras, with slotwise product and involution."""
 
-    __slots__ = ("ambients",)
-
-    def __init__(self, ambients, terms=(), exact: bool = True, tol: float = DEFAULT_TOL):
-        a, b = ambients
-        self.ambients = (
-            a if isinstance(a, Rank) else Rank(a),
-            b if isinstance(b, Rank) else Rank(b),
-        )
-        super().__init__(terms, exact, tol)
-
-    @classmethod
-    def zero(cls, ambients, exact: bool = True, tol: float = DEFAULT_TOL):
-        return cls(ambients, (), exact, tol)
+    __slots__ = ()
+    _arity = 2
 
     @classmethod
     def from_pair(cls, w1: ReducedWord, w2: ReducedWord, coeff=1, exact: bool = True):
         return cls((w1.ambient, w2.ambient), {(w1, w2): coeff}, exact)
 
-    def _check_label(self, label):
-        w1, w2 = label
-        if w1.ambient != self.ambients[0] or w2.ambient != self.ambients[1]:
-            raise ValueError(f"tensor term {label!r} does not match {self.ambients}")
-        return (w1, w2)
-
-    def _make(self, terms):
-        return TensorElement(self.ambients, terms, self.exact, self.tol)
-
-    def _space(self):
-        return self.ambients
-
-    def _label_str(self, label):
-        return f"{label[0]}(x){label[1]}"
-
-    @staticmethod
-    def _label_key(label):
-        return (label[0].sort_key(), label[1].sort_key())
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            self._require_compatible(other)
-            acc: dict = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (multiply(a1, a2), multiply(b1, b2))
-                    c = c1 * c2
-                    acc[key] = acc[key] + c if key in acc else c
-            return self._make(acc)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def star(self) -> "TensorElement":
-        return self._make(
-            {
-                (w1.inverse(), w2.inverse()): c.conjugate()
-                for (w1, w2), c in self.terms.items()
-            }
-        )
-
     def flip(self) -> "TensorElement":
         """Swap the two tensor slots."""
-        return TensorElement(
-            (self.ambients[1], self.ambients[0]),
-            {(w2, w1): c for (w1, w2), c in self.terms.items()},
-            self.exact,
-            self.tol,
-        )
-
-    def to_approx(self, tol: float = DEFAULT_TOL) -> "TensorElement":
-        if not self.exact:
-            return self
-        return TensorElement(
-            self.ambients, {k: complex(c) for k, c in self.terms.items()}, False, tol
-        )
-
-    def __str__(self):
-        return f"{self.ambients[0]}(x){self.ambients[1]}: {self._linear_str()}"
-
-    def to_json(self) -> dict:
-        out = []
-        for (w1, w2), c in self._sorted_terms():
-            entry = {"words": [w1.to_json(), w2.to_json()]}
-            if self.exact:
-                entry.update(c.to_json())
-            else:
-                entry.update({"re": c.real, "im": c.imag})
-            out.append(entry)
-        return {
-            "ranks": [self.ambients[0].to_json(), self.ambients[1].to_json()],
-            "terms": out,
-        }
+        a, b = self.space
+        pairs = [((w2, w1), c) for (w1, w2), c in self.terms.items()]
+        return TensorElement((b, a), pairs, self.exact, self.tol, _trusted=True)
 
 
-class TripleTensorElement(_Linear):
+class TripleTensorElement(_Tensor):
     """Three-fold analogue of :class:`TensorElement`; target of the iterated
     coproduct and of the mixed coassociativity checks."""
 
-    __slots__ = ("ambients",)
-
-    def __init__(self, ambients, terms=(), exact: bool = True, tol: float = DEFAULT_TOL):
-        a, b, c = ambients
-        self.ambients = tuple(r if isinstance(r, Rank) else Rank(r) for r in (a, b, c))
-        super().__init__(terms, exact, tol)
+    __slots__ = ()
+    _arity = 3
 
     @classmethod
     def from_triple(cls, w1, w2, w3, coeff=1, exact: bool = True):
         return cls((w1.ambient, w2.ambient, w3.ambient), {(w1, w2, w3): coeff}, exact)
-
-    def _check_label(self, label):
-        if any(w.ambient != r for w, r in zip(label, self.ambients)):
-            raise ValueError(f"triple term {label!r} does not match {self.ambients}")
-        return tuple(label)
-
-    def _make(self, terms):
-        return TripleTensorElement(self.ambients, terms, self.exact, self.tol)
-
-    def _space(self):
-        return self.ambients
-
-    def _label_str(self, label):
-        return "(x)".join(str(w) for w in label)
-
-    @staticmethod
-    def _label_key(label):
-        return tuple(w.sort_key() for w in label)
-
-    def __str__(self):
-        header = "(x)".join(str(r) for r in self.ambients)
-        return f"{header}: {self._linear_str()}"
 
 
 def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     """Bilinear outer product of two algebra elements."""
     if a.exact != b.exact:
         raise ValueError("cannot tensor exact with approximate elements")
-    acc: dict = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            acc[(w1, w2)] = c1 * c2
-    return TensorElement(
-        (a.ambient, b.ambient), acc, a.exact, max(a.tol, b.tol)
-    )
+    pairs = [
+        ((w1, w2), c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()
+    ]
+    return TensorElement((a.space, b.space), pairs, a.exact, max(a.tol, b.tol), _trusted=True)
+
+
+def _extend(split, a: AlgebraElement, ambients) -> TensorElement:
+    # linear extension of a word splitting; colliding images accumulate
+    pairs = [(tuple(split(w)), c) for w, c in a.terms.items()]
+    return TensorElement(ambients, pairs, a.exact, a.tol, _trusted=True)
 
 
 def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
@@ -444,36 +372,20 @@ def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
     """
     if a.ambient != Rank(n * m):
         raise ValueError(f"element lives in {a.ambient}, expected F{n * m}")
-    acc: dict = {}
-    for w, c in a.terms.items():
-        key = tuple(phi(n, m, w))
-        acc[key] = acc[key] + c if key in acc else c
-    return TensorElement((Rank(n), Rank(m)), acc, a.exact, a.tol)
+    return _extend(partial(phi, n, m), a, (Rank(n), Rank(m)))
 
 
 def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
     """Linear extension of ``phi_inf(n, .)`` on infinite-rank elements."""
     if not a.ambient.is_infinite:
         raise ValueError(f"element lives in {a.ambient}, expected Finf")
-    acc: dict = {}
-    for w, c in a.terms.items():
-        key = tuple(phi_inf(n, w))
-        acc[key] = acc[key] + c if key in acc else c
-    return TensorElement((INFINITE, Rank(n)), acc, a.exact, a.tol)
+    return _extend(partial(phi_inf, n), a, (INFINITE, Rank(n)))
 
 
 def standard_delta(a: AlgebraElement) -> TensorElement:
     """The diagonal comultiplication ``w -> w (x) w`` extended linearly."""
-    return TensorElement(
-        (a.ambient, a.ambient),
-        {(w, w): c for w, c in a.terms.items()},
-        a.exact,
-        a.tol,
-    )
-
-
-def _acc(d: dict, key, c) -> None:
-    d[key] = d[key] + c if key in d else c
+    pairs = [((w, w), c) for w, c in a.terms.items()]
+    return TensorElement((a.space, a.space), pairs, a.exact, a.tol, _trusted=True)
 
 
 def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
@@ -483,17 +395,17 @@ def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
     Both routes land in the four-fold tensor over ranks (n, n, m, m); the
     comparison is exact.
     """
-    lhs: dict = {}
-    for (w1, w2), c in varphi_alg(n, m, a).terms.items():
-        _acc(lhs, (w1, w1, w2, w2), c)
-    rhs: dict = {}
+    rn, rm = Rank(n), Rank(m)
+    ranks = (rn, rn, rm, rm)
+    lhs = [((w1, w1, w2, w2), c) for (w1, w2), c in varphi_alg(n, m, a).terms.items()]
+    rhs = []
     for (u, v), c in standard_delta(a).terms.items():
         pu, qu = phi(n, m, u)
         pv, qv = phi(n, m, v)
-        _acc(rhs, (pu, pv, qu, qv), c)
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v for k, v in rhs.items() if v}
-    return lhs == rhs
+        rhs.append(((pu, pv, qu, qv), c))
+    return _Tensor(ranks, lhs, a.exact, a.tol, _trusted=True) == _Tensor(
+        ranks, rhs, a.exact, a.tol, _trusted=True
+    )
 
 
 def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> TensorElement:
@@ -510,9 +422,9 @@ def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> Tensor
         raise ValueError(f"{b.ambient} does not match tensor slot {t.ambients[idx]}")
     if b.exact != t.exact:
         raise ValueError("cannot mix exact and approximate elements")
-    acc: dict = {}
+    pairs = []
     for (w1, w2), c in t.terms.items():
         for u, d in b.terms.items():
             key = (multiply(w1, u), w2) if idx == 0 else (w1, multiply(w2, u))
-            _acc(acc, key, c * d)
-    return TensorElement(t.ambients, acc, t.exact, max(t.tol, b.tol))
+            pairs.append((key, c * d))
+    return TensorElement(t.ambients, pairs, t.exact, max(t.tol, b.tol), _trusted=True)

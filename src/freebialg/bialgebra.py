@@ -11,8 +11,6 @@ higher ranks.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .algebra import (
     DEFAULT_TOL,
     AlgebraElement,
@@ -55,13 +53,16 @@ def factor_pairs(n: int) -> list[tuple[int, int]]:
 
 
 class _Graded:
-    """Finite family of elements indexed by ranks (or rank tuples)."""
+    """Finite family of linear elements indexed by their ranks: an integer
+    for single-rank elements, a tuple of integers for tensors.
+    Subclasses name the component class in ``_component``."""
 
     __slots__ = ("components", "exact", "tol")
+    _component: type
 
     def __init__(self, components=(), exact: bool | None = None, tol: float = DEFAULT_TOL):
         comps = {}
-        items = components.items() if isinstance(components, Mapping) else components
+        items = components.items() if hasattr(components, "items") else components
         for key, el in items:
             key = self._check_key(key, el)
             if el.is_zero:
@@ -84,10 +85,35 @@ class _Graded:
         self.tol = tol
 
     def _check_key(self, key, el):
-        raise NotImplementedError
+        if not isinstance(el, self._component):
+            raise TypeError(f"components must be {self._component.__name__}")
+        space = el.space
+        if type(space) is tuple:
+            grade = tuple([r.n for r in space])
+            finite = None not in grade
+        else:
+            grade = space.n
+            finite = grade is not None
+        if not finite:
+            raise ValueError("direct-sum components must have finite rank")
+        if key != grade:
+            raise ValueError(f"component key {key} does not match {space}")
+        return grade
 
     def _make(self, components):
         return type(self)(components, self.exact, self.tol)
+
+    @classmethod
+    def zero(cls, exact: bool = True):
+        return cls((), exact)
+
+    def component(self, *key):
+        """The component of the given ranks, zero when absent."""
+        key = key[0] if len(key) == 1 else key
+        got = self.components.get(key)
+        if got is None:
+            return self._component.zero(key, self.exact, self.tol)
+        return got
 
     def keys(self):
         return sorted(self.components.keys())
@@ -104,22 +130,39 @@ class _Graded:
             return NotImplemented
         if self.exact != other.exact:
             raise ValueError("cannot mix exact and approximate elements")
-        merged = dict(self.components)
-        for k, el in other.components.items():
-            merged[k] = merged[k] + el if k in merged else el
-        return self._make(merged.items())
+        return self._make([*self.components.items(), *other.components.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._make({k: -el for k, el in self.components.items()}.items())
+        return self._make([(k, -el) for k, el in self.components.items()])
 
     def scale(self, c):
-        return self._make({k: el.scale(c) for k, el in self.components.items()}.items())
+        return self._make([(k, el.scale(c)) for k, el in self.components.items()])
+
+    def __mul__(self, other):
+        """Componentwise product; products across distinct ranks vanish in a
+        direct sum.  Any other factor is a scalar."""
+        if type(other) is not type(self):
+            return self.scale(other)
+        if self.exact != other.exact:
+            raise ValueError("cannot mix exact and approximate elements")
+        mine, theirs = self.components, other.components
+        return self._make([(k, mine[k] * theirs[k]) for k in mine.keys() & theirs.keys()])
+
+    def __rmul__(self, other):
+        return self.scale(other)
 
     def star(self):
-        return self._make({k: el.star() for k, el in self.components.items()}.items())
+        return self._make([(k, el.star()) for k, el in self.components.items()])
+
+    def to_approx(self, tol: float = DEFAULT_TOL):
+        if not self.exact:
+            return self
+        return type(self)(
+            [(k, el.to_approx(tol)) for k, el in self.components.items()], False, tol
+        )
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -138,8 +181,7 @@ class _Graded:
             if a is None:
                 a, b = b, a
             if b is None:
-                zero = a._make({})
-                b = zero
+                b = a._make(())
             if not a.allclose(b, tol):
                 return False
         return True
@@ -149,23 +191,19 @@ class _Graded:
             return "0"
         return " (+) ".join(str(self.components[k]) for k in self.keys())
 
+    def to_json(self) -> dict:
+        out = {}
+        for k in self.keys():
+            name = ",".join(map(str, k)) if type(k) is tuple else str(k)
+            out[name] = self.components[k].to_json()
+        return {"components": out}
+
 
 class DirectSumElement(_Graded):
     """A finitely supported family ``{n: element of rank n}``; the dense
     graded model of the direct-sum algebra."""
 
-    def _check_key(self, key, el):
-        if not isinstance(el, AlgebraElement):
-            raise TypeError("components must be AlgebraElement")
-        if el.ambient.is_infinite:
-            raise ValueError("direct-sum components must have finite rank")
-        if key != el.ambient.n:
-            raise ValueError(f"component key {key} does not match {el.ambient}")
-        return int(key)
-
-    @classmethod
-    def zero(cls, exact: bool = True):
-        return cls((), exact)
+    _component = AlgebraElement
 
     @classmethod
     def from_algebra(cls, a: AlgebraElement) -> "DirectSumElement":
@@ -176,38 +214,6 @@ class DirectSumElement(_Graded):
     @classmethod
     def from_word(cls, w: ReducedWord, coeff=1) -> "DirectSumElement":
         return cls.from_algebra(AlgebraElement.from_word(w, coeff))
-
-    def component(self, n: int) -> AlgebraElement:
-        got = self.components.get(n)
-        if got is None:
-            return AlgebraElement.zero(n, self.exact, self.tol)
-        return got
-
-    def __mul__(self, other):
-        if isinstance(other, DirectSumElement):
-            if self.exact != other.exact:
-                raise ValueError("cannot mix exact and approximate elements")
-            # products across distinct ranks vanish in a direct sum
-            comps = {}
-            for n in self.components.keys() & other.components.keys():
-                comps[n] = self.components[n] * other.components[n]
-            return self._make(comps.items())
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def to_approx(self, tol: float = DEFAULT_TOL) -> "DirectSumElement":
-        if not self.exact:
-            return self
-        return DirectSumElement(
-            {n: el.to_approx(tol) for n, el in self.components.items()}, False, tol
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "components": {str(n): self.components[n].to_json() for n in self.keys()}
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "DirectSumElement":
@@ -222,36 +228,7 @@ class DirectSumTensor(_Graded):
     """A finitely supported family ``{(n, m): tensor element}``; the graded
     model of the tensor square of the direct sum."""
 
-    def _check_key(self, key, el):
-        if not isinstance(el, TensorElement):
-            raise TypeError("components must be TensorElement")
-        n, m = key
-        if el.ambients != (Rank(n), Rank(m)):
-            raise ValueError(f"component key {key} does not match {el.ambients}")
-        return (int(n), int(m))
-
-    @classmethod
-    def zero(cls, exact: bool = True):
-        return cls((), exact)
-
-    def component(self, n: int, m: int) -> TensorElement:
-        got = self.components.get((n, m))
-        if got is None:
-            return TensorElement.zero((n, m), self.exact, self.tol)
-        return got
-
-    def __mul__(self, other):
-        if isinstance(other, DirectSumTensor):
-            if self.exact != other.exact:
-                raise ValueError("cannot mix exact and approximate elements")
-            comps = {}
-            for key in self.components.keys() & other.components.keys():
-                comps[key] = self.components[key] * other.components[key]
-            return self._make(comps.items())
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    _component = TensorElement
 
     def flip(self) -> "DirectSumTensor":
         """Swap the two tensor slots across every component."""
@@ -264,26 +241,12 @@ class DirectSumTensor(_Graded):
     def term_count(self) -> int:
         return sum(len(el) for el in self.components.values())
 
-    def to_json(self) -> dict:
-        return {
-            "components": {
-                f"{n},{m}": self.components[(n, m)].to_json()
-                for (n, m) in self.keys()
-            }
-        }
-
 
 class DirectSumTriple(_Graded):
     """Rank-graded three-fold tensors; the comparison space for the
     coassociativity checker."""
 
-    def _check_key(self, key, el):
-        if not isinstance(el, TripleTensorElement):
-            raise TypeError("components must be TripleTensorElement")
-        a, b, c = key
-        if el.ambients != (Rank(a), Rank(b), Rank(c)):
-            raise ValueError(f"component key {key} does not match {el.ambients}")
-        return (int(a), int(b), int(c))
+    _component = TripleTensorElement
 
 
 def delta_phi(x: DirectSumElement) -> DirectSumTensor:
@@ -313,15 +276,17 @@ def _delta_slot(t: DirectSumTensor, slot: int) -> DirectSumTriple:
     for (n, m), el in t.components.items():
         rank = n if slot == 0 else m
         for p, q in factor_pairs(rank):
-            acc: dict = {}
+            pairs = []
             for (w1, w2), c in el.terms.items():
                 u, v = phi(p, q, w1 if slot == 0 else w2)
-                key = (u, v, w2) if slot == 0 else (w1, u, v)
-                acc[key] = acc[key] + c if key in acc else c
-            ambients = (p, q, m) if slot == 0 else (n, p, q)
-            parts.append(
-                (ambients, TripleTensorElement(ambients, acc, t.exact, t.tol))
-            )
+                pairs.append(((u, v, w2) if slot == 0 else (w1, u, v), c))
+            split = (Rank(p), Rank(q))
+            if slot == 0:
+                key, ranks = (p, q, m), split + el.ambients[1:]
+            else:
+                key, ranks = (n, p, q), el.ambients[:1] + split
+            triple = TripleTensorElement(ranks, pairs, t.exact, t.tol, _trusted=True)
+            parts.append((key, triple))
     return DirectSumTriple(parts, t.exact, t.tol)
 
 
@@ -341,11 +306,8 @@ def _eps_collapse(el: TensorElement, slot: int) -> AlgebraElement:
     if el.ambients[slot] != Rank(1):
         raise ValueError("can only collapse a rank-1 slot")
     keep = 1 - slot
-    acc: dict = {}
-    for pair, c in el.terms.items():
-        w = pair[keep]
-        acc[w] = acc[w] + c if w in acc else c
-    return AlgebraElement(el.ambients[keep], acc, el.exact, el.tol)
+    pairs = [(pair[keep], c) for pair, c in el.terms.items()]
+    return AlgebraElement(el.ambients[keep], pairs, el.exact, el.tol, _trusted=True)
 
 
 def counit_check(x: DirectSumElement) -> bool:

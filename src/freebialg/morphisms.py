@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebra import DEFAULT_TOL, AlgebraElement
+from .algebra import DEFAULT_TOL, AlgebraElement, TensorElement
 from .bialgebra import DirectSumElement, DirectSumTensor, delta_phi
 from .scalars import QI
 from .words import ReducedWord, reduce
@@ -61,15 +61,14 @@ class GradedEndo:
             raise ValueError("graded endomorphisms act on finite ranks")
         n = a.ambient.n
         exact = self.exact and a.exact
-        acc: dict = {}
+        pairs = []
         for w, c in a.terms.items():
             phase, img = self._apply_word(n, w)
             if not exact:
                 phase = complex(phase) if isinstance(phase, QI) else phase
                 c = complex(c)
-            coeff = c * phase
-            acc[img] = acc[img] + coeff if img in acc else coeff
-        return AlgebraElement(a.ambient, acc, exact, max(a.tol, self.tol))
+            pairs.append((img, c * phase))
+        return AlgebraElement(a.ambient, pairs, exact, max(a.tol, self.tol), _trusted=True)
 
     def apply(self, x: DirectSumElement) -> DirectSumElement:
         comps = {n: self.apply_algebra(a) for n, a in x.components.items()}
@@ -78,22 +77,18 @@ class GradedEndo:
         )
 
     def apply_tensor(self, t: DirectSumTensor) -> DirectSumTensor:
-        from .algebra import TensorElement
-
         exact = self.exact and t.exact
         comps = {}
         for (n, m), el in t.components.items():
-            acc: dict = {}
+            pairs = []
             for (w1, w2), c in el.terms.items():
                 ph1, u1 = self._apply_word(n, w1)
                 ph2, u2 = self._apply_word(m, w2)
                 if not exact:
                     ph1, ph2, c = complex(ph1), complex(ph2), complex(c)
-                coeff = c * ph1 * ph2
-                key = (u1, u2)
-                acc[key] = acc[key] + coeff if key in acc else coeff
+                pairs.append(((u1, u2), c * ph1 * ph2))
             comps[(n, m)] = TensorElement(
-                (n, m), acc, exact, max(el.tol, self.tol)
+                el.ambients, pairs, exact, max(el.tol, self.tol), _trusted=True
             )
         return DirectSumTensor(comps, exact, max(t.tol, self.tol))
 
@@ -126,11 +121,11 @@ def alpha(t: float, x: DirectSumElement) -> DirectSumElement:
     comps = {}
     for n, a in x.components.items():
         logn = math.log(n)
-        acc = {}
+        pairs = []
         for w, c in a.terms.items():
             angle = math.fmod(t * w.exponent_sum * logn, TWO_PI)
-            acc[w] = complex(c) * cmath.exp(1j * angle)
-        comps[n] = AlgebraElement(a.ambient, acc, False, max(a.tol, DEFAULT_TOL))
+            pairs.append((w, complex(c) * cmath.exp(1j * angle)))
+        comps[n] = AlgebraElement(a.ambient, pairs, False, max(a.tol, DEFAULT_TOL), _trusted=True)
     return DirectSumElement(comps, False, max(x.tol, DEFAULT_TOL))
 
 

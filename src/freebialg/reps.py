@@ -11,10 +11,11 @@ claimed identities, so a discrepancy is data rather than a test failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
+from .algebra import _Linear
 from .scalars import QI, ZERO
 from .words import (
     Rank,
@@ -207,22 +208,17 @@ class CosetPairBasis:
         return (self.left.check(a), self.right.check(b))
 
 
-class SuppVector:
+class SuppVector(_Linear):
     """A finitely supported vector over a labeled basis with exact
     coefficients; permutation actions on these never truncate."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    basis = _Linear.space  # the basis descriptor, under its public name
 
-    def __init__(self, basis, terms=()):
-        acc: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for label, c in items:
-            label = basis.check(label)
-            if not isinstance(c, QI):
-                c = QI(c)
-            acc[label] = acc[label] + c if label in acc else c
-        self.basis = basis
-        self.terms = {k: v for k, v in acc.items() if v}
+    @property
+    def _check_label(self):
+        # the descriptor checks labels itself, with no call in between
+        return self.basis.check
 
     @classmethod
     def basis_vector(cls, basis, label) -> "SuppVector":
@@ -231,20 +227,6 @@ class SuppVector:
     def map_labels(self, fn) -> "SuppVector":
         """Push the vector through a basis-label map, merging collisions."""
         return SuppVector(self.basis, ((fn(k), v) for k, v in self.terms.items()))
-
-    def __add__(self, other: "SuppVector") -> "SuppVector":
-        if self.basis != other.basis:
-            raise ValueError("vectors live over different bases")
-        merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged[k] + v if k in merged else v
-        return SuppVector(self.basis, merged)
-
-    def __sub__(self, other):
-        return self + other.scale(QI(-1))
-
-    def scale(self, c) -> "SuppVector":
-        return SuppVector(self.basis, {k: c * v for k, v in self.terms.items()})
 
     def inner(self, other: "SuppVector") -> QI:
         """Standard inner product, conjugate linear in the first argument."""
@@ -257,20 +239,6 @@ class SuppVector:
             if w is not None:
                 total = total + v.conjugate() * w
         return total
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, SuppVector):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    __hash__ = None
-
-    def __len__(self):
-        return len(self.terms)
 
     def __str__(self):
         if not self.terms:

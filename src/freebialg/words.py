@@ -230,10 +230,17 @@ def inverse(w: ReducedWord) -> ReducedWord:
     return w.inverse()
 
 
-def _split_index(k: int, m: int) -> tuple[int, int]:
-    # k = m*(i-1) + j with 1 <= j <= m
-    i, j = divmod(k - 1, m)
-    return i + 1, j + 1
+def _split(z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank) -> PairWord:
+    # g_k with k = m*(i-1) + j, 1 <= j <= m, goes to the pair (g_i, g_j)
+    left: list[Syllable] = []
+    right: list[Syllable] = []
+    for k, e in z.syllables:
+        i, j = divmod(k - 1, m)
+        _push(left, i + 1, e)
+        _push(right, j + 1, e)
+    return PairWord(
+        ReducedWord(left_rank, tuple(left)), ReducedWord(right_rank, tuple(right))
+    )
 
 
 def phi(n: int, m: int, z: ReducedWord) -> PairWord:
@@ -248,34 +255,18 @@ def phi(n: int, m: int, z: ReducedWord) -> PairWord:
     >>> p.is_unit and q.is_unit
     True
     """
-    if z.ambient != Rank(n * m):
+    if z.ambient.n != n * m:
         raise ValueError(f"expected a word of rank {n * m}, got ambient {z.ambient}")
-    left: list[Syllable] = []
-    right: list[Syllable] = []
-    for k, e in z.syllables:
-        i, j = _split_index(k, m)
-        _push(left, i, e)
-        _push(right, j, e)
-    return PairWord(
-        ReducedWord(Rank(n), tuple(left)), ReducedWord(Rank(m), tuple(right))
-    )
+    return _split(z, m, Rank(n), Rank(m))
 
 
 def phi_inf(n: int, z: ReducedWord) -> PairWord:
     """Infinite-rank analogue of :func:`phi`: ``g_{n*(i-1)+j} -> (g_i, g_j)``
     with the first component of infinite rank and the second of rank ``n``.
     """
-    if not z.ambient.is_infinite:
+    if z.ambient.n is not None:
         raise ValueError(f"expected an infinite-rank word, got ambient {z.ambient}")
-    left: list[Syllable] = []
-    right: list[Syllable] = []
-    for k, e in z.syllables:
-        i, j = _split_index(k, n)
-        _push(left, i, e)
-        _push(right, j, e)
-    return PairWord(
-        ReducedWord(INFINITE, tuple(left)), ReducedWord(Rank(n), tuple(right))
-    )
+    return _split(z, n, INFINITE, Rank(n))
 
 
 def kernel_witness(n: int, m: int, i: int, l: int, j: int, k: int) -> ReducedWord:
