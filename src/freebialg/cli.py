@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bialgebra, morphisms, reps, words
 from .algebra import AlgebraElement, varphi_alg
@@ -92,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--find", default=None, metavar="PAIR")
 
     v = command("verify", "run a verification suite")
-    v.add_argument("suite_pos", nargs="?", default=None, metavar="SUITE")
-    v.add_argument("--suite", default=None, choices=SUITE_NAMES)
+    v.add_argument("suite", nargs="?", default="all", metavar="SUITE")
 
     pr = command("probe", "run the claim probes")
     pr.add_argument("what", nargs="?", default="claims")
@@ -105,32 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
 # -- suite machinery ---------------------------------------------------------
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FREEBIALG_THREADS", "1")))
-    except ValueError:
-        return 1
+def _run_checks(checks, seed: int) -> list[dict]:
+    """Evaluate (claim, check) pairs and return results sorted by claim id.
 
-
-def _run_checks(checks) -> list[dict]:
-    """Evaluate (claim, callable) pairs, possibly across worker threads, and
-    return results sorted by claim id so report bytes stay deterministic."""
-
-    def run_one(item):
-        claim, fn = item
-        ok, witness = fn()
-        return {
-            "claim": claim,
-            "status": "verified" if ok else "failed",
-            "witness": witness,
-        }
-
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(item) for item in checks]
+    Each check gets its own random stream seeded by ``(seed, claim)``, so its
+    corpus does not depend on which other checks run or in what order.
+    """
+    results = []
+    for claim, fn in checks:
+        ok, witness = fn(random.Random(f"{seed}:{claim}"))
+        results.append(
+            {"claim": claim, "status": "verified" if ok else "failed", "witness": witness}
+        )
     return sorted(results, key=lambda r: r["claim"])
 
 
@@ -145,10 +128,8 @@ def _counted(pred_iter) -> tuple[bool, dict]:
     return True, {"checked": count}
 
 
-def _suite_words(seed: int, tol: float) -> list:
-    rng = random.Random(seed)
-
-    def reduction_laws():
+def _suite_words(tol: float) -> list:
+    def reduction_laws(rng):
         def run():
             for _ in range(300):
                 n = rng.randint(1, 4)
@@ -162,7 +143,7 @@ def _suite_words(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def phi_hom():
+    def phi_hom(rng):
         def run():
             for _ in range(300):
                 n, m = rng.randint(1, 3), rng.randint(1, 3)
@@ -175,7 +156,7 @@ def _suite_words(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def kernel():
+    def kernel(rng):
         def run():
             for n in (2, 3):
                 for m in (2, 3):
@@ -194,7 +175,7 @@ def _suite_words(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def lifts():
+    def lifts(rng):
         def run():
             for _ in range(300):
                 n, m = rng.randint(1, 3), rng.randint(1, 3)
@@ -210,7 +191,7 @@ def _suite_words(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def cancellation():
+    def cancellation(rng):
         def run():
             for n in (1, 2):
                 for m in (1, 2):
@@ -234,10 +215,8 @@ def _suite_words(seed: int, tol: float) -> list:
     ]
 
 
-def _suite_bialgebra(seed: int, tol: float) -> list:
-    rng = random.Random(seed)
-
-    def coassoc():
+def _suite_bialgebra(tol: float) -> list:
+    def coassoc(rng):
         def run():
             for n in range(1, 25):
                 for k in range(1, n + 1):
@@ -249,7 +228,7 @@ def _suite_bialgebra(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def counit_law():
+    def counit_law(rng):
         def run():
             for n in range(1, 25):
                 for k in range(1, n + 1):
@@ -260,7 +239,7 @@ def _suite_bialgebra(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def wcs():
+    def wcs(rng):
         def run():
             for n in range(1, 5):
                 for m in range(1, 5):
@@ -273,7 +252,7 @@ def _suite_bialgebra(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def kernel_identity():
+    def kernel_identity(rng):
         def run():
             for n in (2, 3):
                 for m in (2, 3):
@@ -287,13 +266,13 @@ def _suite_bialgebra(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def noncocommutative():
+    def noncocommutative(rng):
         x = DirectSumElement.from_word(gen(6, 2))
         t = delta_phi(x)
         ok = t.flip() != t and t.term_count() == 4
         return ok, {"summands": t.term_count()}
 
-    def comodule():
+    def comodule(rng):
         def run():
             for k in range(1, 25):
                 for n in range(1, 4):
@@ -303,7 +282,7 @@ def _suite_bialgebra(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def unitization():
+    def unitization(rng):
         def run():
             for _ in range(100):
                 a = bialgebra.UnitizedElement(
@@ -326,7 +305,7 @@ def _suite_bialgebra(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def delta_compat():
+    def delta_compat(rng):
         from .algebra import standard_delta_compat_check
 
         def run():
@@ -350,10 +329,8 @@ def _suite_bialgebra(seed: int, tol: float) -> list:
     ]
 
 
-def _suite_reps(seed: int, tol: float) -> list:
-    rng = random.Random(seed)
-
-    def gns():
+def _suite_reps(tol: float) -> list:
+    def gns(rng):
         def run():
             for n in (2, 3):
                 ball = enumerate_ball(n, 4)
@@ -363,7 +340,7 @@ def _suite_reps(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def fixed_dims():
+    def fixed_dims(rng):
         def run():
             for n in (2, 3):
                 for i in range(1, n + 1):
@@ -374,7 +351,7 @@ def _suite_reps(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def cyclicity():
+    def cyclicity(rng):
         def run():
             ball = enumerate_ball(2, 3)
             for i in (1, 2):
@@ -385,7 +362,7 @@ def _suite_reps(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def intertwiner():
+    def intertwiner(rng):
         def run():
             for _ in range(200):
                 x = random_reduced_word(rng, 2, 4)
@@ -395,7 +372,7 @@ def _suite_reps(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def gram():
+    def gram(rng):
         def run():
             for n in (2, 3):
                 ball = enumerate_ball(n, 2)
@@ -411,7 +388,7 @@ def _suite_reps(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def action_laws():
+    def action_laws(rng):
         def run():
             for _ in range(200):
                 n = rng.randint(2, 3)
@@ -442,10 +419,8 @@ def _suite_reps(seed: int, tol: float) -> list:
     ]
 
 
-def _suite_morphisms(seed: int, tol: float) -> list:
-    rng = random.Random(seed)
-
-    def beta_morphism():
+def _suite_morphisms(tol: float) -> list:
+    def beta_morphism(rng):
         def run():
             endo = morphisms.beta_endo()
             for n in range(1, 25):
@@ -455,7 +430,7 @@ def _suite_morphisms(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def beta_involution():
+    def beta_involution(rng):
         def run():
             for _ in range(100):
                 x = random_direct_sum(rng, max_rank=12, max_len=5)
@@ -463,7 +438,7 @@ def _suite_morphisms(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def alpha_morphism():
+    def alpha_morphism(rng):
         def run():
             for t in (0.3, 1.0, 2.5):
                 endo = morphisms.alpha_endo(t)
@@ -474,7 +449,7 @@ def _suite_morphisms(seed: int, tol: float) -> list:
 
         return _counted(run())
 
-    def group_laws():
+    def group_laws(rng):
         report = morphisms.group_law_checks(tol=tol)
         return report["status"] == "verified", report
 
@@ -486,7 +461,7 @@ def _suite_morphisms(seed: int, tol: float) -> list:
     ]
 
 
-def _build_suite(name: str, seed: int, tol: float) -> list:
+def _build_suite(name: str, tol: float) -> list:
     builders = {
         "words": _suite_words,
         "bialgebra": _suite_bialgebra,
@@ -496,9 +471,9 @@ def _build_suite(name: str, seed: int, tol: float) -> list:
     if name == "all":
         checks = []
         for key in ("words", "bialgebra", "reps", "morphisms"):
-            checks.extend(builders[key](seed, tol))
+            checks.extend(builders[key](tol))
         return checks
-    return builders[name](seed, tol)
+    return builders[name](tol)
 
 
 # -- probes -------------------------------------------------------------------
@@ -649,11 +624,11 @@ def run(argv: list[str]) -> tuple[dict, int]:
             return done(report, 0)
 
         if args.command == "verify":
-            name = args.suite_pos or args.suite or "all"
+            name = args.suite
             if name not in SUITE_NAMES:
-                return {"error": f"unknown suite {name!r}"}, 2
+                return done({"error": f"unknown suite {name!r}"}, 2)
             started = time.monotonic()
-            results = _run_checks(_build_suite(name, args.seed, args.tol))
+            results = _run_checks(_build_suite(name, args.tol), args.seed)
             elapsed = time.monotonic() - started
             ok = all(r["status"] == "verified" for r in results)
             report = {
@@ -668,7 +643,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
 
         if args.command == "probe":
             if args.what != "claims":
-                return {"error": f"unknown probe target {args.what!r}"}, 2
+                return done({"error": f"unknown probe target {args.what!r}"}, 2)
             return done(
                 {
                     "command": "probe",

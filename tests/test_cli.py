@@ -198,13 +198,77 @@ def test_cli_process_roundtrip():
     assert proc.returncode == 2
 
 
-def test_threads_env_does_not_change_results(monkeypatch):
-    base = run(["verify", "words"])[0]
-    monkeypatch.setenv("FREEBIALG_THREADS", "4")
-    threaded = run(["verify", "words"])[0]
-    base.pop("_elapsed_text_only", None)
-    threaded.pop("_elapsed_text_only", None)
-    assert json.dumps(base, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+def _draws_per_check(monkeypatch, suite, reorder):
+    """Words each check of ``suite`` draws through ``random_reduced_word``
+    when the suite's checks are rearranged by ``reorder``."""
+    from freebialg import cli
+
+    build, draw = cli._build_suite, cli.random_reduced_word
+    running, drawn = [], {}
+
+    def tagged(claim, fn):
+        def check(*args):
+            running.append(claim)
+            try:
+                return fn(*args)
+            finally:
+                running.pop()
+
+        return check
+
+    def rearranged(*args):
+        return [(claim, tagged(claim, fn)) for claim, fn in reorder(build(*args))]
+
+    def spy(*args, **kwargs):
+        w = draw(*args, **kwargs)
+        drawn.setdefault(running[-1], []).append((w.ambient.n, w.syllables))
+        return w
+
+    monkeypatch.setattr(cli, "_build_suite", rearranged)
+    monkeypatch.setattr(cli, "random_reduced_word", spy)
+    report, code = run(["verify", suite])
+    monkeypatch.undo()
+    assert code == 0 and report["status"] == "verified"
+    return drawn
+
+
+_SEEDED_REPS = ("reps.action-laws", "reps.intertwiner")
+
+
+def _without(claim):
+    return lambda checks: [c for c in checks if c[0] != claim]
+
+
+@pytest.mark.parametrize(
+    "suite,variants",
+    [
+        ("words", [lambda c: c[::-1], _without("words.lift-constructions")]),
+        # the two seeded reps checks alone, in reverse order
+        ("reps", [lambda c: [x for x in c if x[0] in _SEEDED_REPS][::-1]]),
+    ],
+    ids=["words", "reps"],
+)
+def test_check_corpus_independent_of_suite_makeup(monkeypatch, suite, variants):
+    """A check draws the same corpus for a given seed whatever the order of
+    the suite and whichever other checks run with it."""
+    base = _draws_per_check(monkeypatch, suite, lambda c: c)
+    assert base
+    for reorder in variants:
+        got = _draws_per_check(monkeypatch, suite, reorder)
+        assert got
+        for claim, words in got.items():
+            assert words == base[claim], claim
+
+
+def test_unknown_names_are_text_errors(capsys):
+    from freebialg.cli import main
+
+    for argv, message in (
+        (["verify", "bogus"], "error: unknown suite 'bogus'"),
+        (["probe", "bogus"], "error: unknown probe target 'bogus'"),
+    ):
+        assert main(["--format", "text", *argv]) == 2
+        assert capsys.readouterr().out == message + "\n"
 
 
 # -- golden output -----------------------------------------------------------------
