@@ -354,7 +354,8 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     pairs = [
         ((w1, w2), c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()
     ]
-    return TensorElement((a.space, b.space), pairs, a.exact, max(a.tol, b.tol), _trusted=True)
+    ambients = (a.ambient, b.ambient)
+    return TensorElement(ambients, pairs, a.exact, max(a.tol, b.tol), _trusted=True)
 
 
 def _extend(split, a: AlgebraElement, ambients) -> TensorElement:
@@ -385,7 +386,7 @@ def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
 def standard_delta(a: AlgebraElement) -> TensorElement:
     """The diagonal comultiplication ``w -> w (x) w`` extended linearly."""
     pairs = [((w, w), c) for w, c in a.terms.items()]
-    return TensorElement((a.space, a.space), pairs, a.exact, a.tol, _trusted=True)
+    return TensorElement((a.ambient, a.ambient), pairs, a.exact, a.tol, _trusted=True)
 
 
 def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:

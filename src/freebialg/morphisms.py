@@ -68,7 +68,9 @@ class GradedEndo:
                 phase = complex(phase) if isinstance(phase, QI) else phase
                 c = complex(c)
             pairs.append((img, c * phase))
-        return AlgebraElement(a.ambient, pairs, exact, max(a.tol, self.tol), _trusted=True)
+        return AlgebraElement(
+            a.ambient, pairs, exact, max(a.tol, self.tol), _trusted=True
+        )
 
     def apply(self, x: DirectSumElement) -> DirectSumElement:
         comps = {n: self.apply_algebra(a) for n, a in x.components.items()}
@@ -125,7 +127,9 @@ def alpha(t: float, x: DirectSumElement) -> DirectSumElement:
         for w, c in a.terms.items():
             angle = math.fmod(t * w.exponent_sum * logn, TWO_PI)
             pairs.append((w, complex(c) * cmath.exp(1j * angle)))
-        comps[n] = AlgebraElement(a.ambient, pairs, False, max(a.tol, DEFAULT_TOL), _trusted=True)
+        comps[n] = AlgebraElement(
+            a.ambient, pairs, False, max(a.tol, DEFAULT_TOL), _trusted=True
+        )
     return DirectSumElement(comps, False, max(x.tol, DEFAULT_TOL))
 
 

@@ -255,7 +255,7 @@ def phi(n: int, m: int, z: ReducedWord) -> PairWord:
     >>> p.is_unit and q.is_unit
     True
     """
-    if z.ambient.n != n * m:
+    if z.ambient != Rank(n * m):
         raise ValueError(f"expected a word of rank {n * m}, got ambient {z.ambient}")
     return _split(z, m, Rank(n), Rank(m))
 
@@ -264,7 +264,7 @@ def phi_inf(n: int, z: ReducedWord) -> PairWord:
     """Infinite-rank analogue of :func:`phi`: ``g_{n*(i-1)+j} -> (g_i, g_j)``
     with the first component of infinite rank and the second of rank ``n``.
     """
-    if z.ambient.n is not None:
+    if not z.ambient.is_infinite:
         raise ValueError(f"expected an infinite-rank word, got ambient {z.ambient}")
     return _split(z, n, INFINITE, Rank(n))
 
