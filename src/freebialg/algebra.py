@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 
 from .scalars import QI, ZERO
-from .words import INFINITE, Rank, ReducedWord, multiply, phi, phi_inf
+from .words import INFINITE, Rank, ReducedWord, _as_rank, _rank, multiply, phi, phi_inf
 
 __all__ = [
     "DEFAULT_TOL",
@@ -258,13 +258,13 @@ class AlgebraElement(_Linear):
         self, ambient: Rank | int, terms=(), exact: bool = True, tol: float = DEFAULT_TOL,
         _trusted: bool = False,
     ):
-        ambient = ambient if isinstance(ambient, Rank) else Rank(ambient)
+        ambient = _as_rank(ambient)
         super().__init__(ambient, terms, exact, tol, _trusted)
 
     @classmethod
     def unit(cls, ambient, exact: bool = True):
-        amb = ambient if isinstance(ambient, Rank) else Rank(ambient)
-        return cls(amb, {ReducedWord(amb): QI(1) if exact else 1.0}, exact)
+        amb = _as_rank(ambient)
+        return cls(amb, {ReducedWord._new(amb, ()): QI(1) if exact else 1.0}, exact)
 
     @classmethod
     def from_word(cls, w: ReducedWord, coeff=1, exact: bool = True):
@@ -305,7 +305,7 @@ class _Tensor(_Linear):
         _trusted: bool = False,
     ):
         if not _trusted:
-            ambients = tuple([r if isinstance(r, Rank) else Rank(r) for r in ambients])
+            ambients = tuple([_as_rank(r) for r in ambients])
             if self._arity is not None and len(ambients) != self._arity:
                 raise ValueError(f"expected {self._arity} tensor slots, got {len(ambients)}")
         super().__init__(ambients, terms, exact, tol, _trusted)
@@ -371,16 +371,16 @@ def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
     tensor product of the rank-``n`` and rank-``m`` algebras.  Distinct words
     may collide in the image, so coefficients accumulate.
     """
-    if a.ambient != Rank(n * m):
+    if a.ambient.n != n * m:
         raise ValueError(f"element lives in {a.ambient}, expected F{n * m}")
-    return _extend(partial(phi, n, m), a, (Rank(n), Rank(m)))
+    return _extend(partial(phi, n, m), a, (_rank(n), _rank(m)))
 
 
 def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
     """Linear extension of ``phi_inf(n, .)`` on infinite-rank elements."""
     if not a.ambient.is_infinite:
         raise ValueError(f"element lives in {a.ambient}, expected Finf")
-    return _extend(partial(phi_inf, n), a, (INFINITE, Rank(n)))
+    return _extend(partial(phi_inf, n), a, (INFINITE, _rank(n)))
 
 
 def standard_delta(a: AlgebraElement) -> TensorElement:
@@ -396,7 +396,7 @@ def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
     Both routes land in the four-fold tensor over ranks (n, n, m, m); the
     comparison is exact.
     """
-    rn, rm = Rank(n), Rank(m)
+    rn, rm = _rank(n), _rank(m)
     ranks = (rn, rn, rm, rm)
     lhs = [((w1, w1, w2, w2), c) for (w1, w2), c in varphi_alg(n, m, a).terms.items()]
     rhs = []

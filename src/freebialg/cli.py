@@ -33,9 +33,10 @@ from .bialgebra import (
 )
 from .corpus import random_direct_sum, random_reduced_word
 from .text import ParseError, parse_element, parse_word
-from .words import Rank, enumerate_ball, gen, kernel_witness, unit
+from .words import _rank, enumerate_ball, gen, kernel_witness, unit
 
 SUITE_NAMES = ("words", "bialgebra", "reps", "morphisms", "all")
+FORMATS = ("json", "text")
 
 
 def _add_common(parser, suppress: bool) -> None:
@@ -45,7 +46,7 @@ def _add_common(parser, suppress: bool) -> None:
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument(
         "--format",
-        choices=("json", "text"),
+        choices=FORMATS,
         default=default if suppress else "json",
     )
     parser.add_argument("--seed", type=int, default=default if suppress else 0)
@@ -539,13 +540,24 @@ def _scalar_json(c) -> dict:
     return {"re": c.real, "im": c.imag}
 
 
+def _requested_format(argv: list[str]) -> str:
+    # the output format of an argv the full parser rejected: read the
+    # --format flag alone, wherever it stands, and fall back to JSON
+    root = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    root.add_argument("--format", choices=FORMATS, default="json")
+    try:
+        return root.parse_known_args(argv)[0].format
+    except argparse.ArgumentError:
+        return "json"
+
+
 def run(argv: list[str]) -> tuple[dict, int]:
     """Execute one invocation; return the report dict and the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit:
-        return {"error": "usage", "_format": "json"}, 2
+        return {"error": "usage", "_format": _requested_format(argv)}, 2
 
     def done(report, code):
         report["_format"] = args.format
@@ -579,7 +591,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
             )
 
         if args.command == "phi":
-            w = parse_word(args.word, Rank(args.n * args.m))
+            w = parse_word(args.word, _rank(args.n * args.m))
             p, q = words.phi(args.n, args.m, w)
             return done(
                 {
@@ -617,8 +629,8 @@ def run(argv: list[str]) -> tuple[dict, int]:
             if args.find is not None:
                 left, _, right = args.find.partition(",")
                 pair = (
-                    parse_word(left.strip(), Rank(args.n)),
-                    parse_word(right.strip(), Rank(args.m)),
+                    parse_word(left.strip(), _rank(args.n)),
+                    parse_word(right.strip(), _rank(args.m)),
                 )
                 report["found"] = pair in orbit
             return done(report, 0)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement
 from .bialgebra import DirectSumElement
 from .scalars import QI
-from .words import Rank, ReducedWord, Syllable
+from .words import Rank, ReducedWord, Syllable, _as_rank
 
 __all__ = [
     "random_reduced_word",
@@ -23,7 +23,7 @@ def random_reduced_word(
 ) -> ReducedWord:
     """A uniformly-lengthed non-backtracking random walk, hence exactly
     reduced.  For infinite rank a generator cutoff is required."""
-    ambient = ambient if isinstance(ambient, Rank) else Rank(ambient)
+    ambient = _as_rank(ambient)
     span = max_gen if ambient.is_infinite else ambient.n
     if span is None:
         raise ValueError("infinite rank needs max_gen")
@@ -42,7 +42,7 @@ def random_reduced_word(
             sylls[-1] = Syllable(g, sylls[-1].exp + e)
         else:
             sylls.append(Syllable(g, e))
-    return ReducedWord(ambient, tuple(sylls))
+    return ReducedWord._new(ambient, tuple(sylls))
 
 
 def random_exact_scalar(rng: random.Random, span: int = 3) -> QI:

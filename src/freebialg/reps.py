@@ -18,7 +18,6 @@ import numpy as np
 from .algebra import _Linear
 from .scalars import QI, ZERO
 from .words import (
-    Rank,
     ReducedWord,
     enumerate_ball,
     gen,
@@ -71,7 +70,7 @@ class PDFunction:
 
 
 def f_eval(f: PDFunction, w: ReducedWord) -> int:
-    if w.ambient != Rank(f.n):
+    if w.ambient.n != f.n:
         raise ValueError(f"word lives in {w.ambient}, expected F{f.n}")
     if w.is_unit:
         return 1
@@ -152,14 +151,14 @@ class Coset:
 def coset_normal_form(n: int, i: int, w: ReducedWord) -> Coset:
     """Strip the maximal trailing power of ``g_i``; two words land on equal
     cosets exactly when they differ by a right factor in ``<g_i>``."""
-    if w.ambient != Rank(n):
+    if w.ambient.n != n:
         raise ValueError(f"word lives in {w.ambient}, expected F{n}")
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for F{n}")
     sylls = w.syllables
     if sylls and sylls[-1].gen == i:
-        sylls = sylls[:-1]
-    return Coset(n, i, ReducedWord(w.ambient, sylls))
+        w = ReducedWord._new(w.ambient, sylls[:-1])
+    return Coset(n, i, w)
 
 
 # -- basis descriptors and vectors ------------------------------------------
@@ -181,7 +180,7 @@ class GroupBasis:
     n: int
 
     def check(self, label):
-        if not isinstance(label, ReducedWord) or label.ambient != Rank(self.n):
+        if not isinstance(label, ReducedWord) or label.ambient.n != self.n:
             raise ValueError(f"label {label!r} does not belong to {self}")
         return label
 
@@ -193,7 +192,7 @@ class PairGroupBasis:
 
     def check(self, label):
         g, h = label
-        if g.ambient != Rank(self.n) or h.ambient != Rank(self.m):
+        if g.ambient.n != self.n or h.ambient.n != self.m:
             raise ValueError(f"label {label!r} does not belong to {self}")
         return (g, h)
 
@@ -254,7 +253,7 @@ def L_action(n: int, i: int, x: ReducedWord, v: SuppVector) -> SuppVector:
     basis = v.basis
     if basis != CosetBasis(n, i):
         raise ValueError(f"vector is not over the coset basis of F{n}/<g{i}>")
-    if x.ambient != Rank(n):
+    if x.ambient.n != n:
         raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
     return SuppVector(
         basis,
@@ -339,7 +338,7 @@ def lambda_action(n: int, x: ReducedWord, v: SuppVector) -> SuppVector:
     basis = v.basis
     if basis != GroupBasis(n):
         raise ValueError(f"vector is not over the group basis of F{n}")
-    if x.ambient != Rank(n):
+    if x.ambient.n != n:
         raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
     return SuppVector(basis, ((multiply(x, g), c) for g, c in v.terms.items()))
 
@@ -366,7 +365,7 @@ def orbit_bfs(
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g0, h0 = start
-    if g0.ambient != Rank(n) or h0.ambient != Rank(m):
+    if g0.ambient.n != n or h0.ambient.n != m:
         raise ValueError("start pair does not match the declared ranks")
     moves = []
     for k in range(1, n * m + 1):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .scalars import QI
-from .words import INFINITE, Rank, ReducedWord, Syllable, reduce
+from .words import INFINITE, Rank, ReducedWord, Syllable, _as_rank, _rank, reduce, unit
 
 __all__ = ["ParseError", "parse_rank", "parse_word", "parse_element"]
 
@@ -100,7 +100,7 @@ def _parse_rank(sc: _Scanner) -> Rank:
         raise ParseError("expected a rank like 'F4' or 'Finf'", sc.pos)
     if sc.match_word("inf"):
         return INFINITE
-    return Rank(sc.read_uint())
+    return _rank(sc.read_uint())
 
 
 def parse_rank(text: str) -> Rank:
@@ -128,7 +128,7 @@ def _parse_gterm(sc: _Scanner, ambient: Rank) -> Syllable:
 def _parse_word(sc: _Scanner, ambient: Rank) -> ReducedWord:
     if sc.peek() == "1":
         sc.take("1")
-        return ReducedWord(ambient)
+        return unit(ambient)
     sylls = [_parse_gterm(sc, ambient)]
     while True:
         save = sc.pos
@@ -144,7 +144,7 @@ def _parse_word(sc: _Scanner, ambient: Rank) -> ReducedWord:
 
 def parse_word(text: str, ambient: Rank | int) -> ReducedWord:
     """Parse a word like ``g1*g2^-1`` over the given ambient rank."""
-    ambient = ambient if isinstance(ambient, Rank) else Rank(ambient)
+    ambient = _as_rank(ambient)
     sc = _Scanner(text)
     w = _parse_word(sc, ambient)
     if not sc.at_end():
@@ -178,7 +178,7 @@ def _parse_term(sc: _Scanner, ambient: Rank) -> tuple[ReducedWord, QI]:
             return _parse_word(sc, ambient), coeff
         # a bare '1' is the unit word, not a coefficient
         if coeff == QI(1) and sc.text[save:sc.pos].strip() == "1":
-            return ReducedWord(ambient), QI(1)
+            return unit(ambient), QI(1)
         raise ParseError("expected '*' after coefficient", sc.pos)
     return _parse_word(sc, ambient), QI(1)
 

@@ -65,14 +65,27 @@ class Rank:
 
     @classmethod
     def from_json(cls, data) -> "Rank":
-        return INFINITE if data == "inf" else cls(int(data))
+        return INFINITE if data == "inf" else _rank(int(data))
 
 
 INFINITE = Rank(None)
 
+_RANKS: dict[int, Rank] = {}
+
+
+def _rank(n) -> Rank:
+    """The one shared ``Rank(n)`` for an int ``n``, built (and validated) on
+    first use; any other value goes to the validating constructor."""
+    if type(n) is not int:
+        return INFINITE if n is None else Rank(n)
+    r = _RANKS.get(n)
+    if r is None:
+        r = _RANKS[n] = Rank(n)
+    return r
+
 
 def _as_rank(ambient: Rank | int) -> Rank:
-    return ambient if isinstance(ambient, Rank) else Rank(ambient)
+    return ambient if isinstance(ambient, Rank) else _rank(ambient)
 
 
 class Syllable(NamedTuple):
@@ -84,6 +97,10 @@ class Syllable(NamedTuple):
 class ReducedWord:
     """A freely reduced word; the empty syllable sequence is the group unit.
 
+    Public construction checks every syllable.  Library operations whose
+    output is reduced by construction build words with :meth:`_new`, which
+    skips the check.
+
     >>> w = reduce(Rank(2), [(1, 1), (2, 1), (2, -1), (1, 1)])
     >>> str(w)
     'g1^2'
@@ -91,6 +108,16 @@ class ReducedWord:
 
     ambient: Rank
     syllables: tuple[Syllable, ...] = ()
+
+    @classmethod
+    def _new(cls, ambient: Rank, syllables: tuple[Syllable, ...]) -> "ReducedWord":
+        # trusted: ``syllables`` is a tuple of Syllable, already reduced and
+        # in range for ``ambient``
+        w = object.__new__(cls)
+        d = w.__dict__
+        d["ambient"] = ambient
+        d["syllables"] = syllables
+        return w
 
     def __post_init__(self):
         sylls = tuple(Syllable(*s) for s in self.syllables)
@@ -104,6 +131,25 @@ class ReducedWord:
             if s.gen == prev:
                 raise ValueError("adjacent syllables share a generator; word not reduced")
             prev = s.gen
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.syllables == other.syllables and (
+            self.ambient is other.ambient or self.ambient == other.ambient
+        )
+
+    _hash = None  # not a field: each word caches its hash on first use
+
+    def __hash__(self):
+        # the same value as the dataclass field hash, so set and dict orders
+        # do not depend on how a word was built
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.ambient, self.syllables))
+        return h
 
     # -- structure ---------------------------------------------------------
 
@@ -135,15 +181,15 @@ class ReducedWord:
         return multiply(self, other)
 
     def inverse(self) -> "ReducedWord":
-        return ReducedWord(
-            self.ambient, tuple(Syllable(g, -e) for g, e in reversed(self.syllables))
+        return ReducedWord._new(
+            self.ambient, tuple([Syllable(g, -e) for g, e in reversed(self.syllables)])
         )
 
     __invert__ = inverse
 
     def __pow__(self, k: int) -> "ReducedWord":
         if k == 0:
-            return ReducedWord(self.ambient)
+            return ReducedWord._new(self.ambient, ())
         base = self if k > 0 else self.inverse()
         out = base
         for _ in range(abs(k) - 1):
@@ -175,15 +221,17 @@ class PairWord(NamedTuple):
 
 
 def unit(ambient: Rank | int) -> ReducedWord:
-    return ReducedWord(_as_rank(ambient))
+    return ReducedWord._new(_as_rank(ambient), ())
 
 
 def gen(ambient: Rank | int, i: int, exp: int = 1) -> ReducedWord:
     """The word ``g_i^exp`` (the unit when ``exp == 0``)."""
     ambient = _as_rank(ambient)
     if exp == 0:
-        return ReducedWord(ambient)
-    return ReducedWord(ambient, (Syllable(i, exp),))
+        return ReducedWord._new(ambient, ())
+    if not ambient.allows(i):
+        raise ValueError(f"generator index {i} out of range for {ambient}")
+    return ReducedWord._new(ambient, (Syllable(i, exp),))
 
 
 def _push(stack: list[Syllable], g: int, e: int) -> None:
@@ -213,17 +261,37 @@ def reduce(ambient: Rank | int, letters: Iterable[tuple[int, int]]) -> ReducedWo
         if not ambient.allows(g):
             raise ValueError(f"generator index {g} out of range for {ambient}")
         _push(stack, g, e)
-    return ReducedWord(ambient, tuple(stack))
+    return ReducedWord._new(ambient, tuple(stack))
 
 
 def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
-    """Group product of two words over the same ambient rank."""
-    if w1.ambient != w2.ambient:
+    """Group product of two words over the same ambient rank.
+
+    Both words are reduced, so only the seam can cancel: matching syllables
+    cancel from the end of ``w1`` and the start of ``w2``, and at most one
+    pair merges.
+    """
+    ambient = w1.ambient
+    if ambient is not w2.ambient and ambient != w2.ambient:
         raise ValueError(f"ambient mismatch: {w1.ambient} vs {w2.ambient}")
-    stack = list(w1.syllables)
-    for g, e in w2.syllables:
-        _push(stack, g, e)
-    return ReducedWord(w1.ambient, tuple(stack))
+    left, right = w1.syllables, w2.syllables
+    if not right:
+        return w1
+    if not left:
+        return w2
+    i, k, end = len(left), 0, len(right)
+    while i and k < end:
+        g, e = left[i - 1]
+        if g != right[k].gen:
+            break
+        merged = e + right[k].exp
+        if merged:
+            return ReducedWord._new(
+                ambient, left[: i - 1] + (Syllable(g, merged),) + right[k + 1 :]
+            )
+        i -= 1
+        k += 1
+    return ReducedWord._new(ambient, left[:i] + right[k:])
 
 
 def inverse(w: ReducedWord) -> ReducedWord:
@@ -239,7 +307,7 @@ def _split(z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank) -> PairWor
         _push(left, i + 1, e)
         _push(right, j + 1, e)
     return PairWord(
-        ReducedWord(left_rank, tuple(left)), ReducedWord(right_rank, tuple(right))
+        ReducedWord._new(left_rank, tuple(left)), ReducedWord._new(right_rank, tuple(right))
     )
 
 
@@ -255,9 +323,9 @@ def phi(n: int, m: int, z: ReducedWord) -> PairWord:
     >>> p.is_unit and q.is_unit
     True
     """
-    if z.ambient != Rank(n * m):
+    if z.ambient.n != n * m:
         raise ValueError(f"expected a word of rank {n * m}, got ambient {z.ambient}")
-    return _split(z, m, Rank(n), Rank(m))
+    return _split(z, m, _rank(n), _rank(m))
 
 
 def phi_inf(n: int, z: ReducedWord) -> PairWord:
@@ -266,7 +334,7 @@ def phi_inf(n: int, z: ReducedWord) -> PairWord:
     """
     if not z.ambient.is_infinite:
         raise ValueError(f"expected an infinite-rank word, got ambient {z.ambient}")
-    return _split(z, n, INFINITE, Rank(n))
+    return _split(z, n, INFINITE, _rank(n))
 
 
 def kernel_witness(n: int, m: int, i: int, l: int, j: int, k: int) -> ReducedWord:
@@ -365,7 +433,7 @@ def cyclicity_witness(
     """
     if not (1 <= i <= n and 1 <= j <= m):
         raise ValueError("subgroup indices out of range")
-    if x.ambient != Rank(n) or y.ambient != Rank(m):
+    if x.ambient.n != n or y.ambient.n != m:
         raise ValueError("ambient mismatch with declared ranks")
     xp, zp = cancellation_witness_left(x, y)
     tail = reduce(n * m, [(m * (g - 1) + j, e) for g, e in xp.syllables])
@@ -390,20 +458,22 @@ def enumerate_ball(
         span = max_gen
     else:
         span = ambient.n
-    letters = [(g, e) for g in range(1, span + 1) for e in (1, -1)]
-    out = [ReducedWord(ambient)]
+    letters = [Syllable(g, e) for g in range(1, span + 1) for e in (1, -1)]
+    new = ReducedWord._new
+    out = [new(ambient, ())]
     frontier = out[:]
     for _ in range(radius):
         nxt = []
         for w in frontier:
-            last = w.syllables[-1] if w.syllables else None
-            for g, e in letters:
-                # skip the letter cancelling the last one
-                if last is not None and last.gen == g and (last.exp > 0) != (e > 0):
-                    continue
-                sylls = list(w.syllables)
-                _push(sylls, g, e)
-                nxt.append(ReducedWord(ambient, tuple(sylls)))
+            sylls = w.syllables
+            lg, le = sylls[-1] if sylls else (0, 0)
+            for s in letters:
+                g, e = s
+                if g != lg:
+                    nxt.append(new(ambient, sylls + (s,)))
+                elif (le > 0) == (e > 0):
+                    # grow the last syllable; the letter cancelling it is skipped
+                    nxt.append(new(ambient, sylls[:-1] + (Syllable(g, le + e),)))
         out.extend(nxt)
         frontier = nxt
     return out

@@ -271,6 +271,21 @@ def test_unknown_names_are_text_errors(capsys):
         assert capsys.readouterr().out == message + "\n"
 
 
+def test_usage_errors_respect_format(capsys):
+    from freebialg.cli import main
+
+    for argv in (
+        ["--format", "text", "nonsense"],
+        ["--format=text", "delta"],
+        ["verify", "--format", "text", "--seed", "x", "words"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == "error: usage\n"
+    for argv in (["nonsense"], ["--format", "json", "nonsense"], ["--format", "bogus", "verify"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == '{"error": "usage"}\n'
+
+
 # -- golden output -----------------------------------------------------------------
 
 # Exact stdout and exit code of reference invocations.  Short outputs are

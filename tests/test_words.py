@@ -6,12 +6,15 @@ implementation (plain signed integers, no run-length encoding); frozen
 expected values below were computed with it or by hand reduction.
 """
 
+import dataclasses
+import doctest
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freebialg import reps as R
 from freebialg import words as W
 from freebialg.corpus import random_reduced_word
 from freebialg.words import INFINITE, Rank, ReducedWord
@@ -385,3 +388,153 @@ def test_word_not_reduced_rejected():
         ReducedWord(Rank(2), ((1, 1), (1, 1)))
     with pytest.raises(ValueError):
         ReducedWord(Rank(2), ((1, 0),))
+
+
+def test_word_validation_unchanged():
+    with pytest.raises(ValueError):
+        ReducedWord(Rank(2), ((3, 1),))
+    w = W.reduce(2, [(1, 1), (2, -1)])
+    for word in (w, ReducedWord(Rank(2), w.syllables)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            word.syllables = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            word.ambient = Rank(3)
+        assert word.syllables == ((1, 1), (2, -1))
+
+
+def test_words_doctests_pass():
+    result = doctest.testmod(W)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+# -- words built without re-validation ----------------------------------------------------
+#
+# Library operations build their results through the trusted constructor.
+# Every such result must still be a word the validating constructor accepts,
+# with the hash a field-wise dataclass hash would give.
+
+CUTOFF = 5  # generator cutoff for infinite-rank words
+
+
+def assert_valid(w):
+    assert type(w) is ReducedWord and type(w.syllables) is tuple
+    assert all(type(s) is W.Syllable for s in w.syllables)
+    assert ReducedWord(w.ambient, w.syllables) == w
+    assert hash(w) == hash((w.ambient, w.syllables))
+    assert hash(w) == hash(ReducedWord(w.ambient, w.syllables))
+
+
+def _rank_of(n):
+    return INFINITE if n is None else Rank(n)
+
+
+@st.composite
+def words_over(draw, n):
+    span = CUTOFF if n is None else n
+    pairs = draw(st.lists(st.tuples(st.integers(1, span), st.integers(-3, 3)), max_size=8))
+    return W.reduce(_rank_of(n), pairs)
+
+
+ranks = st.sampled_from([1, 2, 3, 4, None])
+any_word = ranks.flatmap(words_over)
+finite_word = st.sampled_from([1, 2, 3, 4]).flatmap(words_over)
+word_pair = ranks.flatmap(lambda n: st.tuples(words_over(n), words_over(n)))
+
+
+@given(any_word, st.integers(1, CUTOFF), st.integers(-3, 3), st.integers(-3, 3))
+def test_trusted_unary_results_are_valid(w, g, e, k):
+    assert_valid(w)  # a result of reduce
+    assert_valid(W.reduce(w.ambient, w.syllables))
+    assert_valid(w.inverse())
+    assert_valid(W.inverse(w))
+    assert_valid(w**k)
+    assert_valid(W.unit(w.ambient))
+    if e == 0 or w.ambient.allows(g):
+        assert_valid(W.gen(w.ambient, g, e))
+    else:
+        with pytest.raises(ValueError):
+            W.gen(w.ambient, g, e)
+
+
+@given(word_pair, any_word)
+def test_multiply_matches_reduce_of_concatenation(pair, c):
+    a, b = pair
+    if c.ambient != a.ambient:
+        c = W.unit(a.ambient)
+    a_inv_c = W.reduce(a.ambient, a.inverse().syllables + c.syllables)
+    for right in (b, a.inverse(), a_inv_c, W.unit(a.ambient)):
+        for x, y in ((a, right), (right, a)):
+            got = W.multiply(x, y)
+            want = W.reduce(x.ambient, x.syllables + y.syllables)
+            assert_valid(got)
+            assert [tuple(s) for s in got.syllables] == [tuple(s) for s in want.syllables]
+            assert got == want
+    assert W.multiply(a, a.inverse()).is_unit
+
+
+@given(finite_word)
+def test_trusted_split_results_are_valid(z):
+    k = z.ambient.n
+    for n in range(1, k + 1):
+        if k % n == 0:
+            for part in W.phi(n, k // n, z):
+                assert_valid(part)
+
+
+@given(words_over(None), st.integers(1, 3))
+def test_trusted_inf_split_results_are_valid(z, n):
+    p, q = W.phi_inf(n, z)
+    assert p.ambient == INFINITE and q.ambient == Rank(n)
+    assert_valid(p)
+    assert_valid(q)
+
+
+@given(finite_word, finite_word, st.integers(1, 4), st.integers(1, 4))
+def test_trusted_witness_results_are_valid(x, y, i, j):
+    n, m = x.ambient.n, y.ambient.n
+    for w in (*W.lift_first(x, m), *W.lift_second(y, n)):
+        assert_valid(w)
+    for w in (*W.cancellation_witness_left(x, y), *W.cancellation_witness_right(x, y)):
+        assert_valid(w)
+    i, j = min(i, n), min(j, m)
+    assert_valid(W.cyclicity_witness(n, m, i, j, x, y))
+    assert_valid(R.coset_normal_form(n, i, x).rep)
+
+
+@given(st.integers(0, 2**32), ranks, st.integers(0, 8))
+def test_random_reduced_word_is_valid(seed, n, max_len):
+    w = random_reduced_word(random.Random(seed), _rank_of(n), max_len, max_gen=CUTOFF)
+    assert_valid(w)
+    assert w.letter_length <= max_len
+
+
+def test_trusted_ball_words_are_valid():
+    for ambient, max_gen in ((1, None), (2, None), (3, None), (INFINITE, 2)):
+        ball = W.enumerate_ball(ambient, 3, max_gen)
+        for w in ball:
+            assert_valid(w)
+        assert len(set(ball)) == len(ball)
+
+
+def test_wrong_ambient_still_raises():
+    g = R.GroupBasis(2)
+    v = R.SuppVector.basis_vector(g, W.unit(2))
+    for bad in (W.gen(3, 1), W.gen(INFINITE, 1)):
+        with pytest.raises(ValueError):
+            W.phi(1, 2, bad)
+        with pytest.raises(ValueError):
+            R.f_eval(R.PDFunction(2, 1), bad)
+        with pytest.raises(ValueError):
+            R.coset_normal_form(2, 1, bad)
+        with pytest.raises(ValueError):
+            g.check(bad)
+        with pytest.raises(ValueError):
+            R.lambda_action(2, bad, v)
+    # the word of the right rank is accepted by each
+    good = W.gen(2, 1)
+    assert W.phi(1, 2, good) == (W.gen(1, 1), good)
+    assert R.f_eval(R.PDFunction(2, 1), good) == 1
+    assert R.coset_normal_form(2, 1, good).rep.is_unit
+    assert g.check(good) is good
+    assert R.lambda_action(2, good, v) == R.SuppVector.basis_vector(g, good)
