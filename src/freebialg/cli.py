@@ -14,13 +14,15 @@ not failures, and do not affect the exit code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 import time
+from collections.abc import Callable
 
 from . import bialgebra, morphisms, reps, words
-from .algebra import AlgebraElement, varphi_alg
+from .algebra import AlgebraElement, standard_delta_compat_check, varphi_alg
 from .bialgebra import (
     DirectSumElement,
     coassoc_check,
@@ -35,7 +37,6 @@ from .corpus import random_direct_sum, random_reduced_word
 from .text import ParseError, parse_element, parse_word
 from .words import _rank, enumerate_ball, gen, kernel_witness, unit
 
-SUITE_NAMES = ("words", "bialgebra", "reps", "morphisms", "all")
 FORMATS = ("json", "text")
 
 
@@ -100,403 +101,343 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# -- suite machinery ---------------------------------------------------------
+# -- check registry ------------------------------------------------------------
+
+# claim id -> fn(rng, tol) returning (ok, witness); suite "<name>" is every
+# claim whose id starts with "<name>."
+CHECKS: dict[str, Callable[[random.Random, float], tuple[bool, object]]] = {}
 
 
-def _run_checks(checks, seed: int) -> list[dict]:
-    """Evaluate (claim, check) pairs and return results sorted by claim id.
+def _check(claim: str):
+    """Register ``fn(rng, tol) -> (ok, witness)`` as the check of ``claim``."""
+
+    def register(fn):
+        CHECKS[claim] = fn
+        return fn
+
+    return register
+
+
+def _counted(claim: str):
+    """Register a generator ``fn(rng, tol)`` of ``(ok, payload)`` as the check
+    of ``claim``; the check reports the count or the first failing payload."""
+
+    def register(cases):
+        def check(rng, tol):
+            count = 0
+            for ok, payload in cases(rng, tol):
+                if not ok:
+                    return False, {"counterexample": payload}
+                count += 1
+            return True, {"checked": count}
+
+        CHECKS[claim] = check
+        return cases
+
+    return register
+
+
+def _run_checks(claims, seed: int, tol: float) -> list[dict]:
+    """Run the registered checks of ``claims`` in the order given.
 
     Each check gets its own random stream seeded by ``(seed, claim)``, so its
     corpus does not depend on which other checks run or in what order.
     """
     results = []
-    for claim, fn in checks:
-        ok, witness = fn(random.Random(f"{seed}:{claim}"))
+    for claim in claims:
+        ok, witness = CHECKS[claim](random.Random(f"{seed}:{claim}"), tol)
         results.append(
             {"claim": claim, "status": "verified" if ok else "failed", "witness": witness}
         )
-    return sorted(results, key=lambda r: r["claim"])
+    return results
 
 
-def _counted(pred_iter) -> tuple[bool, dict]:
-    """Exhaust an iterable of (ok, payload); report the count or the first
-    failing payload."""
-    count = 0
-    for ok, payload in pred_iter:
-        if not ok:
-            return False, {"counterexample": payload}
-        count += 1
-    return True, {"checked": count}
+def _generators(max_rank: int):
+    """``(n, k)`` for every generator ``g_k`` of every rank ``n <= max_rank``."""
+    for n in range(1, max_rank + 1):
+        for k in range(1, n + 1):
+            yield n, k
 
 
-def _suite_words(tol: float) -> list:
-    def reduction_laws(rng):
-        def run():
-            for _ in range(300):
-                n = rng.randint(1, 4)
-                w = random_reduced_word(rng, n, 6)
-                v = random_reduced_word(rng, n, 6)
-                u = random_reduced_word(rng, n, 6)
-                assoc = (w * v) * u == w * (v * u)
-                inv = (w * w.inverse()).is_unit
-                idem = words.reduce(w.ambient, w.syllables) == w
-                yield assoc and inv and idem, str(w)
-
-        return _counted(run())
-
-    def phi_hom(rng):
-        def run():
-            for _ in range(300):
-                n, m = rng.randint(1, 3), rng.randint(1, 3)
-                z1 = random_reduced_word(rng, n * m, 6)
-                z2 = random_reduced_word(rng, n * m, 6)
-                p, q = words.phi(n, m, z1 * z2)
-                p1, q1 = words.phi(n, m, z1)
-                p2, q2 = words.phi(n, m, z2)
-                yield (p == p1 * p2 and q == q1 * q2), f"{z1} , {z2}"
-
-        return _counted(run())
-
-    def kernel(rng):
-        def run():
-            for n in (2, 3):
-                for m in (2, 3):
-                    for i in range(1, n + 1):
-                        for l in range(1, n + 1):
-                            for j in range(1, m + 1):
-                                for k in range(1, m + 1):
-                                    w = kernel_witness(n, m, i, l, j, k)
-                                    p, q = words.phi(n, m, w)
-                                    ok = p.is_unit and q.is_unit
-                                    if i != l and j != k:
-                                        ok = ok and not w.is_unit
-                                    else:
-                                        ok = ok and w.is_unit
-                                    yield ok, f"x({i},{l};{j},{k}) n={n} m={m}"
-
-        return _counted(run())
-
-    def lifts(rng):
-        def run():
-            for _ in range(300):
-                n, m = rng.randint(1, 3), rng.randint(1, 3)
-                x = random_reduced_word(rng, n, 5)
-                y, z = words.lift_first(x, m)
-                p, q = words.phi(n, m, z)
-                in_b1 = all(s.gen == 1 for s in y.syllables)
-                yield (p == x and q == y and in_b1), f"lift_first {x}"
-                yb = random_reduced_word(rng, m, 5)
-                xb, zb = words.lift_second(yb, n)
-                pb, qb = words.phi(n, m, zb)
-                yield (pb == xb and qb == yb), f"lift_second {yb}"
-
-        return _counted(run())
-
-    def cancellation(rng):
-        def run():
-            for n in (1, 2):
-                for m in (1, 2):
-                    for x in enumerate_ball(n, 3):
-                        for y in enumerate_ball(m, 3):
-                            yield verify_cancellation(x, y), f"({x},{y})"
-            for _ in range(100):
-                n, m = rng.randint(1, 4), rng.randint(1, 4)
-                x = random_reduced_word(rng, n, 5)
-                y = random_reduced_word(rng, m, 5)
-                yield verify_cancellation(x, y), f"({x},{y})"
-
-        return _counted(run())
-
-    return [
-        ("words.cancellation-witnesses", cancellation),
-        ("words.kernel-witnesses", kernel),
-        ("words.lift-constructions", lifts),
-        ("words.phi-homomorphism", phi_hom),
-        ("words.reduction-laws", reduction_laws),
-    ]
+def _kernel_words():
+    """Every kernel witness ``x(i,l;j,k)`` of ``phi(n, m, .)`` for ``n, m`` in
+    ``{2, 3}``, with its indices ``(n, m, i, l, j, k)``."""
+    for n, m in itertools.product((2, 3), repeat=2):
+        n_gens, m_gens = range(1, n + 1), range(1, m + 1)
+        for i, l, j, k in itertools.product(n_gens, n_gens, m_gens, m_gens):
+            yield (n, m, i, l, j, k), kernel_witness(n, m, i, l, j, k)
 
 
-def _suite_bialgebra(tol: float) -> list:
-    def coassoc(rng):
-        def run():
-            for n in range(1, 25):
-                for k in range(1, n + 1):
-                    x = DirectSumElement.from_word(gen(n, k))
-                    yield coassoc_check(x)[2], f"g{k} in F{n}"
-            for _ in range(200):
-                x = random_direct_sum(rng, max_rank=12, max_len=5)
-                yield coassoc_check(x)[2], str(x)
-
-        return _counted(run())
-
-    def counit_law(rng):
-        def run():
-            for n in range(1, 25):
-                for k in range(1, n + 1):
-                    yield counit_check(DirectSumElement.from_word(gen(n, k))), f"g{k} in F{n}"
-            for _ in range(200):
-                x = random_direct_sum(rng, max_rank=12, max_len=5)
-                yield counit_check(x), str(x)
-
-        return _counted(run())
-
-    def wcs(rng):
-        def run():
-            for n in range(1, 5):
-                for m in range(1, 5):
-                    for l in range(1, 5):
-                        for k in range(1, n * m * l + 1):
-                            yield wcs_check(n, m, l, gen(n * m * l, k)), f"({n},{m},{l}) g{k}"
-            for n in range(1, 13):
-                for k in range(1, n + 1):
-                    yield counit_axiom_check(n, gen(n, k)), f"counit axiom g{k} F{n}"
-
-        return _counted(run())
-
-    def kernel_identity(rng):
-        def run():
-            for n in (2, 3):
-                for m in (2, 3):
-                    for i in range(1, n + 1):
-                        for l in range(1, n + 1):
-                            for j in range(1, m + 1):
-                                for k in range(1, m + 1):
-                                    w = kernel_witness(n, m, i, l, j, k)
-                                    el = AlgebraElement.from_word(w) - AlgebraElement.unit(n * m)
-                                    yield varphi_alg(n, m, el).is_zero, f"x({i},{l};{j},{k})"
-
-        return _counted(run())
-
-    def noncocommutative(rng):
-        x = DirectSumElement.from_word(gen(6, 2))
-        t = delta_phi(x)
-        ok = t.flip() != t and t.term_count() == 4
-        return ok, {"summands": t.term_count()}
-
-    def comodule(rng):
-        def run():
-            for k in range(1, 25):
-                for n in range(1, 4):
-                    for m in range(1, 4):
-                        w = gen(words.INFINITE, k)
-                        yield bialgebra.comodule_check(n, m, w), f"g{k} n={n} m={m}"
-
-        return _counted(run())
-
-    def unitization(rng):
-        def run():
-            for _ in range(100):
-                a = bialgebra.UnitizedElement(
-                    random_direct_sum(rng, max_rank=6, max_len=3),
-                    rng.randint(-2, 2),
-                )
-                b = bialgebra.UnitizedElement(
-                    random_direct_sum(rng, max_rank=6, max_len=3),
-                    rng.randint(-2, 2),
-                )
-                lhs = bialgebra.unitized_delta(a * b)
-                rhs = bialgebra.unitized_tensor_mul(
-                    bialgebra.unitized_delta(a), bialgebra.unitized_delta(b)
-                )
-                mult_ok = lhs[0] == rhs[0] and lhs[1] == rhs[1]
-                eps_ok = bialgebra.unitized_counit(a * b) == bialgebra.unitized_counit(
-                    a
-                ) * bialgebra.unitized_counit(b)
-                yield mult_ok and eps_ok, str(a)
-
-        return _counted(run())
-
-    def delta_compat(rng):
-        from .algebra import standard_delta_compat_check
-
-        def run():
-            for n in range(1, 5):
-                for m in range(1, 5):
-                    for k in range(1, n * m + 1):
-                        a = AlgebraElement.from_word(gen(n * m, k))
-                        yield standard_delta_compat_check(n, m, a), f"g{k} ({n},{m})"
-
-        return _counted(run())
-
-    return [
-        ("bialgebra.coassociativity", coassoc),
-        ("bialgebra.comodule", comodule),
-        ("bialgebra.counit-law", counit_law),
-        ("bialgebra.kernel-identity", kernel_identity),
-        ("bialgebra.noncocommutativity", noncocommutative),
-        ("bialgebra.standard-delta-compat", delta_compat),
-        ("bialgebra.unitization", unitization),
-        ("bialgebra.wcs-axioms", wcs),
-    ]
+@_counted("words.reduction-laws")
+def _reduction_laws(rng, tol):
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        w = random_reduced_word(rng, n, 6)
+        v = random_reduced_word(rng, n, 6)
+        u = random_reduced_word(rng, n, 6)
+        assoc = (w * v) * u == w * (v * u)
+        inv = (w * w.inverse()).is_unit
+        idem = words.reduce(w.ambient, w.syllables) == w
+        yield assoc and inv and idem, str(w)
 
 
-def _suite_reps(tol: float) -> list:
-    def gns(rng):
-        def run():
-            for n in (2, 3):
-                ball = enumerate_ball(n, 4)
-                for i in range(1, n + 1):
-                    for w in ball:
-                        yield reps.gns_coeff_check(n, i, w), f"F{n} i={i} {w}"
-
-        return _counted(run())
-
-    def fixed_dims(rng):
-        def run():
-            for n in (2, 3):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        want = 1 if i == j else 0
-                        got = reps.fixed_vector_dim(n, i, j, 3)
-                        yield got == want, f"F{n} i={i} j={j} got={got}"
-
-        return _counted(run())
-
-    def cyclicity(rng):
-        def run():
-            ball = enumerate_ball(2, 3)
-            for i in (1, 2):
-                for j in (1, 2):
-                    for x in ball:
-                        for y in ball:
-                            yield reps.cyclicity_check(2, 2, i, j, x, y), f"i={i} j={j} ({x},{y})"
-
-        return _counted(run())
-
-    def intertwiner(rng):
-        def run():
-            for _ in range(200):
-                x = random_reduced_word(rng, 2, 4)
-                h = random_reduced_word(rng, 4, 4)
-                g = random_reduced_word(rng, 4, 4)
-                yield reps.intertwine_check(2, 2, x, h, g), f"({x},{h},{g})"
-
-        return _counted(run())
-
-    def gram(rng):
-        def run():
-            for n in (2, 3):
-                ball = enumerate_ball(n, 2)
-                for i in range(1, n + 1):
-                    mn, ok = reps.gram_psd(reps.PDFunction(n, i), ball, tol)
-                    yield ok, f"f{i} F{n} min={mn}"
-            ball4 = enumerate_ball(4, 2)
-            for i in (1, 2):
-                for j in (1, 2):
-                    ev = lambda z, i=i, j=j: reps.f_pullback_eval(2, i, 2, j, z)
-                    mn, ok = reps.gram_psd(ev, ball4, tol)
-                    yield ok, f"pullback i={i} j={j} min={mn}"
-
-        return _counted(run())
-
-    def action_laws(rng):
-        def run():
-            for _ in range(200):
-                n = rng.randint(2, 3)
-                i = rng.randint(1, n)
-                x = random_reduced_word(rng, n, 4)
-                y = random_reduced_word(rng, n, 4)
-                basis = reps.CosetBasis(n, i)
-                v = reps.SuppVector.basis_vector(
-                    basis, reps.coset_normal_form(n, i, random_reduced_word(rng, n, 3))
-                )
-                composed = reps.L_action(n, i, x, reps.L_action(n, i, y, v))
-                direct = reps.L_action(n, i, x * y, v)
-                yield composed == direct, f"L F{n}/<g{i}> {x},{y}"
-                gb = reps.GroupBasis(n)
-                u = reps.SuppVector.basis_vector(gb, random_reduced_word(rng, n, 3))
-                lam_ok = reps.lambda_action(n, x, reps.lambda_action(n, y, u)) == reps.lambda_action(n, x * y, u)
-                yield lam_ok, f"lambda F{n} {x},{y}"
-
-        return _counted(run())
-
-    return [
-        ("reps.action-laws", action_laws),
-        ("reps.cyclicity", cyclicity),
-        ("reps.fixed-vectors", fixed_dims),
-        ("reps.gns-coefficients", gns),
-        ("reps.gram-psd", gram),
-        ("reps.intertwiner", intertwiner),
-    ]
+@_counted("words.phi-homomorphism")
+def _phi_homomorphism(rng, tol):
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        z1 = random_reduced_word(rng, n * m, 6)
+        z2 = random_reduced_word(rng, n * m, 6)
+        p, q = words.phi(n, m, z1 * z2)
+        p1, q1 = words.phi(n, m, z1)
+        p2, q2 = words.phi(n, m, z2)
+        yield (p == p1 * p2 and q == q1 * q2), f"{z1} , {z2}"
 
 
-def _suite_morphisms(tol: float) -> list:
-    def beta_morphism(rng):
-        def run():
-            endo = morphisms.beta_endo()
-            for n in range(1, 25):
-                for k in range(1, n + 1):
-                    x = DirectSumElement.from_word(gen(n, k))
-                    yield morphisms.bialgebra_morphism_check(endo, x, tol), f"g{k} F{n}"
-
-        return _counted(run())
-
-    def beta_involution(rng):
-        def run():
-            for _ in range(100):
-                x = random_direct_sum(rng, max_rank=12, max_len=5)
-                yield morphisms.beta(morphisms.beta(x)) == x, str(x)
-
-        return _counted(run())
-
-    def alpha_morphism(rng):
-        def run():
-            for t in (0.3, 1.0, 2.5):
-                endo = morphisms.alpha_endo(t)
-                for n in range(1, 13):
-                    for k in range(1, n + 1):
-                        x = DirectSumElement.from_word(gen(n, k))
-                        yield morphisms.bialgebra_morphism_check(endo, x, tol), f"t={t} g{k} F{n}"
-
-        return _counted(run())
-
-    def group_laws(rng):
-        report = morphisms.group_law_checks(tol=tol)
-        return report["status"] == "verified", report
-
-    return [
-        ("morphisms.alpha-morphism", alpha_morphism),
-        ("morphisms.beta-involution", beta_involution),
-        ("morphisms.beta-morphism", beta_morphism),
-        ("morphisms.group-laws", group_laws),
-    ]
+@_counted("words.kernel-witnesses")
+def _kernel_witnesses(rng, tol):
+    for (n, m, i, l, j, k), w in _kernel_words():
+        p, q = words.phi(n, m, w)
+        # the witness is the unit exactly when i == l or j == k
+        ok = p.is_unit and q.is_unit and w.is_unit == (i == l or j == k)
+        yield ok, f"x({i},{l};{j},{k}) n={n} m={m}"
 
 
-def _build_suite(name: str, tol: float) -> list:
-    builders = {
-        "words": _suite_words,
-        "bialgebra": _suite_bialgebra,
-        "reps": _suite_reps,
-        "morphisms": _suite_morphisms,
-    }
-    if name == "all":
-        checks = []
-        for key in ("words", "bialgebra", "reps", "morphisms"):
-            checks.extend(builders[key](tol))
-        return checks
-    return builders[name](tol)
+@_counted("words.lift-constructions")
+def _lift_constructions(rng, tol):
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        x = random_reduced_word(rng, n, 5)
+        y, z = words.lift_first(x, m)
+        p, q = words.phi(n, m, z)
+        in_b1 = all(s.gen == 1 for s in y.syllables)
+        yield (p == x and q == y and in_b1), f"lift_first {x}"
+        yb = random_reduced_word(rng, m, 5)
+        xb, zb = words.lift_second(yb, n)
+        pb, qb = words.phi(n, m, zb)
+        yield (pb == xb and qb == yb), f"lift_second {yb}"
+
+
+@_counted("words.cancellation-witnesses")
+def _cancellation_witnesses(rng, tol):
+    for n in (1, 2):
+        for m in (1, 2):
+            for x in enumerate_ball(n, 3):
+                for y in enumerate_ball(m, 3):
+                    yield verify_cancellation(x, y), f"({x},{y})"
+    for _ in range(100):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        x = random_reduced_word(rng, n, 5)
+        y = random_reduced_word(rng, m, 5)
+        yield verify_cancellation(x, y), f"({x},{y})"
+
+
+@_counted("bialgebra.coassociativity")
+def _coassociativity(rng, tol):
+    for n, k in _generators(24):
+        yield coassoc_check(DirectSumElement.from_word(gen(n, k)))[2], f"g{k} in F{n}"
+    for _ in range(200):
+        x = random_direct_sum(rng, max_rank=12, max_len=5)
+        yield coassoc_check(x)[2], str(x)
+
+
+@_counted("bialgebra.counit-law")
+def _counit_law(rng, tol):
+    for n, k in _generators(24):
+        yield counit_check(DirectSumElement.from_word(gen(n, k))), f"g{k} in F{n}"
+    for _ in range(200):
+        x = random_direct_sum(rng, max_rank=12, max_len=5)
+        yield counit_check(x), str(x)
+
+
+@_counted("bialgebra.wcs-axioms")
+def _wcs_axioms(rng, tol):
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for l in range(1, 5):
+                for k in range(1, n * m * l + 1):
+                    yield wcs_check(n, m, l, gen(n * m * l, k)), f"({n},{m},{l}) g{k}"
+    for n, k in _generators(12):
+        yield counit_axiom_check(n, gen(n, k)), f"counit axiom g{k} F{n}"
+
+
+@_counted("bialgebra.kernel-identity")
+def _kernel_identity(rng, tol):
+    for (n, m, i, l, j, k), w in _kernel_words():
+        el = AlgebraElement.from_word(w) - AlgebraElement.unit(n * m)
+        yield varphi_alg(n, m, el).is_zero, f"x({i},{l};{j},{k})"
+
+
+@_check("bialgebra.noncocommutativity")
+def _noncocommutativity(rng, tol):
+    t = delta_phi(DirectSumElement.from_word(gen(6, 2)))
+    ok = t.flip() != t and t.term_count() == 4
+    return ok, {"summands": t.term_count()}
+
+
+@_counted("bialgebra.comodule")
+def _comodule(rng, tol):
+    for k in range(1, 25):
+        for n in range(1, 4):
+            for m in range(1, 4):
+                w = gen(words.INFINITE, k)
+                yield bialgebra.comodule_check(n, m, w), f"g{k} n={n} m={m}"
+
+
+@_counted("bialgebra.unitization")
+def _unitization(rng, tol):
+    for _ in range(100):
+        a, b = (
+            bialgebra.UnitizedElement(random_direct_sum(rng, max_rank=6, max_len=3), rng.randint(-2, 2))
+            for _ in range(2)
+        )
+        lhs = bialgebra.unitized_delta(a * b)
+        rhs = bialgebra.unitized_tensor_mul(
+            bialgebra.unitized_delta(a), bialgebra.unitized_delta(b)
+        )
+        mult_ok = lhs[0] == rhs[0] and lhs[1] == rhs[1]
+        eps_ok = bialgebra.unitized_counit(a * b) == bialgebra.unitized_counit(
+            a
+        ) * bialgebra.unitized_counit(b)
+        yield mult_ok and eps_ok, str(a)
+
+
+@_counted("bialgebra.standard-delta-compat")
+def _standard_delta_compat(rng, tol):
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for k in range(1, n * m + 1):
+                a = AlgebraElement.from_word(gen(n * m, k))
+                yield standard_delta_compat_check(n, m, a), f"g{k} ({n},{m})"
+
+
+@_counted("reps.gns-coefficients")
+def _gns_coefficients(rng, tol):
+    for n in (2, 3):
+        ball = enumerate_ball(n, 4)
+        for i in range(1, n + 1):
+            for w in ball:
+                yield reps.gns_coeff_check(n, i, w), f"F{n} i={i} {w}"
+
+
+@_counted("reps.fixed-vectors")
+def _fixed_vectors(rng, tol):
+    for n in (2, 3):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                want = 1 if i == j else 0
+                got = reps.fixed_vector_dim(n, i, j, 3)
+                yield got == want, f"F{n} i={i} j={j} got={got}"
+
+
+@_counted("reps.cyclicity")
+def _cyclicity(rng, tol):
+    ball = enumerate_ball(2, 3)
+    for i in (1, 2):
+        for j in (1, 2):
+            for x in ball:
+                for y in ball:
+                    yield reps.cyclicity_check(2, 2, i, j, x, y), f"i={i} j={j} ({x},{y})"
+
+
+@_counted("reps.intertwiner")
+def _intertwiner(rng, tol):
+    for _ in range(200):
+        x = random_reduced_word(rng, 2, 4)
+        h = random_reduced_word(rng, 4, 4)
+        g = random_reduced_word(rng, 4, 4)
+        yield reps.intertwine_check(2, 2, x, h, g), f"({x},{h},{g})"
+
+
+@_counted("reps.gram-psd")
+def _gram_psd(rng, tol):
+    for n in (2, 3):
+        ball = enumerate_ball(n, 2)
+        for i in range(1, n + 1):
+            mn, ok = reps.gram_psd(reps.PDFunction(n, i), ball, tol)
+            yield ok, f"f{i} F{n} min={mn}"
+    ball4 = enumerate_ball(4, 2)
+    for i in (1, 2):
+        for j in (1, 2):
+            ev = lambda z, i=i, j=j: reps.f_pullback_eval(2, i, 2, j, z)
+            mn, ok = reps.gram_psd(ev, ball4, tol)
+            yield ok, f"pullback i={i} j={j} min={mn}"
+
+
+@_counted("reps.action-laws")
+def _action_laws(rng, tol):
+    for _ in range(200):
+        n = rng.randint(2, 3)
+        i = rng.randint(1, n)
+        x = random_reduced_word(rng, n, 4)
+        y = random_reduced_word(rng, n, 4)
+        basis = reps.CosetBasis(n, i)
+        v = reps.SuppVector.basis_vector(
+            basis, reps.coset_normal_form(n, i, random_reduced_word(rng, n, 3))
+        )
+        composed = reps.L_action(n, i, x, reps.L_action(n, i, y, v))
+        direct = reps.L_action(n, i, x * y, v)
+        yield composed == direct, f"L F{n}/<g{i}> {x},{y}"
+        gb = reps.GroupBasis(n)
+        u = reps.SuppVector.basis_vector(gb, random_reduced_word(rng, n, 3))
+        lam_ok = reps.lambda_action(n, x, reps.lambda_action(n, y, u)) == reps.lambda_action(n, x * y, u)
+        yield lam_ok, f"lambda F{n} {x},{y}"
+
+
+@_counted("morphisms.beta-morphism")
+def _beta_morphism(rng, tol):
+    endo = morphisms.beta_endo()
+    for n, k in _generators(24):
+        x = DirectSumElement.from_word(gen(n, k))
+        yield morphisms.bialgebra_morphism_check(endo, x, tol), f"g{k} F{n}"
+
+
+@_counted("morphisms.beta-involution")
+def _beta_involution(rng, tol):
+    for _ in range(100):
+        x = random_direct_sum(rng, max_rank=12, max_len=5)
+        yield morphisms.beta(morphisms.beta(x)) == x, str(x)
+
+
+@_counted("morphisms.alpha-morphism")
+def _alpha_morphism(rng, tol):
+    for t in (0.3, 1.0, 2.5):
+        endo = morphisms.alpha_endo(t)
+        for n, k in _generators(12):
+            x = DirectSumElement.from_word(gen(n, k))
+            yield morphisms.bialgebra_morphism_check(endo, x, tol), f"t={t} g{k} F{n}"
+
+
+@_check("morphisms.group-laws")
+def _group_laws(rng, tol):
+    report = morphisms.group_law_checks(tol=tol)
+    return report["status"] == "verified", report
+
+
+SUITE_NAMES = (*dict.fromkeys(claim.partition(".")[0] for claim in CHECKS), "all")
 
 
 # -- probes -------------------------------------------------------------------
 
 
+def _pd_report(n: int, m: int, i: int, j: int, radius: int) -> dict:
+    found = reps.claim_probe_pd(n, m, i, j, radius)
+    return {
+        "claim": "prop-indicator-tensor",
+        "params": {"n": n, "m": m, "i": i, "j": j},
+        "radius": radius,
+        "disagreements": [
+            {"z": z.to_json(), "pullback": pb, "direct": dv} for z, pb, dv in found
+        ],
+    }
+
+
 def _probe_reports(radius: int) -> list[dict]:
-    reports = []
-    for n, m in ((2, 2), (2, 3)):
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                found = reps.claim_probe_pd(n, m, i, j, radius)
-                reports.append(
-                    {
-                        "claim": "prop-indicator-tensor",
-                        "params": {"n": n, "m": m, "i": i, "j": j},
-                        "radius": radius,
-                        "disagreements": [
-                            {"z": z.to_json(), "pullback": pb, "direct": dv}
-                            for z, pb, dv in found
-                        ],
-                    }
-                )
+    reports = [
+        _pd_report(n, m, i, j, radius)
+        for n, m in ((2, 2), (2, 3))
+        for i in range(1, n + 1)
+        for j in range(1, m + 1)
+    ]
     start = (unit(2), unit(2))
     orbit = reps.orbit_bfs(2, 2, start, radius)
     collision = parse_word("g1*g2*g1^-1*g2^-1", 2)
@@ -534,12 +475,6 @@ def _probe_reports(radius: int) -> list[dict]:
 # -- command handlers ----------------------------------------------------------
 
 
-def _scalar_json(c) -> dict:
-    if hasattr(c, "to_json"):
-        return c.to_json()
-    return {"re": c.real, "im": c.imag}
-
-
 def _requested_format(argv: list[str]) -> str:
     # the output format of an argv the full parser rejected: read the
     # --format flag alone, wherever it stands, and fall back to JSON
@@ -556,7 +491,9 @@ def run(argv: list[str]) -> tuple[dict, int]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:  # --help has printed its text
+            raise
         return {"error": "usage", "_format": _requested_format(argv)}, 2
 
     def done(report, code):
@@ -585,7 +522,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
                     "command": "counit",
                     "input": str(el),
                     "canonical": str(value),
-                    "result": _scalar_json(value),
+                    "result": value.to_json(),
                 },
                 0,
             )
@@ -603,21 +540,11 @@ def run(argv: list[str]) -> tuple[dict, int]:
             )
 
         if args.command == "tensor-pd":
-            found = reps.claim_probe_pd(args.n, args.m, args.i, args.j, args.radius)
-            return done(
-                {
-                    "claim": "prop-indicator-tensor",
-                    "params": {"n": args.n, "m": args.m, "i": args.i, "j": args.j},
-                    "radius": args.radius,
-                    "disagreements": [
-                        {"z": z.to_json(), "pullback": pb, "direct": dv}
-                        for z, pb, dv in found
-                    ],
-                },
-                0,
-            )
+            return done(_pd_report(args.n, args.m, args.i, args.j, args.radius), 0)
 
         if args.command == "orbit":
+            if args.find is not None and "," not in args.find:
+                raise ValueError(f"--find expects a pair LEFT,RIGHT, got {args.find!r}")
             start = (unit(args.n), unit(args.m))
             orbit = reps.orbit_bfs(args.n, args.m, start, args.radius)
             report = {
@@ -640,7 +567,8 @@ def run(argv: list[str]) -> tuple[dict, int]:
             if name not in SUITE_NAMES:
                 return done({"error": f"unknown suite {name!r}"}, 2)
             started = time.monotonic()
-            results = _run_checks(_build_suite(name, args.tol), args.seed)
+            claims = sorted(c for c in CHECKS if name == "all" or c.startswith(name + "."))
+            results = _run_checks(claims, args.seed, args.tol)
             elapsed = time.monotonic() - started
             ok = all(r["status"] == "verified" for r in results)
             report = {
@@ -670,6 +598,11 @@ def run(argv: list[str]) -> tuple[dict, int]:
     return done({"error": "usage"}, 2)
 
 
+def _probe_line(r: dict) -> str:
+    params = json.dumps(r["params"], sort_keys=True)
+    return f"{r['claim']} {params}: {len(r['disagreements'])} disagreement(s)"
+
+
 def _render_text(report: dict) -> str:
     lines = []
     if "error" in report:
@@ -686,22 +619,14 @@ def _render_text(report: dict) -> str:
             lines.append(f"elapsed: {report['_elapsed_text_only']:.2f}s")
         return "\n".join(lines)
     if cmd == "probe":
-        for r in report["reports"]:
-            lines.append(
-                f"{r['claim']} {json.dumps(r['params'], sort_keys=True)}: "
-                f"{len(r['disagreements'])} disagreement(s)"
-            )
-        return "\n".join(lines)
+        return "\n".join(_probe_line(r) for r in report["reports"])
     if cmd == "orbit":
         base = f"orbit size {report['count']} at radius {report['radius']}"
         if "found" in report:
             base += f", found={report['found']}"
         return base
     if "claim" in report:  # single probe report (tensor-pd)
-        lines.append(
-            f"{report['claim']} {json.dumps(report['params'], sort_keys=True)}: "
-            f"{len(report['disagreements'])} disagreement(s) at radius {report['radius']}"
-        )
+        lines.append(f"{_probe_line(report)} at radius {report['radius']}")
         for d in report["disagreements"]:
             lines.append(f"  z={d['z']} pullback={d['pullback']} direct={d['direct']}")
         return "\n".join(lines)

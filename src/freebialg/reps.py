@@ -98,6 +98,8 @@ def claim_probe_pd(
     subgroups gives pullback 1 and direct 0; the shortest such words have
     length 3, and the nontrivial kernel words of length 4 are among them.
     """
+    # range-check i and j, naming their own factor, before the ball is built
+    PDFunction(n, i), PDFunction(m, j)
     direct = PDFunction(n * m, m * (i - 1) + j)
     out = []
     for z in enumerate_ball(n * m, radius):

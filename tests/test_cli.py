@@ -2,8 +2,10 @@
 exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,35 @@ def test_orbit_command_with_find():
     assert report["found"] is False  # signs are correlated at radius 1
 
 
+def test_orbit_find_without_comma_is_rejected_before_the_search(monkeypatch):
+    from freebialg import reps
+
+    def no_search(*args):
+        raise AssertionError("the orbit was searched before --find was checked")
+
+    monkeypatch.setattr(reps, "orbit_bfs", no_search)
+    report, code = run(["orbit", "2", "2", "--radius", "6", "--find", "g1"])
+    assert code == 2
+    assert "LEFT,RIGHT" in report["error"]
+
+
+def test_tensor_pd_checks_indices_before_the_scan(monkeypatch):
+    """An out-of-range i or j is rejected before the ball is enumerated, and
+    the error names the factor the index belongs to."""
+    from freebialg import reps
+
+    def no_scan(*args):
+        raise AssertionError("the ball was built before i and j were checked")
+
+    monkeypatch.setattr(reps, "enumerate_ball", no_scan)
+    for n, m, i, j, factor in ((3, 2, 4, 1, "F3"), (3, 2, 1, 3, "F2"), (2, 2, 1, 0, "F2")):
+        with pytest.raises(ValueError, match=f"out of range for {factor}$"):
+            reps.claim_probe_pd(n, m, i, j, 6)
+        report, code = run(["tensor-pd", str(n), str(m), str(i), str(j), "--radius", "6"])
+        assert code == 2
+        assert report["error"].endswith(f"out of range for {factor}")
+
+
 def test_usage_errors_exit_2():
     _, code = run(["delta", "F2: g3"])
     assert code == 2
@@ -173,10 +204,18 @@ def test_json_determinism():
 
 
 def test_cli_process_roundtrip():
+    # the child process imports the same freebialg as the tests, installed or not
+    import freebialg
+
+    src = str(Path(freebialg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+
     proc = subprocess.run(
         [sys.executable, "-m", "freebialg", "counit", "F1: g1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -186,6 +225,7 @@ def test_cli_process_roundtrip():
         [sys.executable, "-m", "freebialg", "--format", "text", "delta", "F6: g2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("F1(x)F6:")
@@ -194,16 +234,17 @@ def test_cli_process_roundtrip():
         [sys.executable, "-m", "freebialg", "delta", "F2: g9"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
 
 
-def _draws_per_check(monkeypatch, suite, reorder):
-    """Words each check of ``suite`` draws through ``random_reduced_word``
-    when the suite's checks are rearranged by ``reorder``."""
+def _draws_per_check(monkeypatch, claims):
+    """Words each check draws through ``random_reduced_word`` when the
+    registered checks ``claims`` run in the order given."""
     from freebialg import cli
 
-    build, draw = cli._build_suite, cli.random_reduced_word
+    draw = cli.random_reduced_word
     running, drawn = [], {}
 
     def tagged(claim, fn):
@@ -216,19 +257,18 @@ def _draws_per_check(monkeypatch, suite, reorder):
 
         return check
 
-    def rearranged(*args):
-        return [(claim, tagged(claim, fn)) for claim, fn in reorder(build(*args))]
-
     def spy(*args, **kwargs):
         w = draw(*args, **kwargs)
         drawn.setdefault(running[-1], []).append((w.ambient.n, w.syllables))
         return w
 
-    monkeypatch.setattr(cli, "_build_suite", rearranged)
+    for claim in claims:
+        monkeypatch.setitem(cli.CHECKS, claim, tagged(claim, cli.CHECKS[claim]))
     monkeypatch.setattr(cli, "random_reduced_word", spy)
-    report, code = run(["verify", suite])
+    results = cli._run_checks(claims, 0, 1e-9)
     monkeypatch.undo()
-    assert code == 0 and report["status"] == "verified"
+    assert [r["claim"] for r in results] == claims
+    assert all(r["status"] == "verified" for r in results)
     return drawn
 
 
@@ -236,7 +276,7 @@ _SEEDED_REPS = ("reps.action-laws", "reps.intertwiner")
 
 
 def _without(claim):
-    return lambda checks: [c for c in checks if c[0] != claim]
+    return lambda claims: [c for c in claims if c != claim]
 
 
 @pytest.mark.parametrize(
@@ -244,20 +284,65 @@ def _without(claim):
     [
         ("words", [lambda c: c[::-1], _without("words.lift-constructions")]),
         # the two seeded reps checks alone, in reverse order
-        ("reps", [lambda c: [x for x in c if x[0] in _SEEDED_REPS][::-1]]),
+        ("reps", [lambda c: [x for x in c if x in _SEEDED_REPS][::-1]]),
     ],
     ids=["words", "reps"],
 )
 def test_check_corpus_independent_of_suite_makeup(monkeypatch, suite, variants):
     """A check draws the same corpus for a given seed whatever the order of
     the suite and whichever other checks run with it."""
-    base = _draws_per_check(monkeypatch, suite, lambda c: c)
+    from freebialg import cli
+
+    claims = sorted(c for c in cli.CHECKS if c.startswith(suite + "."))
+    base = _draws_per_check(monkeypatch, claims)
     assert base
     for reorder in variants:
-        got = _draws_per_check(monkeypatch, suite, reorder)
+        got = _draws_per_check(monkeypatch, reorder(claims))
         assert got
         for claim, words in got.items():
             assert words == base[claim], claim
+
+
+def test_registry_claims_per_suite():
+    from freebialg import cli
+
+    suites = {}
+    for claim in cli.CHECKS:
+        suites.setdefault(claim.partition(".")[0], []).append(claim)
+    assert cli.SUITE_NAMES == ("words", "bialgebra", "reps", "morphisms", "all")
+    assert {name: sorted(claims) for name, claims in suites.items()} == {
+        "words": [
+            "words.cancellation-witnesses",
+            "words.kernel-witnesses",
+            "words.lift-constructions",
+            "words.phi-homomorphism",
+            "words.reduction-laws",
+        ],
+        "bialgebra": [
+            "bialgebra.coassociativity",
+            "bialgebra.comodule",
+            "bialgebra.counit-law",
+            "bialgebra.kernel-identity",
+            "bialgebra.noncocommutativity",
+            "bialgebra.standard-delta-compat",
+            "bialgebra.unitization",
+            "bialgebra.wcs-axioms",
+        ],
+        "reps": [
+            "reps.action-laws",
+            "reps.cyclicity",
+            "reps.fixed-vectors",
+            "reps.gns-coefficients",
+            "reps.gram-psd",
+            "reps.intertwiner",
+        ],
+        "morphisms": [
+            "morphisms.alpha-morphism",
+            "morphisms.beta-involution",
+            "morphisms.beta-morphism",
+            "morphisms.group-laws",
+        ],
+    }
 
 
 def test_unknown_names_are_text_errors(capsys):
@@ -284,6 +369,17 @@ def test_usage_errors_respect_format(capsys):
     for argv in (["nonsense"], ["--format", "json", "nonsense"], ["--format", "bogus", "verify"]):
         assert main(argv) == 2
         assert capsys.readouterr().out == '{"error": "usage"}\n'
+
+
+def test_help_exits_0(capsys):
+    from freebialg.cli import main
+
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: freebialg") and '{"error"' not in out
 
 
 # -- golden output -----------------------------------------------------------------
@@ -363,8 +459,6 @@ def test_golden_output(argv, code, want, capsys):
 
 
 def test_golden_delta_matches_readme():
-    from pathlib import Path
-
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     lines = readme.splitlines()
     idx = lines.index('freebialg --format text delta "F6: g2"')
