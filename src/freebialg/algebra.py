@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .scalars import QI, ZERO
+from .scalars import ONE, QI, ZERO
 from .words import INFINITE, Rank, ReducedWord, _as_rank, _rank, multiply, phi, phi_inf
 
 __all__ = [
@@ -264,10 +264,10 @@ class AlgebraElement(_Linear):
     @classmethod
     def unit(cls, ambient, exact: bool = True):
         amb = _as_rank(ambient)
-        return cls(amb, {ReducedWord._new(amb, ()): QI(1) if exact else 1.0}, exact)
+        return cls(amb, {ReducedWord._new(amb, ()): ONE if exact else 1.0}, exact)
 
     @classmethod
-    def from_word(cls, w: ReducedWord, coeff=1, exact: bool = True):
+    def from_word(cls, w: ReducedWord, coeff=ONE, exact: bool = True):
         return cls(w.ambient, {w: coeff}, exact)
 
     def _check_label(self, label):

@@ -21,7 +21,7 @@ from .algebra import (
     varphi_alg,
     varphi_inf_alg,
 )
-from .scalars import QI, ZERO
+from .scalars import ONE, QI, ZERO
 from .words import ReducedWord, _rank, phi, phi_inf
 
 __all__ = [
@@ -212,7 +212,7 @@ class DirectSumElement(_Graded):
         return cls({a.ambient.n: a})
 
     @classmethod
-    def from_word(cls, w: ReducedWord, coeff=1) -> "DirectSumElement":
+    def from_word(cls, w: ReducedWord, coeff=ONE) -> "DirectSumElement":
         return cls.from_algebra(AlgebraElement.from_word(w, coeff))
 
     @classmethod
@@ -362,7 +362,7 @@ class UnitizedElement:
 
     @classmethod
     def adjoined_unit(cls) -> "UnitizedElement":
-        return cls(DirectSumElement.zero(), QI(1))
+        return cls(DirectSumElement.zero(), ONE)
 
     def __add__(self, other: "UnitizedElement") -> "UnitizedElement":
         return UnitizedElement(self.body + other.body, self.unit_coeff + other.unit_coeff)

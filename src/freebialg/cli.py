@@ -543,8 +543,15 @@ def run(argv: list[str]) -> tuple[dict, int]:
             return done(_pd_report(args.n, args.m, args.i, args.j, args.radius), 0)
 
         if args.command == "orbit":
-            if args.find is not None and "," not in args.find:
-                raise ValueError(f"--find expects a pair LEFT,RIGHT, got {args.find!r}")
+            pair = None
+            if args.find is not None:
+                if "," not in args.find:
+                    raise ValueError(f"--find expects a pair LEFT,RIGHT, got {args.find!r}")
+                left, _, right = args.find.partition(",")
+                pair = (
+                    parse_word(left.strip(), _rank(args.n)),
+                    parse_word(right.strip(), _rank(args.m)),
+                )
             start = (unit(args.n), unit(args.m))
             orbit = reps.orbit_bfs(args.n, args.m, start, args.radius)
             report = {
@@ -553,12 +560,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
                 "radius": args.radius,
                 "count": len(orbit),
             }
-            if args.find is not None:
-                left, _, right = args.find.partition(",")
-                pair = (
-                    parse_word(left.strip(), _rank(args.n)),
-                    parse_word(right.strip(), _rank(args.m)),
-                )
+            if pair is not None:
                 report["found"] = pair in orbit
             return done(report, 0)
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .algebra import DEFAULT_TOL, AlgebraElement, TensorElement
 from .bialgebra import DirectSumElement, DirectSumTensor, delta_phi
-from .scalars import QI
+from .scalars import ONE, QI
 from .words import ReducedWord, reduce
 
 __all__ = [
@@ -48,7 +48,7 @@ class GradedEndo:
     tol: float = field(default=DEFAULT_TOL)
 
     def _apply_word(self, n: int, w: ReducedWord):
-        phase = QI(1) if self.exact else (1 + 0j)
+        phase = ONE if self.exact else (1 + 0j)
         sylls = []
         for g, e in w.syllables:
             target, ph = self.gen_image(n, g)
@@ -96,12 +96,12 @@ class GradedEndo:
 
 
 def identity_endo() -> GradedEndo:
-    return GradedEndo("id", True, lambda n, i: (i, QI(1)))
+    return GradedEndo("id", True, lambda n, i: (i, ONE))
 
 
 def beta_endo() -> GradedEndo:
     """Exact involution reversing generator indices: ``g_i -> g_{n-i+1}``."""
-    return GradedEndo("beta", True, lambda n, i: (n - i + 1, QI(1)))
+    return GradedEndo("beta", True, lambda n, i: (n - i + 1, ONE))
 
 
 def alpha_endo(t: float) -> GradedEndo:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .algebra import _Linear
-from .scalars import QI, ZERO
+from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
     enumerate_ball,
@@ -223,7 +223,7 @@ class SuppVector(_Linear):
 
     @classmethod
     def basis_vector(cls, basis, label) -> "SuppVector":
-        return cls(basis, {label: QI(1)})
+        return cls(basis, {label: ONE})
 
     def map_labels(self, fn) -> "SuppVector":
         """Push the vector through a basis-label map, merging collisions."""

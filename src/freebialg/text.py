@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement
-from .scalars import QI
+from .scalars import ONE, QI
 from .words import INFINITE, Rank, ReducedWord, Syllable, _as_rank, _rank, reduce, unit
 
 __all__ = ["ParseError", "parse_rank", "parse_word", "parse_element"]
@@ -177,10 +177,10 @@ def _parse_term(sc: _Scanner, ambient: Rank) -> tuple[ReducedWord, QI]:
         if sc.take("*"):
             return _parse_word(sc, ambient), coeff
         # a bare '1' is the unit word, not a coefficient
-        if coeff == QI(1) and sc.text[save:sc.pos].strip() == "1":
-            return unit(ambient), QI(1)
+        if coeff == ONE and sc.text[save:sc.pos].strip() == "1":
+            return unit(ambient), ONE
         raise ParseError("expected '*' after coefficient", sc.pos)
-    return _parse_word(sc, ambient), QI(1)
+    return _parse_word(sc, ambient), ONE
 
 
 def parse_element(text: str) -> AlgebraElement:
@@ -198,9 +198,9 @@ def parse_element(text: str) -> AlgebraElement:
     terms.append((w, c))
     while not sc.at_end():
         if sc.take("+"):
-            sign = QI(1)
+            sign = ONE
         elif sc.take("-"):
-            sign = QI(-1)
+            sign = -ONE
         else:
             raise ParseError("expected '+' or '-' between terms", sc.pos)
         w, c = _parse_term(sc, ambient)

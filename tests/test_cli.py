@@ -126,6 +126,18 @@ def test_orbit_find_without_comma_is_rejected_before_the_search(monkeypatch):
     assert "LEFT,RIGHT" in report["error"]
 
 
+def test_orbit_find_words_are_parsed_before_the_search(monkeypatch):
+    from freebialg import reps
+
+    def no_search(*args):
+        raise AssertionError("the orbit was searched before --find was parsed")
+
+    monkeypatch.setattr(reps, "orbit_bfs", no_search)
+    report, code = run(["orbit", "2", "2", "--radius", "6", "--find", "g9,1"])
+    assert code == 2
+    assert "F2" in report["error"]
+
+
 def test_tensor_pd_checks_indices_before_the_scan(monkeypatch):
     """An out-of-range i or j is rejected before the ball is enumerated, and
     the error names the factor the index belongs to."""

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freebialg import reps as R
+from freebialg import scalars
 from freebialg import words as W
 from freebialg.corpus import random_reduced_word
 from freebialg.words import INFINITE, Rank, ReducedWord
@@ -404,6 +405,12 @@ def test_word_validation_unchanged():
 
 def test_words_doctests_pass():
     result = doctest.testmod(W)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_scalars_doctests_pass():
+    result = doctest.testmod(scalars)
     assert result.attempted > 0
     assert result.failed == 0
 
