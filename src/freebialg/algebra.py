@@ -71,15 +71,14 @@ class _Linear:
     merged; every operation hands it ``(label, coefficient)`` pairs.  It
     checks each label against the space and coerces each coefficient unless
     ``_trusted`` is set, which operations use for pairs they built from
-    checked elements.  Subclasses fix the space (a rank, a tuple of ranks or
+    checked elements.  Approximate coefficients within ``DEFAULT_TOL`` of
+    zero are dropped.  Subclasses fix the space (a rank, a tuple of ranks or
     a basis descriptor) and provide ``_check_label``.
     """
 
-    __slots__ = ("space", "terms", "exact", "tol")
+    __slots__ = ("space", "terms", "exact")
 
-    def __init__(
-        self, space, terms=(), exact: bool = True, tol: float = DEFAULT_TOL, _trusted: bool = False
-    ):
+    def __init__(self, space, terms=(), exact: bool = True, _trusted: bool = False):
         self.space = space
         check = None if _trusted else self._check_label
         scalar, coerce = (QI, _exact_scalar) if exact else (complex, _approx_scalar)
@@ -96,19 +95,20 @@ class _Linear:
         if exact:
             self.terms = {k: v for k, v in acc.items() if v}
         else:
-            self.terms = {k: v for k, v in acc.items() if abs(v) > tol}
+            self.terms = {k: v for k, v in acc.items() if abs(v) > DEFAULT_TOL}
         self.exact = exact
-        self.tol = tol
 
     def _check_label(self, label):
         raise NotImplementedError
 
-    def _make(self, pairs):
-        return type(self)(self.space, pairs, self.exact, self.tol, _trusted=True)
+    def _make(self, pairs, exact: bool | None = None):
+        """A result in this element's space from trusted pairs."""
+        exact = self.exact if exact is None else exact
+        return type(self)(self.space, pairs, exact, _trusted=True)
 
     @classmethod
-    def zero(cls, space, exact: bool = True, tol: float = DEFAULT_TOL):
-        return cls(space, (), exact, tol)
+    def zero(cls, space, exact: bool = True):
+        return cls(space, (), exact)
 
     def _require_compatible(self, other):
         if type(other) is not type(self) or self.space != other.space:
@@ -179,11 +179,10 @@ class _Linear:
             pairs = [(inverse(k), c.conjugate()) for k, c in self.terms.items()]
         return self._make(pairs)
 
-    def to_approx(self, tol: float = DEFAULT_TOL):
+    def to_approx(self):
         if not self.exact:
             return self
-        pairs = [(k, complex(c)) for k, c in self.terms.items()]
-        return type(self)(self.space, pairs, False, tol, _trusted=True)
+        return self._make([(k, complex(c)) for k, c in self.terms.items()], False)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -192,7 +191,7 @@ class _Linear:
             return False
         if self.exact:
             return self.terms == other.terms
-        return self.allclose(other, max(self.tol, other.tol))
+        return self.allclose(other, DEFAULT_TOL)
 
     __hash__ = None
 
@@ -254,12 +253,8 @@ class AlgebraElement(_Linear):
     ambient = _Linear.space  # the rank, under its public name
     _json_keys = ("rank", "word")
 
-    def __init__(
-        self, ambient: Rank | int, terms=(), exact: bool = True, tol: float = DEFAULT_TOL,
-        _trusted: bool = False,
-    ):
-        ambient = _as_rank(ambient)
-        super().__init__(ambient, terms, exact, tol, _trusted)
+    def __init__(self, ambient: Rank | int, terms=(), exact: bool = True, _trusted: bool = False):
+        super().__init__(_as_rank(ambient), terms, exact, _trusted)
 
     @classmethod
     def unit(cls, ambient, exact: bool = True):
@@ -300,15 +295,12 @@ class _Tensor(_Linear):
     _json_keys = ("ranks", "words")
     _arity = None
 
-    def __init__(
-        self, ambients, terms=(), exact: bool = True, tol: float = DEFAULT_TOL,
-        _trusted: bool = False,
-    ):
+    def __init__(self, ambients, terms=(), exact: bool = True, _trusted: bool = False):
         if not _trusted:
             ambients = tuple([_as_rank(r) for r in ambients])
             if self._arity is not None and len(ambients) != self._arity:
                 raise ValueError(f"expected {self._arity} tensor slots, got {len(ambients)}")
-        super().__init__(ambients, terms, exact, tol, _trusted)
+        super().__init__(ambients, terms, exact, _trusted)
 
     def _check_label(self, label):
         label = tuple(label)
@@ -332,7 +324,7 @@ class TensorElement(_Tensor):
         """Swap the two tensor slots."""
         a, b = self.space
         pairs = [((w2, w1), c) for (w1, w2), c in self.terms.items()]
-        return TensorElement((b, a), pairs, self.exact, self.tol, _trusted=True)
+        return TensorElement((b, a), pairs, self.exact, _trusted=True)
 
 
 class TripleTensorElement(_Tensor):
@@ -355,13 +347,13 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
         ((w1, w2), c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()
     ]
     ambients = (a.ambient, b.ambient)
-    return TensorElement(ambients, pairs, a.exact, max(a.tol, b.tol), _trusted=True)
+    return TensorElement(ambients, pairs, a.exact, _trusted=True)
 
 
 def _extend(split, a: AlgebraElement, ambients) -> TensorElement:
     # linear extension of a word splitting; colliding images accumulate
     pairs = [(tuple(split(w)), c) for w, c in a.terms.items()]
-    return TensorElement(ambients, pairs, a.exact, a.tol, _trusted=True)
+    return TensorElement(ambients, pairs, a.exact, _trusted=True)
 
 
 def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
@@ -386,7 +378,7 @@ def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
 def standard_delta(a: AlgebraElement) -> TensorElement:
     """The diagonal comultiplication ``w -> w (x) w`` extended linearly."""
     pairs = [((w, w), c) for w, c in a.terms.items()]
-    return TensorElement((a.ambient, a.ambient), pairs, a.exact, a.tol, _trusted=True)
+    return TensorElement((a.ambient, a.ambient), pairs, a.exact, _trusted=True)
 
 
 def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
@@ -404,8 +396,8 @@ def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
         pu, qu = phi(n, m, u)
         pv, qv = phi(n, m, v)
         rhs.append(((pu, pv, qu, qv), c))
-    return _Tensor(ranks, lhs, a.exact, a.tol, _trusted=True) == _Tensor(
-        ranks, rhs, a.exact, a.tol, _trusted=True
+    return _Tensor(ranks, lhs, a.exact, _trusted=True) == _Tensor(
+        ranks, rhs, a.exact, _trusted=True
     )
 
 
@@ -428,4 +420,4 @@ def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> Tensor
         for u, d in b.terms.items():
             key = (multiply(w1, u), w2) if idx == 0 else (w1, multiply(w2, u))
             pairs.append((key, c * d))
-    return TensorElement(t.ambients, pairs, t.exact, max(t.tol, b.tol), _trusted=True)
+    return TensorElement(t.ambients, pairs, t.exact, _trusted=True)

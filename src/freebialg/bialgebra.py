@@ -2,17 +2,16 @@
 and counit, the unitization, the coaction on the infinite-rank algebra, and
 executable checkers for the coalgebra axioms.
 
-An element of the direct sum is a finite family of single-rank algebra
-elements.  The comultiplication sends the rank-``n`` summand to the sum of
-its images under ``varphi_alg(m, l, .)`` over all ordered factorizations
-``n = m * l``; the counit is the coefficient sum on rank 1 and zero on all
-higher ranks.
+An element of the direct sum is one finite linear combination of words of
+any finite ranks; ``components`` groups its terms by rank into single-rank
+algebra elements.  The comultiplication sends a rank-``n`` word ``w`` to the
+sum of ``phi(m, l, w)`` over all ordered factorizations ``n = m * l``; the
+counit is the coefficient sum of the rank-1 words, zero on all higher ranks.
 """
 
 from __future__ import annotations
 
 from .algebra import (
-    DEFAULT_TOL,
     AlgebraElement,
     TensorElement,
     TripleTensorElement,
@@ -20,9 +19,10 @@ from .algebra import (
     tensor,
     varphi_alg,
     varphi_inf_alg,
+    _Linear,
 )
 from .scalars import ONE, QI, ZERO
-from .words import ReducedWord, _rank, phi, phi_inf
+from .words import ReducedWord, _rank, multiply, phi, phi_inf
 
 __all__ = [
     "factor_pairs",
@@ -52,157 +52,127 @@ def factor_pairs(n: int) -> list[tuple[int, int]]:
     return [(m, n // m) for m in range(1, n + 1) if n % m == 0]
 
 
-class _Graded:
-    """Finite family of linear elements indexed by their ranks: an integer
-    for single-rank elements, a tuple of integers for tensors.
-    Subclasses name the component class in ``_component``."""
+def _grade(label):
+    """The rank of a word, or the tuple of ranks of a word tuple."""
+    return tuple([w.ambient.n for w in label]) if type(label) is tuple else label.ambient.n
 
-    __slots__ = ("components", "exact", "tol")
+
+def _multiply_labels(k1, k2):
+    return tuple(map(multiply, k1, k2)) if type(k1) is tuple else multiply(k1, k2)
+
+
+class _DirectSum(_Linear):
+    """A linear combination of words (or word tuples) of any finite ranks in
+    one term dict.  The space ``_space`` is ``None`` ("any finite rank") or
+    one ``None`` per tensor slot.  The public constructor takes components
+    ``key -> element of class _component`` keyed by rank (a tuple of ranks
+    for tensors); operations build results with the trusted ``_new``."""
+
+    __slots__ = ()
+    _space = None
     _component: type
 
-    def __init__(self, components=(), exact: bool | None = None, tol: float = DEFAULT_TOL):
-        comps = {}
+    def __init__(self, components=(), exact: bool | None = None):
+        pairs = []
+        modes = set()
         items = components.items() if hasattr(components, "items") else components
         for key, el in items:
-            key = self._check_key(key, el)
-            if el.is_zero:
-                continue
-            if key in comps:
-                el = comps[key] + el
-                if el.is_zero:
-                    del comps[key]
-                    continue
-            comps[key] = el
-        modes = {el.exact for el in comps.values()}
+            if not isinstance(el, self._component):
+                raise TypeError(f"components must be {self._component.__name__}")
+            space = el.space
+            if any(r.is_infinite for r in (space if type(space) is tuple else (space,))):
+                raise ValueError("direct-sum components must have finite rank")
+            if key != (tuple([r.n for r in space]) if type(space) is tuple else space.n):
+                raise ValueError(f"component key {key} does not match {space}")
+            if el.terms:
+                modes.add(el.exact)
+                pairs.extend(el.terms.items())
         if len(modes) > 1:
             raise ValueError("components mix exact and approximate scalars")
         if exact is None:
             exact = modes.pop() if modes else True
         elif modes and modes != {exact}:
             raise ValueError("declared scalar mode contradicts the components")
-        self.components = comps
-        self.exact = exact
-        self.tol = tol
+        super().__init__(self._space, pairs, exact, _trusted=True)
 
-    def _check_key(self, key, el):
-        if not isinstance(el, self._component):
-            raise TypeError(f"components must be {self._component.__name__}")
-        space = el.space
-        if type(space) is tuple:
-            grade = tuple([r.n for r in space])
-            finite = None not in grade
-        else:
-            grade = space.n
-            finite = grade is not None
-        if not finite:
-            raise ValueError("direct-sum components must have finite rank")
-        if key != grade:
-            raise ValueError(f"component key {key} does not match {space}")
-        return grade
+    def _check_label(self, label):
+        tensor = type(self._space) is tuple
+        words = tuple(label) if tensor else (label,)
+        if len(words) != (len(self._space) if tensor else 1) or not all(
+            isinstance(w, ReducedWord) and not w.ambient.is_infinite for w in words
+        ):
+            raise ValueError(f"term {label!r} is not a finite-rank label of {type(self).__name__}")
+        return words if tensor else label
 
-    def _make(self, components):
-        return type(self)(components, self.exact, self.tol)
+    @classmethod
+    def _new(cls, pairs, exact: bool):
+        """Trusted constructor from ``(label, coefficient)`` pairs that library
+        operations built from checked elements."""
+        self = object.__new__(cls)
+        _Linear.__init__(self, cls._space, pairs, exact, _trusted=True)
+        return self
+
+    def _make(self, pairs, exact: bool | None = None):
+        return self._new(pairs, self.exact if exact is None else exact)
 
     @classmethod
     def zero(cls, exact: bool = True):
-        return cls((), exact)
+        return cls._new((), exact)
+
+    @property
+    def components(self) -> dict:
+        """The terms grouped by rank, ``{key: single-rank element}``; a new
+        dict on each access."""
+        groups: dict = {}
+        for label, c in self.terms.items():
+            groups.setdefault(_grade(label), []).append((label, c))
+        return {
+            key: self._component(
+                tuple(map(_rank, key)) if type(key) is tuple else _rank(key),
+                pairs, self.exact, _trusted=True,
+            )
+            for key, pairs in groups.items()
+        }
 
     def component(self, *key):
         """The component of the given ranks, zero when absent."""
         key = key[0] if len(key) == 1 else key
         got = self.components.get(key)
-        if got is None:
-            return self._component.zero(key, self.exact, self.tol)
-        return got
+        return self._component.zero(key, self.exact) if got is None else got
 
     def keys(self):
-        return sorted(self.components.keys())
-
-    def items(self):
-        return self.components.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.exact != other.exact:
-            raise ValueError("cannot mix exact and approximate elements")
-        return self._make([*self.components.items(), *other.components.items()])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._make([(k, -el) for k, el in self.components.items()])
-
-    def scale(self, c):
-        return self._make([(k, el.scale(c)) for k, el in self.components.items()])
+        return sorted({_grade(label) for label in self.terms})
 
     def __mul__(self, other):
-        """Componentwise product; products across distinct ranks vanish in a
-        direct sum.  Any other factor is a scalar."""
-        if type(other) is not type(self):
+        """Product within each rank; products across distinct ranks vanish in
+        a direct sum.  Any other factor is a scalar."""
+        if not isinstance(other, _Linear):
             return self.scale(other)
-        if self.exact != other.exact:
-            raise ValueError("cannot mix exact and approximate elements")
-        mine, theirs = self.components, other.components
-        return self._make([(k, mine[k] * theirs[k]) for k in mine.keys() & theirs.keys()])
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def star(self):
-        return self._make([(k, el.star()) for k, el in self.components.items()])
-
-    def to_approx(self, tol: float = DEFAULT_TOL):
-        if not self.exact:
-            return self
-        return type(self)(
-            [(k, el.to_approx(tol)) for k, el in self.components.items()], False, tol
-        )
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.exact != other.exact:
-            return False
-        if self.exact:
-            return self.components == other.components
-        return self.allclose(other, max(self.tol, other.tol))
-
-    __hash__ = None
-
-    def allclose(self, other, tol: float) -> bool:
-        for k in self.components.keys() | other.components.keys():
-            a, b = self.components.get(k), other.components.get(k)
-            if a is None:
-                a, b = b, a
-            if b is None:
-                b = a._make(())
-            if not a.allclose(b, tol):
-                return False
-        return True
+        self._require_compatible(other)
+        by_grade: dict = {}
+        for k2, c2 in other.terms.items():
+            by_grade.setdefault(_grade(k2), []).append((k2, c2))
+        return self._make([
+            (_multiply_labels(k1, k2), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in by_grade.get(_grade(k1), ())
+        ])
 
     def __str__(self):
-        if not self.components:
-            return "0"
-        return " (+) ".join(str(self.components[k]) for k in self.keys())
+        comps = self.components
+        return " (+) ".join(str(comps[k]) for k in sorted(comps)) or "0"
 
     def to_json(self) -> dict:
-        out = {}
-        for k in self.keys():
-            name = ",".join(map(str, k)) if type(k) is tuple else str(k)
-            out[name] = self.components[k].to_json()
-        return {"components": out}
+        comps = self.components
+        name = lambda k: ",".join(map(str, k)) if type(k) is tuple else str(k)
+        return {"components": {name(k): comps[k].to_json() for k in sorted(comps)}}
 
 
-class DirectSumElement(_Graded):
-    """A finitely supported family ``{n: element of rank n}``; the dense
-    graded model of the direct-sum algebra."""
+class DirectSumElement(_DirectSum):
+    """A finitely supported combination of words of any finite ranks; built
+    from components ``{n: element of rank n}``."""
 
+    __slots__ = ()
     _component = AlgebraElement
 
     @classmethod
@@ -217,77 +187,71 @@ class DirectSumElement(_Graded):
 
     @classmethod
     def from_json(cls, data: dict) -> "DirectSumElement":
-        comps = {
-            int(n): AlgebraElement.from_json(sub)
-            for n, sub in data["components"].items()
-        }
-        return cls(comps)
+        comps = data["components"]
+        return cls({int(n): AlgebraElement.from_json(sub) for n, sub in comps.items()})
 
 
-class DirectSumTensor(_Graded):
-    """A finitely supported family ``{(n, m): tensor element}``; the graded
-    model of the tensor square of the direct sum."""
+class DirectSumTensor(_DirectSum):
+    """A finitely supported combination of word pairs of any finite ranks:
+    the tensor square of the direct sum, built from components
+    ``{(n, m): tensor element}``."""
 
+    __slots__ = ()
+    _space = (None, None)
     _component = TensorElement
 
     def flip(self) -> "DirectSumTensor":
-        """Swap the two tensor slots across every component."""
-        return DirectSumTensor(
-            {(m, n): el.flip() for (n, m), el in self.components.items()},
-            self.exact,
-            self.tol,
-        )
+        """Swap the two tensor slots of every term."""
+        return self._make([((w2, w1), c) for (w1, w2), c in self.terms.items()])
 
     def term_count(self) -> int:
-        return sum(len(el) for el in self.components.values())
+        return len(self.terms)
 
 
-class DirectSumTriple(_Graded):
-    """Rank-graded three-fold tensors; the comparison space for the
+class DirectSumTriple(_DirectSum):
+    """Word triples of any finite ranks; the comparison space for the
     coassociativity checker."""
 
+    __slots__ = ()
+    _space = (None, None, None)
     _component = TripleTensorElement
 
 
 def delta_phi(x: DirectSumElement) -> DirectSumTensor:
-    """The comultiplication: each rank-``n`` component maps to the sum of its
+    """The comultiplication: each rank-``n`` word maps to the sum of its
     splittings over all ordered factorizations ``n = m * l``.
 
     The sum is finite because ``n`` has finitely many divisors.
+
+    >>> from freebialg.words import gen
+    >>> print(delta_phi(DirectSumElement.from_word(gen(6, 2))))
+    F1(x)F6: g1(x)g2 (+) F2(x)F3: g1(x)g2 (+) F3(x)F2: g1(x)g2 (+) F6(x)F1: g2(x)g1
     """
-    parts = []
-    for n, a in x.components.items():
-        for m, l in factor_pairs(n):
-            parts.append(((m, l), varphi_alg(m, l, a)))
-    return DirectSumTensor(parts, x.exact, x.tol)
+    pairs = []
+    for w, c in x.terms.items():
+        for m, l in factor_pairs(w.ambient.n):
+            pairs.append((tuple(phi(m, l, w)), c))
+    return DirectSumTensor._new(pairs, x.exact)
 
 
 def counit(x: DirectSumElement):
-    """Coefficient sum of the rank-1 component; zero on every higher rank."""
+    """Coefficient sum of the rank-1 words; zero on every higher rank."""
     total = ZERO if x.exact else 0j
-    for _, c in x.component(1).terms.items():
-        total = total + c
+    for w, c in x.terms.items():
+        if w.ambient.n == 1:
+            total = total + c
     return total
 
 
 def _delta_slot(t: DirectSumTensor, slot: int) -> DirectSumTriple:
-    """Apply the comultiplication inside one slot of a graded tensor."""
-    parts = []
-    for (n, m), el in t.components.items():
-        rank = n if slot == 0 else m
-        for p, q in factor_pairs(rank):
-            pairs = []
-            for (w1, w2), c in el.terms.items():
-                u, v = phi(p, q, w1 if slot == 0 else w2)
-                pairs.append(((u, v, w2) if slot == 0 else (w1, u, v), c))
-            split = (_rank(p), _rank(q))
-            if slot == 0:
-                key, ranks = (p, q, m), split + el.ambients[1:]
-            else:
-                key, ranks = (n, p, q), el.ambients[:1] + split
-            triple = TripleTensorElement(ranks, pairs, t.exact, t.tol, _trusted=True)
-            parts.append((key, triple))
-    return DirectSumTriple(parts, t.exact, t.tol)
+    """Apply the comultiplication inside one slot of a direct-sum tensor."""
+    pairs = []
+    for (w1, w2), c in t.terms.items():
+        w = w1 if slot == 0 else w2
+        for p, q in factor_pairs(w.ambient.n):
+            u, v = phi(p, q, w)
+            pairs.append(((u, v, w2) if slot == 0 else (w1, u, v), c))
+    return DirectSumTriple._new(pairs, t.exact)
 
 
 def coassoc_check(x: DirectSumElement) -> tuple[DirectSumTriple, DirectSumTriple, bool]:
@@ -307,24 +271,18 @@ def _eps_collapse(el: TensorElement, slot: int) -> AlgebraElement:
         raise ValueError("can only collapse a rank-1 slot")
     keep = 1 - slot
     pairs = [(pair[keep], c) for pair, c in el.terms.items()]
-    return AlgebraElement(el.ambients[keep], pairs, el.exact, el.tol, _trusted=True)
+    return AlgebraElement(el.ambients[keep], pairs, el.exact, _trusted=True)
 
 
 def counit_check(x: DirectSumElement) -> bool:
     """Check that collapsing either slot of the coproduct returns ``x``."""
-    t = delta_phi(x)
-    left_parts = []
-    right_parts = []
-    for (n, m), el in t.components.items():
-        if n == 1:
-            a = _eps_collapse(el, 0)
-            left_parts.append((m, a))
-        if m == 1:
-            a = _eps_collapse(el, 1)
-            right_parts.append((n, a))
-    left = DirectSumElement(left_parts, x.exact, x.tol)
-    right = DirectSumElement(right_parts, x.exact, x.tol)
-    return left == x and right == x
+    left, right = [], []
+    for (w1, w2), c in delta_phi(x).terms.items():
+        if w1.ambient.n == 1:
+            left.append((w2, c))
+        if w2.ambient.n == 1:
+            right.append((w1, c))
+    return DirectSumElement._new(left, x.exact) == x and DirectSumElement._new(right, x.exact) == x
 
 
 def wcs_check(n: int, m: int, l: int, z: ReducedWord) -> bool:

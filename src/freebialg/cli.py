@@ -22,7 +22,7 @@ import time
 from collections.abc import Callable
 
 from . import bialgebra, morphisms, reps, words
-from .algebra import AlgebraElement, standard_delta_compat_check, varphi_alg
+from .algebra import DEFAULT_TOL, AlgebraElement, standard_delta_compat_check, varphi_alg
 from .bialgebra import (
     DirectSumElement,
     coassoc_check,
@@ -51,7 +51,7 @@ def _add_common(parser, suppress: bool) -> None:
         default=default if suppress else "json",
     )
     parser.add_argument("--seed", type=int, default=default if suppress else 0)
-    parser.add_argument("--tol", type=float, default=default if suppress else 1e-9)
+    parser.add_argument("--tol", type=float, default=default if suppress else DEFAULT_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:

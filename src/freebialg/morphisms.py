@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import DEFAULT_TOL, AlgebraElement, TensorElement
+from .algebra import DEFAULT_TOL, AlgebraElement
 from .bialgebra import DirectSumElement, DirectSumTensor, delta_phi
 from .scalars import ONE, QI
 from .words import ReducedWord, reduce
@@ -45,9 +45,9 @@ class GradedEndo:
     name: str
     exact: bool
     gen_image: Callable[[int, int], tuple[int, QI | complex]]
-    tol: float = field(default=DEFAULT_TOL)
 
-    def _apply_word(self, n: int, w: ReducedWord):
+    def _apply_word(self, w: ReducedWord):
+        n = w.ambient.n
         phase = ONE if self.exact else (1 + 0j)
         sylls = []
         for g, e in w.syllables:
@@ -56,43 +56,36 @@ class GradedEndo:
             phase = phase * ph**e
         return phase, reduce(w.ambient, sylls)
 
-    def apply_algebra(self, a: AlgebraElement) -> AlgebraElement:
-        if a.ambient.is_infinite:
-            raise ValueError("graded endomorphisms act on finite ranks")
-        n = a.ambient.n
-        exact = self.exact and a.exact
+    def _image(self, terms: dict, exact: bool) -> list:
         pairs = []
-        for w, c in a.terms.items():
-            phase, img = self._apply_word(n, w)
+        for w, c in terms.items():
+            phase, img = self._apply_word(w)
             if not exact:
                 phase = complex(phase) if isinstance(phase, QI) else phase
                 c = complex(c)
             pairs.append((img, c * phase))
-        return AlgebraElement(
-            a.ambient, pairs, exact, max(a.tol, self.tol), _trusted=True
-        )
+        return pairs
+
+    def apply_algebra(self, a: AlgebraElement) -> AlgebraElement:
+        if a.ambient.is_infinite:
+            raise ValueError("graded endomorphisms act on finite ranks")
+        exact = self.exact and a.exact
+        return AlgebraElement(a.ambient, self._image(a.terms, exact), exact, _trusted=True)
 
     def apply(self, x: DirectSumElement) -> DirectSumElement:
-        comps = {n: self.apply_algebra(a) for n, a in x.components.items()}
-        return DirectSumElement(
-            comps, self.exact and x.exact, max(x.tol, self.tol)
-        )
+        exact = self.exact and x.exact
+        return DirectSumElement._new(self._image(x.terms, exact), exact)
 
     def apply_tensor(self, t: DirectSumTensor) -> DirectSumTensor:
         exact = self.exact and t.exact
-        comps = {}
-        for (n, m), el in t.components.items():
-            pairs = []
-            for (w1, w2), c in el.terms.items():
-                ph1, u1 = self._apply_word(n, w1)
-                ph2, u2 = self._apply_word(m, w2)
-                if not exact:
-                    ph1, ph2, c = complex(ph1), complex(ph2), complex(c)
-                pairs.append(((u1, u2), c * ph1 * ph2))
-            comps[(n, m)] = TensorElement(
-                el.ambients, pairs, exact, max(el.tol, self.tol), _trusted=True
-            )
-        return DirectSumTensor(comps, exact, max(t.tol, self.tol))
+        pairs = []
+        for (w1, w2), c in t.terms.items():
+            ph1, u1 = self._apply_word(w1)
+            ph2, u2 = self._apply_word(w2)
+            if not exact:
+                ph1, ph2, c = complex(ph1), complex(ph2), complex(c)
+            pairs.append(((u1, u2), c * ph1 * ph2))
+        return DirectSumTensor._new(pairs, exact)
 
 
 def identity_endo() -> GradedEndo:
@@ -120,17 +113,11 @@ def alpha(t: float, x: DirectSumElement) -> DirectSumElement:
     The angle is reduced modulo two pi before exponentiation to limit phase
     drift on long words.
     """
-    comps = {}
-    for n, a in x.components.items():
-        logn = math.log(n)
-        pairs = []
-        for w, c in a.terms.items():
-            angle = math.fmod(t * w.exponent_sum * logn, TWO_PI)
-            pairs.append((w, complex(c) * cmath.exp(1j * angle)))
-        comps[n] = AlgebraElement(
-            a.ambient, pairs, False, max(a.tol, DEFAULT_TOL), _trusted=True
-        )
-    return DirectSumElement(comps, False, max(x.tol, DEFAULT_TOL))
+    pairs = []
+    for w, c in x.terms.items():
+        angle = math.fmod(t * w.exponent_sum * math.log(w.ambient.n), TWO_PI)
+        pairs.append((w, complex(c) * cmath.exp(1j * angle)))
+    return DirectSumElement._new(pairs, False)
 
 
 def beta(x: DirectSumElement) -> DirectSumElement:
@@ -152,16 +139,11 @@ def bialgebra_morphism_check(
 
 
 def max_term_deviation(a: DirectSumElement, b: DirectSumElement) -> float:
-    """Largest coefficient difference between two graded elements."""
+    """Largest coefficient difference between two direct-sum elements."""
     worst = 0.0
-    for n in a.components.keys() | b.components.keys():
-        ca = a.components.get(n)
-        cb = b.components.get(n)
-        terms_a = ca.terms if ca is not None else {}
-        terms_b = cb.terms if cb is not None else {}
-        for w in terms_a.keys() | terms_b.keys():
-            diff = abs(complex(terms_a.get(w, 0)) - complex(terms_b.get(w, 0)))
-            worst = max(worst, diff)
+    for w in a.terms.keys() | b.terms.keys():
+        diff = abs(complex(a.terms.get(w, 0)) - complex(b.terms.get(w, 0)))
+        worst = max(worst, diff)
     return worst
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .algebra import _Linear
+from .algebra import DEFAULT_TOL, _Linear
 from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
@@ -113,7 +113,7 @@ def claim_probe_pd(
 def gram_psd(
     f: Callable[[ReducedWord], float],
     sample: Iterable[ReducedWord],
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[float, bool]:
     """Minimum eigenvalue of the Gram matrix ``[f(s^-1 t)]`` over the sample,
     and whether it clears ``-tol``.  The evaluator must be real symmetric

@@ -189,10 +189,12 @@ def parse_element(text: str) -> AlgebraElement:
     ambient = _parse_rank(sc)
     sc.expect(":")
     if sc.peek() == "0":
+        # a lone '0' is the zero element; otherwise it starts a coefficient
+        save = sc.pos
         sc.take("0")
-        if not sc.at_end():
-            raise ParseError("trailing input after zero element", sc.pos)
-        return AlgebraElement.zero(ambient)
+        if sc.at_end():
+            return AlgebraElement.zero(ambient)
+        sc.pos = save
     terms: list[tuple[ReducedWord, QI]] = []
     w, c = _parse_term(sc, ambient)
     terms.append((w, c))

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from freebialg import words as W
-from freebialg.algebra import AlgebraElement, TensorElement, varphi_alg
+from freebialg.algebra import AlgebraElement, TensorElement, TripleTensorElement, varphi_alg
 from freebialg.bialgebra import (
     DirectSumElement,
+    DirectSumTensor,
+    DirectSumTriple,
     UnitizedElement,
     coaction,
     coassoc_check,
@@ -317,3 +319,54 @@ def test_varphi_alg_matches_delta_component():
         t = delta_phi(DirectSumElement.from_algebra(a))
         for m, l in factor_pairs(n):
             assert t.component(m, l) == varphi_alg(m, l, a)
+
+
+# -- elements spanning several ranks -------------------------------------------------------------
+
+
+def test_direct_sum_product_is_rankwise():
+    rng = random.Random(15)
+    for _ in range(60):
+        x = random_direct_sum(rng, max_rank=4, max_len=3, parts=3)
+        y = random_direct_sum(rng, max_rank=4, max_len=3, parts=3)
+        for n in set(x.keys()) | set(y.keys()):
+            assert (x * y).component(n) == x.component(n) * y.component(n)
+
+
+def test_direct_sum_rebuilds_from_components():
+    rng = random.Random(16)
+    for _ in range(60):
+        x = random_direct_sum(rng, max_rank=12, max_len=4, parts=3)
+        assert DirectSumElement(x.components) == x
+        t = delta_phi(x)
+        assert DirectSumTensor(t.components) == t
+
+
+def split_slot(t, slot):
+    """Split one slot of a single-rank tensor element with ``varphi_alg``
+    over every factorization of that slot's rank."""
+    parts = []
+    for (w1, w2), c in t.terms.items():
+        w, other = (w1, w2) if slot == 0 else (w2, w1)
+        for p, q in factor_pairs(w.ambient.n):
+            for (u, v), d in varphi_alg(p, q, AlgebraElement.from_word(w, c)).terms.items():
+                words = (u, v, other) if slot == 0 else (other, u, v)
+                triple = TripleTensorElement.from_triple(*words, d)
+                parts.append((tuple(r.n for r in triple.ambients), triple))
+    return parts
+
+
+def test_delta_is_the_sum_of_rankwise_splittings():
+    rng = random.Random(17)
+    for _ in range(40):
+        x = random_direct_sum(rng, max_rank=12, max_len=4, parts=3)
+        t = delta_phi(x)
+        assert t == DirectSumTensor(
+            ((m, l), varphi_alg(m, l, x.component(n)))
+            for n in x.keys()
+            for m, l in factor_pairs(n)
+        )
+        lhs, rhs, _ = coassoc_check(x)
+        for slot, side in ((0, lhs), (1, rhs)):
+            want = [part for el in t.components.values() for part in split_slot(el, slot)]
+            assert side == DirectSumTriple(want)

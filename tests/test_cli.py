@@ -57,6 +57,15 @@ def test_parse_rejects_malformed():
             parse_element(bad)
 
 
+def test_zero_coefficient_terms_parse():
+    assert parse_element("F2: 0*g1").is_zero
+    assert parse_element("F2: 0*g1 + g2") == parse_element("F2: g2")
+    assert parse_element("F2: 0").is_zero
+    for bad in ["F2: 00", "F2: 0 + g1"]:
+        with pytest.raises(ParseError):
+            parse_element(bad)
+
+
 def test_print_parse_roundtrip_on_random_elements():
     import random
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freebialg import bialgebra
 from freebialg import reps as R
 from freebialg import scalars
 from freebialg import words as W
@@ -411,6 +412,12 @@ def test_words_doctests_pass():
 
 def test_scalars_doctests_pass():
     result = doctest.testmod(scalars)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_bialgebra_doctests_pass():
+    result = doctest.testmod(bialgebra)
     assert result.attempted > 0
     assert result.failed == 0
 
