@@ -72,8 +72,11 @@ class _Linear:
     checks each label against the space and coerces each coefficient unless
     ``_trusted`` is set, which operations use for pairs they built from
     checked elements.  Approximate coefficients within ``DEFAULT_TOL`` of
-    zero are dropped.  Subclasses fix the space (a rank, a tuple of ranks or
-    a basis descriptor) and provide ``_check_label``.
+    zero are dropped.  Operations whose terms need no merge and no zero
+    filter (negation, ``star``, ``flip``, nonzero exact scaling, one-term
+    elements) store their term dict with ``_wrap`` instead.  Subclasses fix
+    the space (a rank, a tuple of ranks or a basis descriptor) and provide
+    ``_check_label``.
     """
 
     __slots__ = ("space", "terms", "exact")
@@ -100,6 +103,16 @@ class _Linear:
 
     def _check_label(self, label):
         raise NotImplementedError
+
+    @classmethod
+    def _wrap(cls, space, terms: dict, exact: bool):
+        """Trusted constructor: ``terms`` is already merged, checked and free
+        of zero coefficients, and is stored as it is, not copied."""
+        self = object.__new__(cls)
+        self.space = space
+        self.terms = terms
+        self.exact = exact
+        return self
 
     def _make(self, pairs, exact: bool | None = None):
         """A result in this element's space from trusted pairs."""
@@ -139,10 +152,16 @@ class _Linear:
         return self + (-other)
 
     def __neg__(self):
-        return self._make([(k, -v) for k, v in self.terms.items()])
+        return self._wrap(self.space, {k: -v for k, v in self.terms.items()}, self.exact)
 
     def scale(self, c):
-        c = _exact_scalar(c) if self.exact else _approx_scalar(c)
+        if self.exact:
+            c = _exact_scalar(c)
+            if c:  # a nonzero exact scalar keeps every term nonzero
+                return self._wrap(self.space, {k: c * v for k, v in self.terms.items()}, True)
+        else:
+            # c * v may fall under DEFAULT_TOL, so the constructor filters it
+            c = _approx_scalar(c)
         return self._make([(k, c * v) for k, v in self.terms.items()])
 
     def __mul__(self, other):
@@ -171,13 +190,13 @@ class _Linear:
 
     def star(self):
         """Antilinear antimultiplicative involution: conjugate coefficients,
-        invert every word."""
+        invert every word.  Inversion is injective, so no labels merge."""
         inverse = ReducedWord.inverse
         if type(self.space) is tuple:
-            pairs = [(tuple(map(inverse, k)), c.conjugate()) for k, c in self.terms.items()]
+            terms = {tuple(map(inverse, k)): c.conjugate() for k, c in self.terms.items()}
         else:
-            pairs = [(inverse(k), c.conjugate()) for k, c in self.terms.items()]
-        return self._make(pairs)
+            terms = {inverse(k): c.conjugate() for k, c in self.terms.items()}
+        return self._wrap(self.space, terms, self.exact)
 
     def to_approx(self):
         if not self.exact:
@@ -263,6 +282,10 @@ class AlgebraElement(_Linear):
 
     @classmethod
     def from_word(cls, w: ReducedWord, coeff=ONE, exact: bool = True):
+        if exact and isinstance(w, ReducedWord) and isinstance(w.ambient, Rank):
+            c = _exact_scalar(coeff)
+            if c:
+                return cls._wrap(w.ambient, {w: c}, True)
         return cls(w.ambient, {w: coeff}, exact)
 
     def _check_label(self, label):
@@ -323,8 +346,8 @@ class TensorElement(_Tensor):
     def flip(self) -> "TensorElement":
         """Swap the two tensor slots."""
         a, b = self.space
-        pairs = [((w2, w1), c) for (w1, w2), c in self.terms.items()]
-        return TensorElement((b, a), pairs, self.exact, _trusted=True)
+        terms = {(w2, w1): c for (w1, w2), c in self.terms.items()}
+        return TensorElement._wrap((b, a), terms, self.exact)
 
 
 class TripleTensorElement(_Tensor):

@@ -202,7 +202,8 @@ class DirectSumTensor(_DirectSum):
 
     def flip(self) -> "DirectSumTensor":
         """Swap the two tensor slots of every term."""
-        return self._make([((w2, w1), c) for (w1, w2), c in self.terms.items()])
+        terms = {(w2, w1): c for (w1, w2), c in self.terms.items()}
+        return self._wrap(self.space, terms, self.exact)
 
     def term_count(self) -> int:
         return len(self.terms)

@@ -141,13 +141,21 @@ def _run_checks(claims, seed: int, tol: float) -> list[dict]:
     """Run the registered checks of ``claims`` in the order given.
 
     Each check gets its own random stream seeded by ``(seed, claim)``, so its
-    corpus does not depend on which other checks run or in what order.
+    corpus does not depend on which other checks run or in what order.  Each
+    result carries the check's run time under the private key
+    ``_elapsed_text_only``, which the JSON output leaves out.
     """
     results = []
     for claim in claims:
+        started = time.monotonic()
         ok, witness = CHECKS[claim](random.Random(f"{seed}:{claim}"), tol)
         results.append(
-            {"claim": claim, "status": "verified" if ok else "failed", "witness": witness}
+            {
+                "claim": claim,
+                "status": "verified" if ok else "failed",
+                "witness": witness,
+                "_elapsed_text_only": time.monotonic() - started,
+            }
         )
     return results
 
@@ -580,7 +588,11 @@ def run(argv: list[str]) -> tuple[dict, int]:
                 "results": results,
                 "status": "verified" if ok else "failed",
             }
-            report["_elapsed_text_only"] = elapsed
+            # run times vary from run to run, so only the text output shows them
+            report["_elapsed_text_only"] = {
+                "total": elapsed,
+                "checks": [r.pop("_elapsed_text_only") for r in results],
+            }
             return done(report, 0 if ok else 1)
 
         if args.command == "probe":
@@ -613,12 +625,13 @@ def _render_text(report: dict) -> str:
     if cmd in ("delta", "counit", "phi"):
         return report["canonical"]
     if cmd == "verify":
-        for r in report["results"]:
+        elapsed = report["_elapsed_text_only"]
+        for r, secs in zip(report["results"], elapsed["checks"]):
             mark = "ok" if r["status"] == "verified" else "FAILED"
-            lines.append(f"[{mark}] {r['claim']}  {json.dumps(r['witness'], default=str)}")
+            witness = json.dumps(r["witness"], default=str)
+            lines.append(f"[{mark}] {r['claim']}  {witness}  ({secs:.2f}s)")
         lines.append(f"suite {report['suite']}: {report['status']}")
-        if "_elapsed_text_only" in report:
-            lines.append(f"elapsed: {report['_elapsed_text_only']:.2f}s")
+        lines.append(f"elapsed: {elapsed['total']:.2f}s")
         return "\n".join(lines)
     if cmd == "probe":
         return "\n".join(_probe_line(r) for r in report["reports"])

@@ -19,6 +19,7 @@ from .algebra import DEFAULT_TOL, _Linear
 from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
+    _rank,
     enumerate_ball,
     gen,
     multiply,
@@ -63,6 +64,7 @@ class PDFunction:
 
     def __post_init__(self):
         if not 1 <= self.i <= self.n:
+            _rank(self.n)  # a rank below 1 is reported as such, not as a bad index
             raise ValueError(f"generator index {self.i} out of range for F{self.n}")
 
     def __call__(self, w: ReducedWord) -> int:
@@ -118,17 +120,23 @@ def gram_psd(
     """Minimum eigenvalue of the Gram matrix ``[f(s^-1 t)]`` over the sample,
     and whether it clears ``-tol``.  The evaluator must be real symmetric
     (``f(w^-1) = f(w)``), which holds for the indicators used here.
+
+    The matrix is then symmetric, so only its lower triangle is evaluated;
+    ``eigvalsh`` reads no other entry.
+
+    >>> from freebialg.words import gen, unit
+    >>> gram_psd(PDFunction(2, 1), [unit(2), gen(2, 2)])
+    (1.0, True)
     """
     words = list(sample)
     if not words:
         raise ValueError("sample must be nonempty")
     size = len(words)
-    mat = np.empty((size, size), dtype=float)
+    mat = np.zeros((size, size), dtype=float)
     for a, s in enumerate(words):
         s_inv = s.inverse()
-        for b, t in enumerate(words):
-            mat[a, b] = float(f(multiply(s_inv, t)))
-    eigs = np.linalg.eigvalsh(mat)
+        mat[a, : a + 1] = [float(f(multiply(s_inv, t))) for t in words[: a + 1]]
+    eigs = np.linalg.eigvalsh(mat, UPLO="L")
     min_eig = float(eigs[0])
     return min_eig, min_eig >= -tol
 
@@ -223,7 +231,7 @@ class SuppVector(_Linear):
 
     @classmethod
     def basis_vector(cls, basis, label) -> "SuppVector":
-        return cls(basis, {label: ONE})
+        return cls._wrap(basis, {basis.check(label): ONE}, True)
 
     def map_labels(self, fn) -> "SuppVector":
         """Push the vector through a basis-label map, merging collisions."""
@@ -314,25 +322,16 @@ def cyclicity_check(
     n: int, m: int, i: int, j: int, x: ReducedWord, y: ReducedWord
 ) -> bool:
     """Act with the witness word on the base tensor vector of the two coset
-    spaces and compare against the target elementary tensor vector."""
-    basis = CosetPairBasis(CosetBasis(n, i), CosetBasis(m, j))
-    base = (
-        coset_normal_form(n, i, unit(n)),
-        coset_normal_form(m, j, unit(m)),
-    )
+    spaces and compare against the target elementary tensor vector.
+
+    The action permutes basis vectors, so the test compares labels: the base
+    label is the pair of trivial cosets, which the pair image ``(p, q)`` of
+    the witness moves to ``([p], [q])``, and the target is ``([x], [y])``.
+    """
     z = _cyclicity_witness(n, m, i, j, x, y)
     p, q = phi(n, m, z)
-    moved = SuppVector.basis_vector(basis, base).map_labels(
-        lambda lbl: (
-            coset_normal_form(n, i, multiply(p, lbl[0].rep)),
-            coset_normal_form(m, j, multiply(q, lbl[1].rep)),
-        )
-    )
-    target = SuppVector.basis_vector(
-        basis,
-        (coset_normal_form(n, i, x), coset_normal_form(m, j, y)),
-    )
-    return moved == target
+    moved = (coset_normal_form(n, i, p), coset_normal_form(m, j, q))
+    return moved == (coset_normal_form(n, i, x), coset_normal_form(m, j, y))
 
 
 def lambda_action(n: int, x: ReducedWord, v: SuppVector) -> SuppVector:

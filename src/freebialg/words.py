@@ -366,12 +366,15 @@ def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
     generator.
 
     Each letter ``g_i^e`` of ``x`` is sent to ``g_{m(i-1)+1}^e``, so the
-    second slot collects only first-column generators.
+    second slot collects only first-column generators.  The letter map is
+    injective, so ``z`` is reduced as built.
     """
     if x.ambient.is_infinite:
         raise ValueError("lift requires a finite-rank word")
     n = x.ambient.n
-    z = reduce(n * m, [(m * (g - 1) + 1, e) for g, e in x.syllables])
+    z = ReducedWord._new(
+        _rank(n * m), tuple([Syllable(m * (g - 1) + 1, e) for g, e in x.syllables])
+    )
     y = gen(m, 1, x.exponent_sum)
     return y, z
 
@@ -380,12 +383,12 @@ def lift_second(y: ReducedWord, n: int) -> tuple[ReducedWord, ReducedWord]:
     """Lift ``y`` of rank ``m`` through the second slot: return ``(x, z)``
     with ``phi(n, m, z) = (x, y)`` and ``x`` a power of the first rank-``n``
     generator.  Letters ``g_j^e`` of ``y`` map to first-row generators
-    ``g_j^e`` of rank ``n*m``.
+    ``g_j^e`` of rank ``n*m``, so ``z`` has the syllables of ``y``.
     """
     if y.ambient.is_infinite:
         raise ValueError("lift requires a finite-rank word")
     m = y.ambient.n
-    z = reduce(n * m, [(g, e) for g, e in y.syllables])
+    z = ReducedWord._new(_rank(n * m), y.syllables)
     x = gen(n, 1, y.exponent_sum)
     return x, z
 
@@ -428,15 +431,18 @@ def cyclicity_witness(
     each letter ``g_t^e`` of ``xp``, the generator ``g_{m(t-1)+j}^e``.  The
     appended part maps to ``(xp, g_j^s)``, so the first slot closes up to
     ``x`` exactly while the second slot moves inside the cyclic subgroup
-    generated by ``g_j``.  The index ``i`` only names the coset space the
-    caller acts on; the construction does not depend on it.
+    generated by ``g_j``.  The appended letter map is injective, so the
+    appended part is reduced as built.  The index ``i`` only names the coset
+    space the caller acts on; the construction does not depend on it.
     """
     if not (1 <= i <= n and 1 <= j <= m):
         raise ValueError("subgroup indices out of range")
     if x.ambient.n != n or y.ambient.n != m:
         raise ValueError("ambient mismatch with declared ranks")
     xp, zp = cancellation_witness_left(x, y)
-    tail = reduce(n * m, [(m * (g - 1) + j, e) for g, e in xp.syllables])
+    tail = ReducedWord._new(
+        _rank(n * m), tuple([Syllable(m * (g - 1) + j, e) for g, e in xp.syllables])
+    )
     return multiply(zp, tail)
 
 

@@ -5,9 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freebialg import reps as R
 from freebialg import words as W
 from freebialg.algebra import (
+    DEFAULT_TOL,
     AlgebraElement,
     TensorElement,
     TripleTensorElement,
@@ -18,7 +22,13 @@ from freebialg.algebra import (
     varphi_alg,
     varphi_inf_alg,
 )
-from freebialg.corpus import random_algebra_element
+from freebialg.bialgebra import _DirectSum, delta_phi
+from freebialg.corpus import (
+    random_algebra_element,
+    random_direct_sum,
+    random_exact_scalar,
+    random_reduced_word,
+)
 from freebialg.scalars import QI
 from freebialg.words import INFINITE
 
@@ -301,3 +311,115 @@ def test_canonical_print_roundtrip():
     for case in cases:
         a = parse_element(case)
         assert parse_element(str(a)) == a
+
+
+# -- trusted results ----------------------------------------------------------------------------
+#
+# Negation, star, flip, nonzero exact scaling and one-term elements store
+# their term dict without the merging constructor.  Each such result must be
+# the element the public constructor builds from the same pairs.
+
+
+def _draw(kind, rng):
+    """Two elements of one space of the given kind, exact coefficients."""
+    if kind == "algebra":
+        n = rng.randint(1, 4)
+        return random_algebra_element(rng, n), random_algebra_element(rng, n)
+    if kind == "tensor":
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        pair = lambda: tensor(random_algebra_element(rng, n), random_algebra_element(rng, m))
+        return pair(), pair()
+    if kind == "direct-sum":
+        return random_direct_sum(rng, max_rank=6), random_direct_sum(rng, max_rank=6)
+    if kind == "direct-sum-tensor":
+        return delta_phi(random_direct_sum(rng, max_rank=6)), delta_phi(random_direct_sum(rng))
+    i = rng.randint(1, 2)
+    label = lambda: R.coset_normal_form(2, i, random_reduced_word(rng, 2, 4))
+    vec = lambda: R.SuppVector(
+        R.CosetBasis(2, i),
+        [(label(), random_exact_scalar(rng)) for _ in range(rng.randint(1, 4))],
+    )
+    return vec(), vec()
+
+
+def _public(x, pairs, space=None):
+    """``pairs`` pushed through the public constructor of ``x``'s type."""
+    if not isinstance(x, _DirectSum):
+        return type(x)(x.space if space is None else space, pairs, x.exact)
+    groups = {}
+    for label, c in pairs:
+        key = tuple(w.ambient.n for w in label) if type(label) is tuple else label.ambient.n
+        groups.setdefault(key, []).append((label, c))
+    comps = {key: x._component(key, group, x.exact) for key, group in groups.items()}
+    return type(x)(comps, x.exact)
+
+
+def _assert_trusted(got, want, *operands):
+    assert type(got) is type(want)
+    assert (got.space, got.exact) == (want.space, want.exact)
+    assert got.terms == want.terms
+    if got.exact:
+        assert all(got.terms.values())
+    else:
+        assert all(abs(c) > DEFAULT_TOL for c in got.terms.values())
+    assert all(got.terms is not x.terms for x in operands)
+
+
+def _inverted(label):
+    return tuple(w.inverse() for w in label) if type(label) is tuple else label.inverse()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["algebra", "tensor", "direct-sum", "direct-sum-tensor", "vector"]),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_trusted_results_match_the_public_constructor(kind, seed, approx):
+    rng = random.Random(seed)
+    x, y = _draw(kind, rng)
+    if approx:
+        x, y = x.to_approx(), y.to_approx()
+    items, neg = list(x.items()), [(k, -v) for k, v in y.items()]
+
+    _assert_trusted(-y, _public(y, neg), y)
+    _assert_trusted(x - y, _public(x, items + neg), x, y)
+    if kind != "vector":
+        star = [(_inverted(k), v.conjugate()) for k, v in items]
+        _assert_trusted(x.star(), _public(x, star), x)
+    # zero, a random scalar, and for approximate elements a scalar small
+    # enough that some products fall under the tolerance
+    scalars = [0, random_exact_scalar(rng)] + ([4e-10, 1e-12j] if approx else [])
+    for c in scalars:
+        cc = complex(c) if approx else c
+        got = x.scale(c)
+        _assert_trusted(got, _public(x, [(k, cc * v) for k, v in items]), x)
+        if c == 0:
+            assert got.is_zero
+    if kind in ("tensor", "direct-sum-tensor"):
+        flipped = [((k[1], k[0]), v) for k, v in items]
+        space = None if kind == "direct-sum-tensor" else x.space[::-1]
+        _assert_trusted(x.flip(), _public(x, flipped, space), x)
+
+
+def test_scale_can_drop_approximate_terms():
+    x = AlgebraElement(2, {W.gen(2, 1): 1.0, W.gen(2, 2): 4.0}, exact=False)
+    assert x.scale(4e-10).terms == {W.gen(2, 2): 4e-10 * 4.0}
+
+
+def test_one_term_constructors_match_the_public_constructor():
+    w = W.reduce(3, [(2, 1), (1, -2)])
+    for c in (1, QI(0, -2), Fraction(1, 3), 0):
+        got = AlgebraElement.from_word(w, c)
+        _assert_trusted(got, AlgebraElement(w.ambient, {w: c}))
+    approx = AlgebraElement.from_word(w, 2.5, exact=False)
+    assert approx == AlgebraElement(3, {w: 2.5}, exact=False)
+    with pytest.raises(TypeError):
+        AlgebraElement.from_word(w, 0.5)
+
+    basis = R.CosetBasis(3, 2)
+    label = R.coset_normal_form(3, 2, w)
+    _assert_trusted(R.SuppVector.basis_vector(basis, label), R.SuppVector(basis, {label: 1}))
+    for bad in (R.coset_normal_form(3, 1, w), w):
+        with pytest.raises(ValueError):
+            R.SuppVector.basis_vector(basis, bad)

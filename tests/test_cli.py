@@ -164,6 +164,36 @@ def test_tensor_pd_checks_indices_before_the_scan(monkeypatch):
         assert report["error"].endswith(f"out of range for {factor}")
 
 
+def test_tensor_pd_reports_a_bad_rank_as_such(capsys):
+    from freebialg.cli import main
+
+    for argv, got in ((["0", "2", "1", "1"], 0), (["2", "-1", "1", "1"], -1)):
+        assert main(["tensor-pd", *argv]) == 2
+        want = f"finite rank must be a positive integer, got {got}"
+        assert json.loads(capsys.readouterr().out) == {"error": want}
+
+
+def test_verify_times_each_check_in_text_only(capsys):
+    from freebialg.cli import main
+
+    assert main(["verify", "words"]) == 0
+    out = capsys.readouterr().out
+    assert "elapsed" not in out
+    report = json.loads(out)
+    assert sorted(report) == ["command", "results", "seed", "status", "suite"]
+    for r in report["results"]:
+        assert sorted(r) == ["claim", "status", "witness"]
+
+    assert main(["--format", "text", "verify", "words"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(report["results"]) + 2
+    for line, r in zip(lines, report["results"]):
+        want = f"[ok] {r['claim']}  {json.dumps(r['witness'])}  ("
+        assert line.startswith(want) and line.endswith("s)")
+        float(line[len(want) : -2])
+    assert lines[-1].startswith("elapsed: ")
+
+
 def test_usage_errors_exit_2():
     _, code = run(["delta", "F2: g3"])
     assert code == 2

@@ -29,6 +29,12 @@ def test_f_eval_checks_ambient():
         R.PDFunction(2, 3)
 
 
+def test_pd_function_reports_a_bad_rank_before_the_index():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"finite rank must be a positive integer, got {n}"):
+            R.PDFunction(n, 1)
+
+
 def test_f_pullback_examples():
     assert R.f_pullback_eval(2, 1, 3, 2, W.gen(6, 2)) == 1
     assert R.f_pullback_eval(2, 1, 3, 2, W.unit(6)) == 1
@@ -141,6 +147,30 @@ def test_gram_psd_for_pullbacks():
                 lambda z, i=i, j=j: R.f_pullback_eval(2, i, 2, j, z), ball
             )
             assert ok, (i, j, mn)
+
+
+def _gram_inputs():
+    """The nine evaluator and sample pairs of the reps.gram-psd check."""
+    for n in (2, 3):
+        ball = W.enumerate_ball(n, 2)
+        for i in range(1, n + 1):
+            yield R.PDFunction(n, i), ball
+    ball4 = W.enumerate_ball(4, 2)
+    for i in (1, 2):
+        for j in (1, 2):
+            yield (lambda z, i=i, j=j: R.f_pullback_eval(2, i, 2, j, z)), ball4
+
+
+def test_gram_psd_lower_triangle_matches_the_full_matrix():
+    inputs = list(_gram_inputs())
+    assert len(inputs) == 9
+    for f, sample in inputs:
+        full = np.array([[float(f(s.inverse() * t)) for t in sample] for s in sample])
+        assert (full == full.T).all()
+        mn, ok = R.gram_psd(f, sample)
+        # bit for bit: the lower triangle is all eigvalsh reads
+        assert mn == float(np.linalg.eigvalsh(full)[0])
+        assert ok
 
 
 def test_gram_psd_requires_sample():
@@ -274,6 +304,53 @@ def test_cyclicity_check_examples():
     assert R.cyclicity_check(
         2, 3, 2, 1, W.gen(2, 1) * W.gen(2, 2), W.gen(3, 3, -1)
     )
+
+
+def _cyclicity_via_vectors(n, m, i, j, x, y):
+    """The cyclicity check along the vector route: move the base basis
+    vector of the coset-pair space by the witness and compare it with the
+    target basis vector."""
+    basis = R.CosetPairBasis(R.CosetBasis(n, i), R.CosetBasis(m, j))
+    base = (R.coset_normal_form(n, i, W.unit(n)), R.coset_normal_form(m, j, W.unit(m)))
+    p, q = W.phi(n, m, R._cyclicity_witness(n, m, i, j, x, y))
+    moved = R.SuppVector.basis_vector(basis, base).map_labels(
+        lambda lbl: (
+            R.coset_normal_form(n, i, W.multiply(p, lbl[0].rep)),
+            R.coset_normal_form(m, j, W.multiply(q, lbl[1].rep)),
+        )
+    )
+    target = R.SuppVector.basis_vector(
+        basis, (R.coset_normal_form(n, i, x), R.coset_normal_form(m, j, y))
+    )
+    return moved == target
+
+
+def _off_by_one_letter(n, m, i, j, x, y):
+    # a wrong witness: the right one times a generator picked by the inputs,
+    # so the two routes also meet failing cases
+    z = W.cyclicity_witness(n, m, i, j, x, y)
+    k = 1 + (x.letter_length + 2 * y.letter_length) % (n * m)
+    return W.multiply(z, W.gen(n * m, k))
+
+
+@pytest.mark.parametrize("witness", ["exact", "off-by-one"])
+def test_cyclicity_check_matches_the_vector_route(monkeypatch, witness):
+    if witness == "off-by-one":
+        monkeypatch.setattr(R, "_cyclicity_witness", _off_by_one_letter)
+    ball = W.enumerate_ball(2, 2)
+    verdicts = []
+    for i in (1, 2):
+        for j in (1, 2):
+            for x in ball:
+                for y in ball:
+                    got = R.cyclicity_check(2, 2, i, j, x, y)
+                    assert got == _cyclicity_via_vectors(2, 2, i, j, x, y), (i, j, x, y)
+                    verdicts.append(got)
+    assert len(verdicts) == 4 * 17 * 17
+    if witness == "exact":
+        assert all(verdicts)
+    else:
+        assert True in verdicts and False in verdicts
 
 
 def test_cyclicity_check_ball_product():

@@ -8,15 +8,16 @@ expected values below were computed with it or by hand reduction.
 
 import dataclasses
 import doctest
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freebialg import bialgebra
+import freebialg
 from freebialg import reps as R
-from freebialg import scalars
 from freebialg import words as W
 from freebialg.corpus import random_reduced_word
 from freebialg.words import INFINITE, Rank, ReducedWord
@@ -262,6 +263,32 @@ def test_lift_posts_on_balls():
                 assert all(s.gen == 1 for s in x.syllables)
 
 
+def test_trusted_lifts_match_their_reduce_form():
+    # the lifts build their words without reduce, since each letter map is
+    # injective on generators; reduce of the same letters must agree
+    rng = random.Random(7)
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        i, j = rng.randint(1, n), rng.randint(1, m)
+        x = random_reduced_word(rng, n, 6)
+        y = random_reduced_word(rng, m, 6)
+        first = W.reduce(n * m, [(m * (g - 1) + 1, e) for g, e in x.syllables])
+        assert W.lift_first(x, m)[1] == first
+        assert W.lift_second(y, n)[1] == W.reduce(n * m, y.syllables)
+        xp, zp = W.cancellation_witness_left(x, y)
+        tail = W.reduce(n * m, [(m * (g - 1) + j, e) for g, e in xp.syllables])
+        assert W.cyclicity_witness(n, m, i, j, x, y) == W.multiply(zp, tail)
+
+
+@pytest.mark.parametrize("bad", [0, -2])
+def test_lifts_reject_bad_ranks(bad):
+    msg = f"finite rank must be a positive integer, got {2 * bad}"
+    with pytest.raises(ValueError, match=msg):
+        W.lift_first(W.gen(2, 1), bad)
+    with pytest.raises(ValueError, match=msg):
+        W.lift_second(W.gen(2, 1), bad)
+
+
 # -- cancellation witnesses ----------------------------------------------------------
 
 
@@ -404,22 +431,17 @@ def test_word_validation_unchanged():
         assert word.syllables == ((1, 1), (2, -1))
 
 
-def test_words_doctests_pass():
-    result = doctest.testmod(W)
-    assert result.attempted > 0
+# every module but the entry point, which runs the CLI when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(freebialg.__path__) if m.name != "__main__")
+# the modules whose docstrings carry examples
+DOCTESTED = {"bialgebra", "reps", "scalars", "words"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests_pass(name):
+    result = doctest.testmod(importlib.import_module(f"freebialg.{name}"))
     assert result.failed == 0
-
-
-def test_scalars_doctests_pass():
-    result = doctest.testmod(scalars)
-    assert result.attempted > 0
-    assert result.failed == 0
-
-
-def test_bialgebra_doctests_pass():
-    result = doctest.testmod(bialgebra)
-    assert result.attempted > 0
-    assert result.failed == 0
+    assert (result.attempted > 0) == (name in DOCTESTED)
 
 
 # -- words built without re-validation ----------------------------------------------------
