@@ -5,7 +5,6 @@ comultiplication, coset permutation representations, and claim probes."""
 from .scalars import QI
 from .words import (
     INFINITE,
-    PairWord,
     Rank,
     ReducedWord,
     Syllable,

@@ -64,41 +64,47 @@ def _to_json(x):
     return [y.to_json() for y in x] if type(x) is tuple else x.to_json()
 
 
+def _multiply_slots(k1: tuple, k2: tuple) -> tuple:
+    return tuple(map(multiply, k1, k2))
+
+
+def _merge(pairs, exact: bool) -> dict:
+    """Sum the coefficients of equal labels, in first-seen order, and drop the
+    zero sums (approximate ones within ``DEFAULT_TOL`` of zero)."""
+    acc: dict = {}
+    for label, c in pairs:
+        if label in acc:
+            acc[label] = acc[label] + c
+        else:
+            acc[label] = c
+    if exact:
+        return {k: v for k, v in acc.items() if v}
+    return {k: v for k, v in acc.items() if abs(v) > DEFAULT_TOL}
+
+
 class _Linear:
     """A finitely supported linear combination of labels over a space.
 
-    The constructor is the one place where coefficients of equal labels are
-    merged; every operation hands it ``(label, coefficient)`` pairs.  It
-    checks each label against the space and coerces each coefficient unless
-    ``_trusted`` is set, which operations use for pairs they built from
-    checked elements.  Approximate coefficients within ``DEFAULT_TOL`` of
-    zero are dropped.  Operations whose terms need no merge and no zero
-    filter (negation, ``star``, ``flip``, nonzero exact scaling, one-term
-    elements) store their term dict with ``_wrap`` instead.  Subclasses fix
-    the space (a rank, a tuple of ranks or a basis descriptor) and provide
+    The public constructor checks each label against the space, coerces each
+    coefficient and merges the pairs with :func:`_merge`.  Library operations
+    build their results from labels and coefficients of checked elements, so
+    they skip the checks: ``_merged`` merges such pairs, and ``_wrap`` stores
+    a term dict that needs no merge and no zero filter (negation, ``star``,
+    ``flip``, nonzero exact scaling, one-term elements).  Subclasses fix the
+    space (a rank, a tuple of ranks or a basis descriptor) and provide
     ``_check_label``.
     """
 
     __slots__ = ("space", "terms", "exact")
 
-    def __init__(self, space, terms=(), exact: bool = True, _trusted: bool = False):
+    def __init__(self, space, terms=(), exact: bool = True):
         self.space = space
-        check = None if _trusted else self._check_label
+        check = self._check_label
         scalar, coerce = (QI, _exact_scalar) if exact else (complex, _approx_scalar)
-        acc: dict = {}
-        for label, c in terms.items() if hasattr(terms, "items") else terms:
-            if check is not None:
-                label = check(label)
-                if type(c) is not scalar:
-                    c = coerce(c)
-            if label in acc:
-                acc[label] = acc[label] + c
-            else:
-                acc[label] = c
-        if exact:
-            self.terms = {k: v for k, v in acc.items() if v}
-        else:
-            self.terms = {k: v for k, v in acc.items() if abs(v) > DEFAULT_TOL}
+        pairs = terms.items() if hasattr(terms, "items") else terms
+        self.terms = _merge(
+            ((check(label), c if type(c) is scalar else coerce(c)) for label, c in pairs), exact
+        )
         self.exact = exact
 
     def _check_label(self, label):
@@ -114,10 +120,15 @@ class _Linear:
         self.exact = exact
         return self
 
-    def _make(self, pairs, exact: bool | None = None):
-        """A result in this element's space from trusted pairs."""
-        exact = self.exact if exact is None else exact
-        return type(self)(self.space, pairs, exact, _trusted=True)
+    @classmethod
+    def _merged(cls, space, pairs, exact: bool):
+        """Trusted constructor: merge ``(label, coefficient)`` pairs whose
+        labels are checked and whose coefficients are of the element's mode."""
+        return cls._wrap(space, _merge(pairs, exact), exact)
+
+    def _make(self, pairs):
+        """A result in this element's space and mode from trusted pairs."""
+        return self._merged(self.space, pairs, self.exact)
 
     @classmethod
     def zero(cls, space, exact: bool = True):
@@ -170,20 +181,11 @@ class _Linear:
         if not isinstance(other, _Linear):
             return self.scale(other)
         self._require_compatible(other)
+        mul = _multiply_slots if type(self.space) is tuple else multiply
         right = other.terms.items()
-        if type(self.space) is tuple:
-            pairs = [
-                (tuple(map(multiply, k1, k2)), c1 * c2)
-                for k1, c1 in self.terms.items()
-                for k2, c2 in right
-            ]
-        else:
-            pairs = [
-                (multiply(k1, k2), c1 * c2)
-                for k1, c1 in self.terms.items()
-                for k2, c2 in right
-            ]
-        return self._make(pairs)
+        return self._make(
+            [(mul(k1, k2), c1 * c2) for k1, c1 in self.terms.items() for k2, c2 in right]
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -201,7 +203,7 @@ class _Linear:
     def to_approx(self):
         if not self.exact:
             return self
-        return self._make([(k, complex(c)) for k, c in self.terms.items()], False)
+        return self._merged(self.space, [(k, complex(c)) for k, c in self.terms.items()], False)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -272,8 +274,8 @@ class AlgebraElement(_Linear):
     ambient = _Linear.space  # the rank, under its public name
     _json_keys = ("rank", "word")
 
-    def __init__(self, ambient: Rank | int, terms=(), exact: bool = True, _trusted: bool = False):
-        super().__init__(_as_rank(ambient), terms, exact, _trusted)
+    def __init__(self, ambient: Rank | int, terms=(), exact: bool = True):
+        super().__init__(_as_rank(ambient), terms, exact)
 
     @classmethod
     def unit(cls, ambient, exact: bool = True):
@@ -318,12 +320,11 @@ class _Tensor(_Linear):
     _json_keys = ("ranks", "words")
     _arity = None
 
-    def __init__(self, ambients, terms=(), exact: bool = True, _trusted: bool = False):
-        if not _trusted:
-            ambients = tuple([_as_rank(r) for r in ambients])
-            if self._arity is not None and len(ambients) != self._arity:
-                raise ValueError(f"expected {self._arity} tensor slots, got {len(ambients)}")
-        super().__init__(ambients, terms, exact, _trusted)
+    def __init__(self, ambients, terms=(), exact: bool = True):
+        ambients = tuple([_as_rank(r) for r in ambients])
+        if self._arity is not None and len(ambients) != self._arity:
+            raise ValueError(f"expected {self._arity} tensor slots, got {len(ambients)}")
+        super().__init__(ambients, terms, exact)
 
     def _check_label(self, label):
         label = tuple(label)
@@ -369,14 +370,13 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     pairs = [
         ((w1, w2), c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()
     ]
-    ambients = (a.ambient, b.ambient)
-    return TensorElement(ambients, pairs, a.exact, _trusted=True)
+    return TensorElement._merged((a.ambient, b.ambient), pairs, a.exact)
 
 
 def _extend(split, a: AlgebraElement, ambients) -> TensorElement:
     # linear extension of a word splitting; colliding images accumulate
-    pairs = [(tuple(split(w)), c) for w, c in a.terms.items()]
-    return TensorElement(ambients, pairs, a.exact, _trusted=True)
+    pairs = [(split(w), c) for w, c in a.terms.items()]
+    return TensorElement._merged(ambients, pairs, a.exact)
 
 
 def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
@@ -401,7 +401,7 @@ def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
 def standard_delta(a: AlgebraElement) -> TensorElement:
     """The diagonal comultiplication ``w -> w (x) w`` extended linearly."""
     pairs = [((w, w), c) for w, c in a.terms.items()]
-    return TensorElement((a.ambient, a.ambient), pairs, a.exact, _trusted=True)
+    return TensorElement._merged((a.ambient, a.ambient), pairs, a.exact)
 
 
 def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
@@ -419,9 +419,7 @@ def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
         pu, qu = phi(n, m, u)
         pv, qv = phi(n, m, v)
         rhs.append(((pu, pv, qu, qv), c))
-    return _Tensor(ranks, lhs, a.exact, _trusted=True) == _Tensor(
-        ranks, rhs, a.exact, _trusted=True
-    )
+    return _Tensor._merged(ranks, lhs, a.exact) == _Tensor._merged(ranks, rhs, a.exact)
 
 
 def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> TensorElement:
@@ -443,4 +441,4 @@ def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> Tensor
         for u, d in b.terms.items():
             key = (multiply(w1, u), w2) if idx == 0 else (w1, multiply(w2, u))
             pairs.append((key, c * d))
-    return TensorElement(t.ambients, pairs, t.exact, _trusted=True)
+    return TensorElement._merged(t.ambients, pairs, t.exact)

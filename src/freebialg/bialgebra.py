@@ -20,6 +20,8 @@ from .algebra import (
     varphi_alg,
     varphi_inf_alg,
     _Linear,
+    _merge,
+    _multiply_slots,
 )
 from .scalars import ONE, QI, ZERO
 from .words import ReducedWord, _rank, multiply, phi, phi_inf
@@ -57,16 +59,12 @@ def _grade(label):
     return tuple([w.ambient.n for w in label]) if type(label) is tuple else label.ambient.n
 
 
-def _multiply_labels(k1, k2):
-    return tuple(map(multiply, k1, k2)) if type(k1) is tuple else multiply(k1, k2)
-
-
 class _DirectSum(_Linear):
     """A linear combination of words (or word tuples) of any finite ranks in
     one term dict.  The space ``_space`` is ``None`` ("any finite rank") or
     one ``None`` per tensor slot.  The public constructor takes components
     ``key -> element of class _component`` keyed by rank (a tuple of ranks
-    for tensors); operations build results with the trusted ``_new``."""
+    for tensors); operations build results with the trusted ``_merged``."""
 
     __slots__ = ()
     _space = None
@@ -93,7 +91,8 @@ class _DirectSum(_Linear):
             exact = modes.pop() if modes else True
         elif modes and modes != {exact}:
             raise ValueError("declared scalar mode contradicts the components")
-        super().__init__(self._space, pairs, exact, _trusted=True)
+        # each component is checked and merged, so only equal keys can overlap
+        self.space, self.terms, self.exact = self._space, _merge(pairs, exact), exact
 
     def _check_label(self, label):
         tensor = type(self._space) is tuple
@@ -105,19 +104,8 @@ class _DirectSum(_Linear):
         return words if tensor else label
 
     @classmethod
-    def _new(cls, pairs, exact: bool):
-        """Trusted constructor from ``(label, coefficient)`` pairs that library
-        operations built from checked elements."""
-        self = object.__new__(cls)
-        _Linear.__init__(self, cls._space, pairs, exact, _trusted=True)
-        return self
-
-    def _make(self, pairs, exact: bool | None = None):
-        return self._new(pairs, self.exact if exact is None else exact)
-
-    @classmethod
     def zero(cls, exact: bool = True):
-        return cls._new((), exact)
+        return cls._wrap(cls._space, {}, exact)
 
     @property
     def components(self) -> dict:
@@ -125,13 +113,12 @@ class _DirectSum(_Linear):
         dict on each access."""
         groups: dict = {}
         for label, c in self.terms.items():
-            groups.setdefault(_grade(label), []).append((label, c))
+            groups.setdefault(_grade(label), {})[label] = c
         return {
-            key: self._component(
-                tuple(map(_rank, key)) if type(key) is tuple else _rank(key),
-                pairs, self.exact, _trusted=True,
+            key: self._component._wrap(
+                tuple(map(_rank, key)) if type(key) is tuple else _rank(key), terms, self.exact
             )
-            for key, pairs in groups.items()
+            for key, terms in groups.items()
         }
 
     def component(self, *key):
@@ -149,11 +136,12 @@ class _DirectSum(_Linear):
         if not isinstance(other, _Linear):
             return self.scale(other)
         self._require_compatible(other)
+        mul = _multiply_slots if type(self.space) is tuple else multiply
         by_grade: dict = {}
         for k2, c2 in other.terms.items():
             by_grade.setdefault(_grade(k2), []).append((k2, c2))
         return self._make([
-            (_multiply_labels(k1, k2), c1 * c2)
+            (mul(k1, k2), c1 * c2)
             for k1, c1 in self.terms.items()
             for k2, c2 in by_grade.get(_grade(k1), ())
         ])
@@ -231,8 +219,8 @@ def delta_phi(x: DirectSumElement) -> DirectSumTensor:
     pairs = []
     for w, c in x.terms.items():
         for m, l in factor_pairs(w.ambient.n):
-            pairs.append((tuple(phi(m, l, w)), c))
-    return DirectSumTensor._new(pairs, x.exact)
+            pairs.append((phi(m, l, w), c))
+    return DirectSumTensor._merged(DirectSumTensor._space, pairs, x.exact)
 
 
 def counit(x: DirectSumElement):
@@ -252,7 +240,7 @@ def _delta_slot(t: DirectSumTensor, slot: int) -> DirectSumTriple:
         for p, q in factor_pairs(w.ambient.n):
             u, v = phi(p, q, w)
             pairs.append(((u, v, w2) if slot == 0 else (w1, u, v), c))
-    return DirectSumTriple._new(pairs, t.exact)
+    return DirectSumTriple._merged(DirectSumTriple._space, pairs, t.exact)
 
 
 def coassoc_check(x: DirectSumElement) -> tuple[DirectSumTriple, DirectSumTriple, bool]:
@@ -272,7 +260,7 @@ def _eps_collapse(el: TensorElement, slot: int) -> AlgebraElement:
         raise ValueError("can only collapse a rank-1 slot")
     keep = 1 - slot
     pairs = [(pair[keep], c) for pair, c in el.terms.items()]
-    return AlgebraElement(el.ambients[keep], pairs, el.exact, _trusted=True)
+    return AlgebraElement._merged(el.ambients[keep], pairs, el.exact)
 
 
 def counit_check(x: DirectSumElement) -> bool:
@@ -283,7 +271,7 @@ def counit_check(x: DirectSumElement) -> bool:
             left.append((w2, c))
         if w2.ambient.n == 1:
             right.append((w1, c))
-    return DirectSumElement._new(left, x.exact) == x and DirectSumElement._new(right, x.exact) == x
+    return x._make(left) == x and x._make(right) == x
 
 
 def wcs_check(n: int, m: int, l: int, z: ReducedWord) -> bool:

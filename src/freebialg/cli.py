@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -40,6 +41,14 @@ from .words import _rank, enumerate_ball, gen, kernel_witness, unit
 FORMATS = ("json", "text")
 
 
+def tolerance(text: str) -> float:
+    """A ``--tol`` value: finite and ``>= 0``, so that ``abs(a - b) > tol`` can fail."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _add_common(parser, suppress: bool) -> None:
     # registered on the root with real defaults and on every subcommand with
     # SUPPRESS defaults, so the flags are accepted in either position and a
@@ -51,7 +60,7 @@ def _add_common(parser, suppress: bool) -> None:
         default=default if suppress else "json",
     )
     parser.add_argument("--seed", type=int, default=default if suppress else 0)
-    parser.add_argument("--tol", type=float, default=default if suppress else DEFAULT_TOL)
+    parser.add_argument("--tol", type=tolerance, default=default if suppress else DEFAULT_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,15 +128,20 @@ def _check(claim: str):
 
 
 def _counted(claim: str):
-    """Register a generator ``fn(rng, tol)`` of ``(ok, payload)`` as the check
-    of ``claim``; the check reports the count or the first failing payload."""
+    """Register a generator ``fn(rng, tol)`` of ``(ok, case)`` as the check of
+    ``claim``, where ``case`` is the tuple of the case's inputs.  The check
+    reports the number of cases or, for the first failing case, ``{"case": k,
+    "counterexample": inputs}``: ``k`` cases came before it, so the seed, the
+    claim and ``k`` name it for a rerun; ints and floats stay JSON numbers and
+    any other input becomes its ``str``."""
 
     def register(cases):
         def check(rng, tol):
             count = 0
-            for ok, payload in cases(rng, tol):
+            for ok, case in cases(rng, tol):
                 if not ok:
-                    return False, {"counterexample": payload}
+                    inputs = [x if type(x) in (int, float) else str(x) for x in case]
+                    return False, {"case": count, "counterexample": inputs}
                 count += 1
             return True, {"checked": count}
 
@@ -186,7 +200,7 @@ def _reduction_laws(rng, tol):
         assoc = (w * v) * u == w * (v * u)
         inv = (w * w.inverse()).is_unit
         idem = words.reduce(w.ambient, w.syllables) == w
-        yield assoc and inv and idem, str(w)
+        yield assoc and inv and idem, (n, w, v, u)
 
 
 @_counted("words.phi-homomorphism")
@@ -198,7 +212,7 @@ def _phi_homomorphism(rng, tol):
         p, q = words.phi(n, m, z1 * z2)
         p1, q1 = words.phi(n, m, z1)
         p2, q2 = words.phi(n, m, z2)
-        yield (p == p1 * p2 and q == q1 * q2), f"{z1} , {z2}"
+        yield (p == p1 * p2 and q == q1 * q2), (n, m, z1, z2)
 
 
 @_counted("words.kernel-witnesses")
@@ -207,7 +221,7 @@ def _kernel_witnesses(rng, tol):
         p, q = words.phi(n, m, w)
         # the witness is the unit exactly when i == l or j == k
         ok = p.is_unit and q.is_unit and w.is_unit == (i == l or j == k)
-        yield ok, f"x({i},{l};{j},{k}) n={n} m={m}"
+        yield ok, (n, m, i, l, j, k)
 
 
 @_counted("words.lift-constructions")
@@ -218,11 +232,11 @@ def _lift_constructions(rng, tol):
         y, z = words.lift_first(x, m)
         p, q = words.phi(n, m, z)
         in_b1 = all(s.gen == 1 for s in y.syllables)
-        yield (p == x and q == y and in_b1), f"lift_first {x}"
+        yield (p == x and q == y and in_b1), ("lift_first", n, m, x)
         yb = random_reduced_word(rng, m, 5)
         xb, zb = words.lift_second(yb, n)
         pb, qb = words.phi(n, m, zb)
-        yield (pb == xb and qb == yb), f"lift_second {yb}"
+        yield (pb == xb and qb == yb), ("lift_second", n, m, yb)
 
 
 @_counted("words.cancellation-witnesses")
@@ -231,30 +245,32 @@ def _cancellation_witnesses(rng, tol):
         for m in (1, 2):
             for x in enumerate_ball(n, 3):
                 for y in enumerate_ball(m, 3):
-                    yield verify_cancellation(x, y), f"({x},{y})"
+                    yield verify_cancellation(x, y), (n, m, x, y)
     for _ in range(100):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         x = random_reduced_word(rng, n, 5)
         y = random_reduced_word(rng, m, 5)
-        yield verify_cancellation(x, y), f"({x},{y})"
+        yield verify_cancellation(x, y), (n, m, x, y)
+
+
+def _direct_sums(rng):
+    """Every generator of rank at most 24, then 200 random direct sums."""
+    for n, k in _generators(24):
+        yield DirectSumElement.from_word(gen(n, k))
+    for _ in range(200):
+        yield random_direct_sum(rng, max_rank=12, max_len=5)
 
 
 @_counted("bialgebra.coassociativity")
 def _coassociativity(rng, tol):
-    for n, k in _generators(24):
-        yield coassoc_check(DirectSumElement.from_word(gen(n, k)))[2], f"g{k} in F{n}"
-    for _ in range(200):
-        x = random_direct_sum(rng, max_rank=12, max_len=5)
-        yield coassoc_check(x)[2], str(x)
+    for x in _direct_sums(rng):
+        yield coassoc_check(x)[2], (x,)
 
 
 @_counted("bialgebra.counit-law")
 def _counit_law(rng, tol):
-    for n, k in _generators(24):
-        yield counit_check(DirectSumElement.from_word(gen(n, k))), f"g{k} in F{n}"
-    for _ in range(200):
-        x = random_direct_sum(rng, max_rank=12, max_len=5)
-        yield counit_check(x), str(x)
+    for x in _direct_sums(rng):
+        yield counit_check(x), (x,)
 
 
 @_counted("bialgebra.wcs-axioms")
@@ -263,16 +279,16 @@ def _wcs_axioms(rng, tol):
         for m in range(1, 5):
             for l in range(1, 5):
                 for k in range(1, n * m * l + 1):
-                    yield wcs_check(n, m, l, gen(n * m * l, k)), f"({n},{m},{l}) g{k}"
+                    yield wcs_check(n, m, l, gen(n * m * l, k)), ("wcs_check", n, m, l, k)
     for n, k in _generators(12):
-        yield counit_axiom_check(n, gen(n, k)), f"counit axiom g{k} F{n}"
+        yield counit_axiom_check(n, gen(n, k)), ("counit_axiom_check", n, k)
 
 
 @_counted("bialgebra.kernel-identity")
 def _kernel_identity(rng, tol):
     for (n, m, i, l, j, k), w in _kernel_words():
         el = AlgebraElement.from_word(w) - AlgebraElement.unit(n * m)
-        yield varphi_alg(n, m, el).is_zero, f"x({i},{l};{j},{k})"
+        yield varphi_alg(n, m, el).is_zero, (n, m, i, l, j, k)
 
 
 @_check("bialgebra.noncocommutativity")
@@ -288,7 +304,7 @@ def _comodule(rng, tol):
         for n in range(1, 4):
             for m in range(1, 4):
                 w = gen(words.INFINITE, k)
-                yield bialgebra.comodule_check(n, m, w), f"g{k} n={n} m={m}"
+                yield bialgebra.comodule_check(n, m, w), (k, n, m)
 
 
 @_counted("bialgebra.unitization")
@@ -298,15 +314,9 @@ def _unitization(rng, tol):
             bialgebra.UnitizedElement(random_direct_sum(rng, max_rank=6, max_len=3), rng.randint(-2, 2))
             for _ in range(2)
         )
-        lhs = bialgebra.unitized_delta(a * b)
-        rhs = bialgebra.unitized_tensor_mul(
-            bialgebra.unitized_delta(a), bialgebra.unitized_delta(b)
-        )
-        mult_ok = lhs[0] == rhs[0] and lhs[1] == rhs[1]
-        eps_ok = bialgebra.unitized_counit(a * b) == bialgebra.unitized_counit(
-            a
-        ) * bialgebra.unitized_counit(b)
-        yield mult_ok and eps_ok, str(a)
+        delta, eps = bialgebra.unitized_delta, bialgebra.unitized_counit
+        mult_ok = delta(a * b) == bialgebra.unitized_tensor_mul(delta(a), delta(b))
+        yield mult_ok and eps(a * b) == eps(a) * eps(b), (a, b)
 
 
 @_counted("bialgebra.standard-delta-compat")
@@ -315,7 +325,7 @@ def _standard_delta_compat(rng, tol):
         for m in range(1, 5):
             for k in range(1, n * m + 1):
                 a = AlgebraElement.from_word(gen(n * m, k))
-                yield standard_delta_compat_check(n, m, a), f"g{k} ({n},{m})"
+                yield standard_delta_compat_check(n, m, a), (n, m, k)
 
 
 @_counted("reps.gns-coefficients")
@@ -324,7 +334,7 @@ def _gns_coefficients(rng, tol):
         ball = enumerate_ball(n, 4)
         for i in range(1, n + 1):
             for w in ball:
-                yield reps.gns_coeff_check(n, i, w), f"F{n} i={i} {w}"
+                yield reps.gns_coeff_check(n, i, w), (n, i, w)
 
 
 @_counted("reps.fixed-vectors")
@@ -334,7 +344,7 @@ def _fixed_vectors(rng, tol):
             for j in range(1, n + 1):
                 want = 1 if i == j else 0
                 got = reps.fixed_vector_dim(n, i, j, 3)
-                yield got == want, f"F{n} i={i} j={j} got={got}"
+                yield got == want, (n, i, j, got)
 
 
 @_counted("reps.cyclicity")
@@ -344,7 +354,7 @@ def _cyclicity(rng, tol):
         for j in (1, 2):
             for x in ball:
                 for y in ball:
-                    yield reps.cyclicity_check(2, 2, i, j, x, y), f"i={i} j={j} ({x},{y})"
+                    yield reps.cyclicity_check(2, 2, i, j, x, y), (i, j, x, y)
 
 
 @_counted("reps.intertwiner")
@@ -353,7 +363,7 @@ def _intertwiner(rng, tol):
         x = random_reduced_word(rng, 2, 4)
         h = random_reduced_word(rng, 4, 4)
         g = random_reduced_word(rng, 4, 4)
-        yield reps.intertwine_check(2, 2, x, h, g), f"({x},{h},{g})"
+        yield reps.intertwine_check(2, 2, x, h, g), (x, h, g)
 
 
 @_counted("reps.gram-psd")
@@ -362,13 +372,13 @@ def _gram_psd(rng, tol):
         ball = enumerate_ball(n, 2)
         for i in range(1, n + 1):
             mn, ok = reps.gram_psd(reps.PDFunction(n, i), ball, tol)
-            yield ok, f"f{i} F{n} min={mn}"
+            yield ok, ("f_eval", n, i, mn)
     ball4 = enumerate_ball(4, 2)
     for i in (1, 2):
         for j in (1, 2):
             ev = lambda z, i=i, j=j: reps.f_pullback_eval(2, i, 2, j, z)
             mn, ok = reps.gram_psd(ev, ball4, tol)
-            yield ok, f"pullback i={i} j={j} min={mn}"
+            yield ok, ("f_pullback_eval", 2, i, 2, j, mn)
 
 
 @_counted("reps.action-laws")
@@ -378,17 +388,15 @@ def _action_laws(rng, tol):
         i = rng.randint(1, n)
         x = random_reduced_word(rng, n, 4)
         y = random_reduced_word(rng, n, 4)
-        basis = reps.CosetBasis(n, i)
-        v = reps.SuppVector.basis_vector(
-            basis, reps.coset_normal_form(n, i, random_reduced_word(rng, n, 3))
-        )
+        coset = reps.coset_normal_form(n, i, random_reduced_word(rng, n, 3))
+        v = reps.SuppVector.basis_vector(reps.CosetBasis(n, i), coset)
         composed = reps.L_action(n, i, x, reps.L_action(n, i, y, v))
         direct = reps.L_action(n, i, x * y, v)
-        yield composed == direct, f"L F{n}/<g{i}> {x},{y}"
-        gb = reps.GroupBasis(n)
-        u = reps.SuppVector.basis_vector(gb, random_reduced_word(rng, n, 3))
+        yield composed == direct, ("L_action", n, i, x, y, coset)
+        g = random_reduced_word(rng, n, 3)
+        u = reps.SuppVector.basis_vector(reps.GroupBasis(n), g)
         lam_ok = reps.lambda_action(n, x, reps.lambda_action(n, y, u)) == reps.lambda_action(n, x * y, u)
-        yield lam_ok, f"lambda F{n} {x},{y}"
+        yield lam_ok, ("lambda_action", n, x, y, g)
 
 
 @_counted("morphisms.beta-morphism")
@@ -396,14 +404,14 @@ def _beta_morphism(rng, tol):
     endo = morphisms.beta_endo()
     for n, k in _generators(24):
         x = DirectSumElement.from_word(gen(n, k))
-        yield morphisms.bialgebra_morphism_check(endo, x, tol), f"g{k} F{n}"
+        yield morphisms.bialgebra_morphism_check(endo, x, tol), (n, k)
 
 
 @_counted("morphisms.beta-involution")
 def _beta_involution(rng, tol):
     for _ in range(100):
         x = random_direct_sum(rng, max_rank=12, max_len=5)
-        yield morphisms.beta(morphisms.beta(x)) == x, str(x)
+        yield morphisms.beta(morphisms.beta(x)) == x, (x,)
 
 
 @_counted("morphisms.alpha-morphism")
@@ -412,7 +420,7 @@ def _alpha_morphism(rng, tol):
         endo = morphisms.alpha_endo(t)
         for n, k in _generators(12):
             x = DirectSumElement.from_word(gen(n, k))
-            yield morphisms.bialgebra_morphism_check(endo, x, tol), f"t={t} g{k} F{n}"
+            yield morphisms.bialgebra_morphism_check(endo, x, tol), (t, n, k)
 
 
 @_check("morphisms.group-laws")

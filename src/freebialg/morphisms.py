@@ -70,11 +70,11 @@ class GradedEndo:
         if a.ambient.is_infinite:
             raise ValueError("graded endomorphisms act on finite ranks")
         exact = self.exact and a.exact
-        return AlgebraElement(a.ambient, self._image(a.terms, exact), exact, _trusted=True)
+        return AlgebraElement._merged(a.ambient, self._image(a.terms, exact), exact)
 
     def apply(self, x: DirectSumElement) -> DirectSumElement:
         exact = self.exact and x.exact
-        return DirectSumElement._new(self._image(x.terms, exact), exact)
+        return DirectSumElement._merged(x.space, self._image(x.terms, exact), exact)
 
     def apply_tensor(self, t: DirectSumTensor) -> DirectSumTensor:
         exact = self.exact and t.exact
@@ -85,7 +85,7 @@ class GradedEndo:
             if not exact:
                 ph1, ph2, c = complex(ph1), complex(ph2), complex(c)
             pairs.append(((u1, u2), c * ph1 * ph2))
-        return DirectSumTensor._new(pairs, exact)
+        return DirectSumTensor._merged(t.space, pairs, exact)
 
 
 def identity_endo() -> GradedEndo:
@@ -117,7 +117,7 @@ def alpha(t: float, x: DirectSumElement) -> DirectSumElement:
     for w, c in x.terms.items():
         angle = math.fmod(t * w.exponent_sum * math.log(w.ambient.n), TWO_PI)
         pairs.append((w, complex(c) * cmath.exp(1j * angle)))
-    return DirectSumElement._new(pairs, False)
+    return DirectSumElement._merged(x.space, pairs, False)
 
 
 def beta(x: DirectSumElement) -> DirectSumElement:

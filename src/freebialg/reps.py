@@ -54,6 +54,19 @@ __all__ = [
 ]
 
 
+def _check_index(n: int, i: int) -> None:
+    """Raise unless ``g_i`` is a generator of the rank-``n`` free group."""
+    if not 1 <= i <= n:
+        _rank(n)  # a rank below 1 is reported as such, not as a bad index
+        raise ValueError(f"generator index {i} out of range for F{n}")
+
+
+def _in_cyclic(w: ReducedWord, i: int) -> bool:
+    """Whether ``w`` is a power of ``g_i`` (the unit included)."""
+    sylls = w.syllables
+    return not sylls or (len(sylls) == 1 and sylls[0].gen == i)
+
+
 @dataclass(frozen=True)
 class PDFunction:
     """Indicator of the cyclic subgroup generated by ``g_i`` inside the
@@ -63,9 +76,8 @@ class PDFunction:
     i: int
 
     def __post_init__(self):
-        if not 1 <= self.i <= self.n:
-            _rank(self.n)  # a rank below 1 is reported as such, not as a bad index
-            raise ValueError(f"generator index {self.i} out of range for F{self.n}")
+        _rank(self.n)
+        _check_index(self.n, self.i)
 
     def __call__(self, w: ReducedWord) -> int:
         return f_eval(self, w)
@@ -74,18 +86,16 @@ class PDFunction:
 def f_eval(f: PDFunction, w: ReducedWord) -> int:
     if w.ambient.n != f.n:
         raise ValueError(f"word lives in {w.ambient}, expected F{f.n}")
-    if w.is_unit:
-        return 1
-    if len(w.syllables) == 1 and w.syllables[0].gen == f.i:
-        return 1
-    return 0
+    return 1 if _in_cyclic(w, f.i) else 0
 
 
 def f_pullback_eval(n: int, i: int, m: int, j: int, z: ReducedWord) -> int:
     """Pull the product indicator back through the rank splitting: evaluate
     the pair image of ``z`` against the indicators on each factor."""
+    _check_index(n, i)
+    _check_index(m, j)
     p, q = phi(n, m, z)
-    return f_eval(PDFunction(n, i), p) * f_eval(PDFunction(m, j), q)
+    return 1 if _in_cyclic(p, i) and _in_cyclic(q, j) else 0
 
 
 def claim_probe_pd(
@@ -101,7 +111,8 @@ def claim_probe_pd(
     length 3, and the nontrivial kernel words of length 4 are among them.
     """
     # range-check i and j, naming their own factor, before the ball is built
-    PDFunction(n, i), PDFunction(m, j)
+    _check_index(n, i)
+    _check_index(m, j)
     direct = PDFunction(n * m, m * (i - 1) + j)
     out = []
     for z in enumerate_ball(n * m, radius):

@@ -20,7 +20,6 @@ __all__ = [
     "INFINITE",
     "Syllable",
     "ReducedWord",
-    "PairWord",
     "unit",
     "gen",
     "reduce",
@@ -213,13 +212,6 @@ class ReducedWord:
         return reduce(ambient, [(int(g), int(e)) for g, e in data])
 
 
-class PairWord(NamedTuple):
-    """An element of a direct product of two free groups."""
-
-    first: ReducedWord
-    second: ReducedWord
-
-
 def unit(ambient: Rank | int) -> ReducedWord:
     return ReducedWord._new(_as_rank(ambient), ())
 
@@ -298,7 +290,9 @@ def inverse(w: ReducedWord) -> ReducedWord:
     return w.inverse()
 
 
-def _split(z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank) -> PairWord:
+def _split(
+    z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank
+) -> tuple[ReducedWord, ReducedWord]:
     # g_k with k = m*(i-1) + j, 1 <= j <= m, goes to the pair (g_i, g_j)
     left: list[Syllable] = []
     right: list[Syllable] = []
@@ -306,13 +300,12 @@ def _split(z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank) -> PairWor
         i, j = divmod(k - 1, m)
         _push(left, i + 1, e)
         _push(right, j + 1, e)
-    return PairWord(
-        ReducedWord._new(left_rank, tuple(left)), ReducedWord._new(right_rank, tuple(right))
-    )
+    return ReducedWord._new(left_rank, tuple(left)), ReducedWord._new(right_rank, tuple(right))
 
 
-def phi(n: int, m: int, z: ReducedWord) -> PairWord:
-    """Map a word of rank ``n*m`` to a pair of words of ranks ``n`` and ``m``.
+def phi(n: int, m: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
+    """Map a word of rank ``n*m`` to the pair ``(p, q)`` of words of ranks
+    ``n`` and ``m``.
 
     The generator ``g_k`` with ``k = m*(i-1) + j`` goes to the pair
     ``(g_i, g_j)``; the map extends multiplicatively and each component is
@@ -328,7 +321,7 @@ def phi(n: int, m: int, z: ReducedWord) -> PairWord:
     return _split(z, m, _rank(n), _rank(m))
 
 
-def phi_inf(n: int, z: ReducedWord) -> PairWord:
+def phi_inf(n: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     """Infinite-rank analogue of :func:`phi`: ``g_{n*(i-1)+j} -> (g_i, g_j)``
     with the first component of infinite rank and the second of rank ``n``.
     """

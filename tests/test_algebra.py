@@ -342,14 +342,17 @@ def _draw(kind, rng):
     return vec(), vec()
 
 
+def _grade(label):
+    return tuple(w.ambient.n for w in label) if type(label) is tuple else label.ambient.n
+
+
 def _public(x, pairs, space=None):
     """``pairs`` pushed through the public constructor of ``x``'s type."""
     if not isinstance(x, _DirectSum):
         return type(x)(x.space if space is None else space, pairs, x.exact)
     groups = {}
     for label, c in pairs:
-        key = tuple(w.ambient.n for w in label) if type(label) is tuple else label.ambient.n
-        groups.setdefault(key, []).append((label, c))
+        groups.setdefault(_grade(label), []).append((label, c))
     comps = {key: x._component(key, group, x.exact) for key, group in groups.items()}
     return type(x)(comps, x.exact)
 
@@ -369,6 +372,10 @@ def _inverted(label):
     return tuple(w.inverse() for w in label) if type(label) is tuple else label.inverse()
 
 
+def _product(k1, k2):
+    return tuple(map(W.multiply, k1, k2)) if type(k1) is tuple else W.multiply(k1, k2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["algebra", "tensor", "direct-sum", "direct-sum-tensor", "vector"]),
@@ -376,6 +383,8 @@ def _inverted(label):
     st.booleans(),
 )
 def test_trusted_results_match_the_public_constructor(kind, seed, approx):
+    with pytest.raises(TypeError):
+        AlgebraElement(2, {}, True, _trusted=True)
     rng = random.Random(seed)
     x, y = _draw(kind, rng)
     if approx:
@@ -384,6 +393,29 @@ def test_trusted_results_match_the_public_constructor(kind, seed, approx):
 
     _assert_trusted(-y, _public(y, neg), y)
     _assert_trusted(x - y, _public(x, items + neg), x, y)
+    _assert_trusted(x + y, _public(x, items + list(y.items())), x, y)
+    # a sum that cancels; for approximate elements the sums fall under the
+    # tolerance instead of reaching zero
+    near = -1 + 1e-12 if approx else -1
+    cancel = [(k, complex(near) * v if approx else -v) for k, v in items]
+    _assert_trusted(x + x.scale(near), _public(x, items + cancel), x)
+    assert (x + x.scale(near)).is_zero
+    if kind != "vector":
+        # a direct-sum product keeps only the products within one rank
+        grade = _grade if isinstance(x, _DirectSum) else (lambda k: None)
+        prod = [
+            (_product(k1, k2), c1 * c2)
+            for k1, c1 in items
+            for k2, c2 in y.items()
+            if grade(k1) == grade(k2)
+        ]
+        _assert_trusted(x * y, _public(x, prod), x, y)
+    if isinstance(x, _DirectSum):
+        comps = x.components
+        assert sorted(comps) == x.keys()
+        for key, comp in comps.items():
+            part = [(k, v) for k, v in items if _grade(k) == key]
+            _assert_trusted(comp, x._component(key, part, x.exact), x)
     if kind != "vector":
         star = [(_inverted(k), v.conjugate()) for k, v in items]
         _assert_trusted(x.star(), _public(x, star), x)

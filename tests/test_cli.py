@@ -396,6 +396,70 @@ def test_registry_claims_per_suite():
     }
 
 
+def test_passing_checks_render_nothing(monkeypatch):
+    """A check renders its inputs only for a failing case."""
+    from freebialg import algebra, bialgebra, cli, words
+
+    def no_render(self):
+        raise AssertionError(f"{type(self).__name__} rendered on a passing case")
+
+    for cls in (words.ReducedWord, algebra._Linear, bialgebra.UnitizedElement):
+        monkeypatch.setattr(cls, "__str__", no_render)
+    results = cli._run_checks(sorted(cli.CHECKS), 0, algebra.DEFAULT_TOL)
+    assert [r["status"] for r in results] == ["verified"] * len(cli.CHECKS)
+
+
+@pytest.mark.parametrize(
+    "claim,target,generator,seed,fail_at",
+    [
+        ("reps.cyclicity", "cyclicity_check", "_cyclicity", 0, 5000),
+        ("reps.intertwiner", "intertwine_check", "_intertwiner", 3, 137),
+    ],
+)
+def test_failure_record_names_a_replayable_case(
+    monkeypatch, claim, target, generator, seed, fail_at
+):
+    """A failing case is reported as its index and rendered inputs, and
+    rerunning the check's generator from ``(seed, claim)`` reaches the same
+    inputs at that index."""
+    import itertools
+    import random
+
+    from freebialg import cli, reps
+
+    real, calls, failed = getattr(reps, target), [], []
+
+    def fail_once(n, m, *inputs):
+        calls.append(inputs)
+        if len(calls) == fail_at + 1:
+            failed.append(inputs)
+            return False
+        return real(n, m, *inputs)
+
+    monkeypatch.setattr(reps, target, fail_once)
+    [result] = cli._run_checks([claim], seed, 1e-9)
+    monkeypatch.undo()
+
+    [inputs] = failed
+    assert result["status"] == "failed"
+    assert result["witness"] == {
+        "case": fail_at,
+        "counterexample": [v if type(v) is int else str(v) for v in inputs],
+    }
+    cases = getattr(cli, generator)(random.Random(f"{seed}:{claim}"), 1e-9)
+    ok, case = next(itertools.islice(cases, fail_at, None))
+    assert ok and case == inputs
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_tol_must_be_finite_and_nonnegative(capsys, value):
+    from freebialg.cli import main
+
+    for argv in (["--tol", value, "verify", "morphisms"], ["verify", "morphisms", f"--tol={value}"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == '{"error": "usage"}\n'
+
+
 def test_unknown_names_are_text_errors(capsys):
     from freebialg.cli import main
 

@@ -30,9 +30,20 @@ def test_f_eval_checks_ambient():
 
 
 def test_pd_function_reports_a_bad_rank_before_the_index():
-    for n in (0, -1):
+    for n in (0, -1, 2.5):
         with pytest.raises(ValueError, match=f"finite rank must be a positive integer, got {n}"):
             R.PDFunction(n, 1)
+
+
+def test_f_pullback_eval_checks_indices_as_pd_function_does():
+    z = W.gen(4, 1)
+    for n, i in ((2, 0), (2, 3), (0, 1), (-1, 1)):
+        with pytest.raises(ValueError) as want:
+            R.PDFunction(n, i)
+        for args in ((n, i, 2, 1), (2, 1, n, i)):
+            with pytest.raises(ValueError) as got:
+                R.f_pullback_eval(*args, z)
+            assert str(got.value) == str(want.value)
 
 
 def test_f_pullback_examples():
