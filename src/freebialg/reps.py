@@ -152,6 +152,9 @@ def gram_psd(
     return min_eig, min_eig >= -tol
 
 
+_object_new = object.__new__
+
+
 @dataclass(frozen=True)
 class Coset:
     """A left coset of the cyclic subgroup ``<g_i>`` in canonical form: the
@@ -179,7 +182,13 @@ def coset_normal_form(n: int, i: int, w: ReducedWord) -> Coset:
     sylls = w.syllables
     if sylls and sylls[-1].gen == i:
         w = ReducedWord._new(w.ambient, sylls[:-1])
-    return Coset(n, i, w)
+    # canonical by construction, so built without the checking constructor
+    c = _object_new(Coset)
+    d = c.__dict__
+    d["n"] = n
+    d["i"] = i
+    d["rep"] = w
+    return c
 
 
 # -- basis descriptors and vectors ------------------------------------------

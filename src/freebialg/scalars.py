@@ -112,9 +112,10 @@ class QI:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not QI:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return _difference(self, other)
 
     def __rsub__(self, other):
@@ -159,9 +160,10 @@ class QI:
         return bool(self._a or self._b)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not QI:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):

@@ -44,7 +44,8 @@ class Rank:
     n: int | None = None
 
     def __post_init__(self):
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 1):
+        # an exact type test: bool is an int subclass, but True is no rank
+        if self.n is not None and (type(self.n) is not int or self.n < 1):
             raise ValueError(f"finite rank must be a positive integer, got {self.n!r}")
 
     @property
@@ -90,6 +91,11 @@ def _as_rank(ambient: Rank | int) -> Rank:
 class Syllable(NamedTuple):
     gen: int
     exp: int
+
+
+# ``_tuple_new(Syllable, (g, e))`` builds the same syllable as ``Syllable(g, e)``
+# without the NamedTuple's Python-level ``__new__``; the hot loops use it
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -144,10 +150,11 @@ class ReducedWord:
 
     def __hash__(self):
         # the same value as the dataclass field hash, so set and dict orders
-        # do not depend on how a word was built
+        # do not depend on how a word was built; ``Rank``'s dataclass hash is
+        # ``hash((n,))``, spelled out here to skip its Python-level call
         h = self._hash
         if h is None:
-            h = self.__dict__["_hash"] = hash((self.ambient, self.syllables))
+            h = self.__dict__["_hash"] = hash(((self.ambient.n,), self.syllables))
         return h
 
     # -- structure ---------------------------------------------------------
@@ -181,7 +188,8 @@ class ReducedWord:
 
     def inverse(self) -> "ReducedWord":
         return ReducedWord._new(
-            self.ambient, tuple([Syllable(g, -e) for g, e in reversed(self.syllables)])
+            self.ambient,
+            tuple([_tuple_new(Syllable, (g, -e)) for g, e in reversed(self.syllables)]),
         )
 
     __invert__ = inverse
@@ -223,7 +231,7 @@ def gen(ambient: Rank | int, i: int, exp: int = 1) -> ReducedWord:
         return ReducedWord._new(ambient, ())
     if not ambient.allows(i):
         raise ValueError(f"generator index {i} out of range for {ambient}")
-    return ReducedWord._new(ambient, (Syllable(i, exp),))
+    return ReducedWord._new(ambient, (_tuple_new(Syllable, (i, exp)),))
 
 
 def _push(stack: list[Syllable], g: int, e: int) -> None:
@@ -279,7 +287,7 @@ def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
         merged = e + right[k].exp
         if merged:
             return ReducedWord._new(
-                ambient, left[: i - 1] + (Syllable(g, merged),) + right[k + 1 :]
+                ambient, left[: i - 1] + (_tuple_new(Syllable, (g, merged)),) + right[k + 1 :]
             )
         i -= 1
         k += 1
@@ -293,13 +301,27 @@ def inverse(w: ReducedWord) -> ReducedWord:
 def _split(
     z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank
 ) -> tuple[ReducedWord, ReducedWord]:
-    # g_k with k = m*(i-1) + j, 1 <= j <= m, goes to the pair (g_i, g_j)
+    # g_k with k = m*(i-1) + j, 1 <= j <= m, goes to the pair (g_i, g_j).
+    # Each slot merges as _push does, written out because this loop is the
+    # hottest in the package; e is never 0 in a reduced word.
     left: list[Syllable] = []
     right: list[Syllable] = []
     for k, e in z.syllables:
         i, j = divmod(k - 1, m)
-        _push(left, i + 1, e)
-        _push(right, j + 1, e)
+        i += 1
+        j += 1
+        if left and left[-1][0] == i:
+            merged = left.pop()[1] + e
+            if merged:
+                left.append(_tuple_new(Syllable, (i, merged)))
+        else:
+            left.append(_tuple_new(Syllable, (i, e)))
+        if right and right[-1][0] == j:
+            merged = right.pop()[1] + e
+            if merged:
+                right.append(_tuple_new(Syllable, (j, merged)))
+        else:
+            right.append(_tuple_new(Syllable, (j, e)))
     return ReducedWord._new(left_rank, tuple(left)), ReducedWord._new(right_rank, tuple(right))
 
 
@@ -366,7 +388,8 @@ def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
         raise ValueError("lift requires a finite-rank word")
     n = x.ambient.n
     z = ReducedWord._new(
-        _rank(n * m), tuple([Syllable(m * (g - 1) + 1, e) for g, e in x.syllables])
+        _rank(n * m),
+        tuple([_tuple_new(Syllable, (m * (g - 1) + 1, e)) for g, e in x.syllables]),
     )
     y = gen(m, 1, x.exponent_sum)
     return y, z
@@ -434,7 +457,8 @@ def cyclicity_witness(
         raise ValueError("ambient mismatch with declared ranks")
     xp, zp = cancellation_witness_left(x, y)
     tail = ReducedWord._new(
-        _rank(n * m), tuple([Syllable(m * (g - 1) + j, e) for g, e in xp.syllables])
+        _rank(n * m),
+        tuple([_tuple_new(Syllable, (m * (g - 1) + j, e)) for g, e in xp.syllables]),
     )
     return multiply(zp, tail)
 
@@ -472,7 +496,7 @@ def enumerate_ball(
                     nxt.append(new(ambient, sylls + (s,)))
                 elif (le > 0) == (e > 0):
                     # grow the last syllable; the letter cancelling it is skipped
-                    nxt.append(new(ambient, sylls[:-1] + (Syllable(g, le + e),)))
+                    nxt.append(new(ambient, sylls[:-1] + (_tuple_new(Syllable, (g, le + e)),)))
         out.extend(nxt)
         frontier = nxt
     return out

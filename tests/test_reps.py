@@ -220,6 +220,18 @@ def test_coset_equality_iff_same_right_coset():
 def test_coset_rejects_noncanonical_rep():
     with pytest.raises(ValueError):
         R.Coset(2, 1, W.gen(2, 1))
+    with pytest.raises(ValueError):
+        R.Coset(2, 1, W.gen(2, 2) * W.gen(2, 1, -2))
+
+
+def test_coset_normal_form_matches_the_public_constructor():
+    for i in (1, 2, 3):
+        for w in W.enumerate_ball(3, 3):
+            c = R.coset_normal_form(3, i, w)
+            public = R.Coset(3, i, c.rep)
+            assert type(c) is R.Coset
+            assert c == public and hash(c) == hash(public)
+            assert (c.n, c.i) == (3, i)
 
 
 # -- actions ------------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pkgutil
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import freebialg
@@ -200,6 +200,60 @@ def test_phi_inf_examples():
 def test_phi_inf_requires_infinite_ambient():
     with pytest.raises(ValueError):
         W.phi_inf(2, W.gen(4, 1))
+
+
+def split_by_letters(z, m, left_rank, right_rank):
+    """The splitting map letter by letter: each ``g_k^{+-1}`` with
+    ``k = m*(i-1) + j`` goes to ``(g_i^{+-1}, g_j^{+-1})``, and each slot is
+    reduced on its own."""
+    pairs = [divmod(g - 1, m) + (e,) for g, e in z.letters()]
+    left = W.reduce(left_rank, [(i + 1, e) for i, _, e in pairs])
+    right = W.reduce(right_rank, [(j + 1, e) for _, j, e in pairs])
+    return left.syllables, right.syllables
+
+
+@st.composite
+def split_cases(draw):
+    """``(n, m, z)`` with ``z`` a word of rank ``n*m <= 12``."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+    pairs = draw(st.lists(st.tuples(st.integers(1, k), st.integers(-3, 3)), max_size=10))
+    return n, k // n, W.reduce(k, pairs)
+
+
+# merges and cancellations in both slots: under phi(2, 2, .) the generators
+# g1, g2, g3, g4 go to (g1, g1), (g1, g2), (g2, g1), (g2, g2)
+@example((2, 2, W.reduce(4, [(1, 1), (2, 1)])))
+@example((2, 2, W.reduce(4, [(1, 2), (2, -1), (4, 1), (3, -2)])))
+@example((2, 2, W.reduce(4, [(1, 1), (4, 1), (2, -1), (3, -1), (1, 1)])))
+@example((2, 2, W.kernel_witness(2, 2, 1, 2, 1, 2)))
+@example((2, 3, W.reduce(6, [(5, 2), (4, -2), (1, 1), (3, -1)])))
+@given(split_cases())
+def test_phi_matches_the_letter_split(case):
+    n, m, z = case
+    p, q = W.phi(n, m, z)
+    assert (p.syllables, q.syllables) == split_by_letters(z, m, n, m)
+
+
+# infinite-rank words over the first 5 generators
+@example([(1, 1), (2, 1), (4, -1), (3, -1)], 2)
+@example([(5, 2), (1, -1), (3, 1)], 2)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(-3, 3)), max_size=10), st.integers(1, 4))
+def test_phi_inf_matches_the_letter_split(pairs, n):
+    z = W.reduce(INFINITE, pairs)
+    p, q = W.phi_inf(n, z)
+    assert (p.syllables, q.syllables) == split_by_letters(z, n, INFINITE, n)
+
+
+def test_splitting_maps_validate_ranks():
+    z = W.gen(4, 1)
+    for call in (
+        lambda: W.phi(2.0, 2, z),
+        lambda: W.phi(2, 2.0, z),
+        lambda: W.phi_inf(2.0, W.gen(INFINITE, 1)),
+    ):
+        with pytest.raises(ValueError, match="finite rank must be a positive integer"):
+            call()
 
 
 # -- kernel witness ---------------------------------------------------------------
@@ -406,10 +460,24 @@ def test_word_json_roundtrip():
 
 
 def test_rank_validation():
-    with pytest.raises(ValueError):
-        Rank(0)
+    for bad in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="finite rank must be a positive integer"):
+            Rank(bad)
     assert Rank.from_json("inf").is_infinite
     assert Rank.from_json(5) == Rank(5)
+
+
+def test_rank_rejects_bool():
+    # bool is a subclass of int, and True == 1
+    z = W.gen(4, 1)
+    for call in (
+        lambda: Rank(True),
+        lambda: Rank(False),
+        lambda: W.gen(True, 1),
+        lambda: W.phi(True, 4, z),
+    ):
+        with pytest.raises(ValueError, match="positive integer, got (True|False)$"):
+            call()
 
 
 def test_word_not_reduced_rejected():
