@@ -8,6 +8,7 @@ from .words import (
     Rank,
     ReducedWord,
     Syllable,
+    ball_size,
     cancellation_witness_left,
     cancellation_witness_right,
     cyclicity_witness,

@@ -183,8 +183,9 @@ class _Linear:
         self._require_compatible(other)
         mul = _multiply_slots if type(self.space) is tuple else multiply
         right = other.terms.items()
+        # a generator: the pairs stream into the merge and are never all alive
         return self._make(
-            [(mul(k1, k2), c1 * c2) for k1, c1 in self.terms.items() for k2, c2 in right]
+            (mul(k1, k2), c1 * c2) for k1, c1 in self.terms.items() for k2, c2 in right
         )
 
     def __rmul__(self, other):

@@ -140,11 +140,11 @@ class _DirectSum(_Linear):
         by_grade: dict = {}
         for k2, c2 in other.terms.items():
             by_grade.setdefault(_grade(k2), []).append((k2, c2))
-        return self._make([
+        return self._make(
             (mul(k1, k2), c1 * c2)
             for k1, c1 in self.terms.items()
             for k2, c2 in by_grade.get(_grade(k1), ())
-        ])
+        )
 
     def __str__(self):
         comps = self.components

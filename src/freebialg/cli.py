@@ -36,7 +36,7 @@ from .bialgebra import (
 )
 from .corpus import random_direct_sum, random_reduced_word
 from .text import ParseError, parse_element, parse_word
-from .words import _rank, enumerate_ball, gen, kernel_witness, unit
+from .words import _rank, ball_size, enumerate_ball, gen, kernel_witness, unit
 
 FORMATS = ("json", "text")
 
@@ -435,6 +435,29 @@ SUITE_NAMES = (*dict.fromkeys(claim.partition(".")[0] for claim in CHECKS), "all
 # -- probes -------------------------------------------------------------------
 
 
+# The most ball words and orbit pairs one command may scan.  Every reference
+# invocation fits: `tensor-pd 2 3 1 1 --radius 5` scans 193,261 words,
+# `orbit 2 2 --radius 6` at most 156,865 pairs, `probe claims --radius 4`
+# 121,419 words and pairs.
+SCAN_BUDGET = 250_000
+
+
+def _check_budget(scans) -> None:
+    """Refuse a command whose scans, ``(rank, radius)`` balls, hold more than
+    ``SCAN_BUDGET`` words in all; called before any of them starts.  An orbit
+    of radius ``r`` is the image of the rank-``n*m`` ball of radius ``r``
+    under ``phi``, so that ball's size bounds it."""
+    total = 0
+    for rank, radius in scans:
+        # a ball of rank 1 holds 2r + 1 words and one of a higher rank more
+        # than 2^r, so the capped radius gives the same verdict and keeps
+        # the power small
+        cap = SCAN_BUDGET if rank == 1 else SCAN_BUDGET.bit_length()
+        total += ball_size(rank, min(radius, cap))
+    if total > SCAN_BUDGET:
+        raise ValueError(f"the scan would cover more than {SCAN_BUDGET} words; lower --radius")
+
+
 def _pd_report(n: int, m: int, i: int, j: int, radius: int) -> dict:
     found = reps.claim_probe_pd(n, m, i, j, radius)
     return {
@@ -447,13 +470,16 @@ def _pd_report(n: int, m: int, i: int, j: int, radius: int) -> dict:
     }
 
 
+# the (n, m, i, j) of the indicator probes that `probe claims` runs
+_PROBE_PD = [
+    (n, m, i, j) for n, m in ((2, 2), (2, 3)) for i in range(1, n + 1) for j in range(1, m + 1)
+]
+
+
 def _probe_reports(radius: int) -> list[dict]:
-    reports = [
-        _pd_report(n, m, i, j, radius)
-        for n, m in ((2, 2), (2, 3))
-        for i in range(1, n + 1)
-        for j in range(1, m + 1)
-    ]
+    # the indicator probes' balls, then the ball that bounds the F2 x F2 orbit
+    _check_budget([(n * m, radius) for n, m, _, _ in _PROBE_PD] + [(4, radius)])
+    reports = [_pd_report(n, m, i, j, radius) for n, m, i, j in _PROBE_PD]
     start = (unit(2), unit(2))
     orbit = reps.orbit_bfs(2, 2, start, radius)
     collision = parse_word("g1*g2*g1^-1*g2^-1", 2)
@@ -556,6 +582,10 @@ def run(argv: list[str]) -> tuple[dict, int]:
             )
 
         if args.command == "tensor-pd":
+            # a bad rank or index is reported as such, ahead of the budget
+            reps._check_index(args.n, args.i)
+            reps._check_index(args.m, args.j)
+            _check_budget([(args.n * args.m, args.radius)])
             return done(_pd_report(args.n, args.m, args.i, args.j, args.radius), 0)
 
         if args.command == "orbit":
@@ -569,6 +599,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
                     parse_word(right.strip(), _rank(args.m)),
                 )
             start = (unit(args.n), unit(args.m))
+            _check_budget([(args.n * args.m, args.radius)])
             orbit = reps.orbit_bfs(args.n, args.m, start, args.radius)
             report = {
                 "command": "orbit",

@@ -12,7 +12,7 @@ groups follow the index decomposition ``k = m*(i-1) + j`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "cancellation_witness_right",
     "cyclicity_witness",
     "enumerate_ball",
+    "ball_size",
 ]
 
 
@@ -98,13 +99,14 @@ class Syllable(NamedTuple):
 _tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedWord:
     """A freely reduced word; the empty syllable sequence is the group unit.
 
     Public construction checks every syllable.  Library operations whose
     output is reduced by construction build words with :meth:`_new`, which
-    skips the check.
+    skips the check.  Words are slotted: they carry no ``__dict__`` and take
+    no weak references.
 
     >>> w = reduce(Rank(2), [(1, 1), (2, 1), (2, -1), (1, 1)])
     >>> str(w)
@@ -113,15 +115,17 @@ class ReducedWord:
 
     ambient: Rank
     syllables: tuple[Syllable, ...] = ()
+    # the hash, cached on first use; not part of equality, hash or repr
+    _hash: int | None = field(default=None, init=False, compare=False, hash=False, repr=False)
 
-    @classmethod
-    def _new(cls, ambient: Rank, syllables: tuple[Syllable, ...]) -> "ReducedWord":
+    @staticmethod
+    def _new(ambient: Rank, syllables: tuple[Syllable, ...]) -> "ReducedWord":
         # trusted: ``syllables`` is a tuple of Syllable, already reduced and
         # in range for ``ambient``
-        w = object.__new__(cls)
-        d = w.__dict__
-        d["ambient"] = ambient
-        d["syllables"] = syllables
+        w = _object_new(ReducedWord)
+        _set_ambient(w, ambient)
+        _set_syllables(w, syllables)
+        _set_hash(w, None)
         return w
 
     def __post_init__(self):
@@ -146,16 +150,20 @@ class ReducedWord:
             self.ambient is other.ambient or self.ambient == other.ambient
         )
 
-    _hash = None  # not a field: each word caches its hash on first use
-
     def __hash__(self):
         # the same value as the dataclass field hash, so set and dict orders
         # do not depend on how a word was built; ``Rank``'s dataclass hash is
         # ``hash((n,))``, spelled out here to skip its Python-level call
         h = self._hash
         if h is None:
-            h = self.__dict__["_hash"] = hash(((self.ambient.n,), self.syllables))
+            h = hash(((self.ambient.n,), self.syllables))
+            _set_hash(self, h)
         return h
+
+    def __reduce__(self):
+        # copies and pickles leave the cached hash behind: ``hash(None)``,
+        # hence an infinite-rank word's hash, differs between processes
+        return ReducedWord._new, (self.ambient, self.syllables)
 
     # -- structure ---------------------------------------------------------
 
@@ -218,6 +226,13 @@ class ReducedWord:
     @classmethod
     def from_json(cls, ambient: Rank, data: list) -> "ReducedWord":
         return reduce(ambient, [(int(g), int(e)) for g, e in data])
+
+
+_object_new = object.__new__
+# the slot setters; a frozen word's own ``__setattr__`` refuses every write
+_set_ambient = ReducedWord.ambient.__set__
+_set_syllables = ReducedWord.syllables.__set__
+_set_hash = ReducedWord._hash.__set__
 
 
 def unit(ambient: Rank | int) -> ReducedWord:
@@ -500,3 +515,19 @@ def enumerate_ball(
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def ball_size(rank: int, radius: int) -> int:
+    """The number of words :func:`enumerate_ball` lists for a finite rank
+    ``k`` and radius ``r``, in closed form: ``1 + 2k((2k-1)^r - 1)/(2k-2)``,
+    or ``2r + 1`` for ``k = 1``.
+
+    >>> ball_size(2, 2), len(enumerate_ball(2, 2))
+    (17, 17)
+    """
+    _rank(rank)
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if rank == 1:
+        return 2 * radius + 1
+    return 1 + 2 * rank * ((2 * rank - 1) ** radius - 1) // (2 * rank - 2)

@@ -455,3 +455,82 @@ def test_one_term_constructors_match_the_public_constructor():
     for bad in (R.coset_normal_form(3, 1, w), w):
         with pytest.raises(ValueError):
             R.SuppVector.basis_vector(basis, bad)
+
+
+# -- streamed products ----------------------------------------------------------------------
+#
+# Products pass their (label, coefficient) pairs to the merge as a generator.
+# Each must equal a plain double loop over the two term dicts, in the same
+# first-seen label order, with cancelled labels dropped.
+
+
+def _reference_product(x, y):
+    graded = isinstance(x, _DirectSum)
+    acc = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            if graded and _grade(k1) != _grade(k2):
+                continue
+            label = _product(k1, k2)
+            acc[label] = acc.get(label, QI(0)) + c1 * c2
+    return {k: v for k, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("kind", ["algebra", "tensor", "direct-sum", "direct-sum-tensor"])
+def test_products_match_a_reference_double_loop(kind, monkeypatch):
+    import freebialg.algebra as A
+
+    seen = []
+    merge = A._merge
+
+    def recording_merge(pairs, exact):
+        seen.append(type(pairs))
+        return merge(pairs, exact)
+
+    monkeypatch.setattr(A, "_merge", recording_merge)
+    rng = random.Random(f"streamed:{kind}")
+    for _ in range(30):
+        x, y = _draw(kind, rng)
+        for a, b in ((x, y), (y, x), (x, x)):
+            seen.clear()
+            got = a * b
+            want = _reference_product(a, b)
+            assert got.terms == want
+            assert list(got.terms) == list(want)
+            assert type(got) is type(a) and got.space == a.space
+            # the pairs arrive one at a time, not as a built list
+            assert seen and not any(issubclass(t, (list, tuple)) for t in seen)
+
+
+def test_products_whose_cross_terms_cancel():
+    from freebialg.bialgebra import DirectSumElement
+
+    a, b = el("F2: 1 + g1"), el("F2: 1 - g1")
+    assert a * b == el("F2: 1 - g1^2")
+    assert (a * b).coefficient(W.gen(2, 1)) == QI(0)
+    # g1*g2^-1 - 1 + 1 - g2*g1^-1: the unit cancels
+    c = el("F2: g1 + g2") * el("F2: g2^-1 - g1^-1")
+    assert c == el("F2: g1*g2^-1 - g2*g1^-1") and len(c) == 2
+    assert tensor(a, b) * tensor(b, a) == tensor(a * b, b * a)
+    # the same product in F2 and F3 at once; no cross-rank term survives
+    ds = lambda text: DirectSumElement.from_algebra(el(text))
+    got = (ds("F2: 1 + g1") + ds("F3: 1 + g1")) * (ds("F2: 1 - g1") + ds("F3: 1 - g1"))
+    assert got == ds("F2: 1 - g1^2") + ds("F3: 1 - g1^2")
+    assert len(got) == 4
+
+
+def test_products_across_spaces_still_raise():
+    from freebialg.bialgebra import DirectSumElement
+
+    a2, a3 = el("F2: 1 + g1"), el("F3: 1 + g1")
+    pairs = [
+        (a2, a3),
+        (a2, a2.to_approx()),
+        (tensor(a2, a3), tensor(a3, a2)),
+        (tensor(a2, a3), a2),
+        (DirectSumElement.from_algebra(a2), a2),
+        (DirectSumElement.from_algebra(a2), delta_phi(DirectSumElement.from_algebra(a2))),
+    ]
+    for x, y in pairs:
+        with pytest.raises(ValueError):
+            x * y

@@ -173,6 +173,131 @@ def test_tensor_pd_reports_a_bad_rank_as_such(capsys):
         assert json.loads(capsys.readouterr().out) == {"error": want}
 
 
+# -- scan budgets -----------------------------------------------------------------
+#
+# tensor-pd, orbit and probe claims size their scans in closed form before any
+# ball or orbit is built.  The scans themselves are stubbed out or made to
+# fail here, so no test runs a large radius.
+
+# the probe invocations of the README, the ROADMAP, the golden test, the
+# benchmark workloads and the benchmark self-tests
+ADMITTED = [
+    ["tensor-pd", "2", "2", "1", "1", "--radius", "4"],
+    ["tensor-pd", "2", "2", "1", "2", "--radius", "5"],
+    ["tensor-pd", "2", "3", "1", "1", "--radius", "5"],
+    ["tensor-pd", "2", "3", "2", "1", "--radius", "4"],
+    ["tensor-pd", "3", "2", "3", "2", "--radius", "4"],
+    ["orbit", "2", "2", "--radius", "4", "--find", "g1*g2*g1^-1*g2^-1,1"],
+    ["orbit", "2", "2", "--radius", "5"],
+    ["orbit", "2", "2", "--radius", "6"],
+    ["probe", "claims", "--radius", "3"],
+    ["probe", "claims", "--radius", "4"],
+]
+
+
+def _no_scan(*args):
+    raise AssertionError("a scan started before the budget was checked")
+
+
+def _stub_scans(monkeypatch):
+    from freebialg import reps
+
+    monkeypatch.setattr(reps, "claim_probe_pd", lambda *args: [])
+    monkeypatch.setattr(reps, "orbit_bfs", lambda *args: set())
+
+
+def _forbid_scans(monkeypatch):
+    from freebialg import cli, reps, words
+
+    for owner in (reps, words, cli):
+        monkeypatch.setattr(owner, "enumerate_ball", _no_scan)
+    monkeypatch.setattr(reps, "orbit_bfs", _no_scan)
+
+
+def _scans(argv):
+    """The ``(rank, radius)`` balls a probe command scans, by the closed form's
+    reading: an orbit is bounded by the rank-``n*m`` ball."""
+    radius = int(argv[argv.index("--radius") + 1])
+    if argv[0] == "probe":
+        return [(4, radius)] * 4 + [(6, radius)] * 6 + [(4, radius)]
+    return [(int(argv[1]) * int(argv[2]), radius)]
+
+
+@pytest.mark.parametrize("argv", ADMITTED, ids=" ".join)
+def test_reference_probes_fit_the_budget(argv, monkeypatch):
+    from freebialg import cli
+    from freebialg.words import ball_size
+
+    assert sum(ball_size(k, r) for k, r in _scans(argv)) <= cli.SCAN_BUDGET
+    _stub_scans(monkeypatch)
+    report, code = run(argv)
+    assert code == 0, report
+
+
+def test_over_budget_probes_exit_2_before_any_scan(monkeypatch):
+    from freebialg import cli
+    from freebialg.words import ball_size
+
+    _forbid_scans(monkeypatch)
+    huge = str(10**12)
+    refused = [
+        ["tensor-pd", "2", "3", "1", "1", "--radius", "6"],
+        ["tensor-pd", "3", "3", "2", "3", "--radius", "5"],
+        ["tensor-pd", "1", "1", "1", "1", "--radius", "125000"],
+        ["tensor-pd", "1", "1", "1", "1", "--radius", huge],
+        ["tensor-pd", "40", "50", "1", "1", "--radius", huge],
+        ["orbit", "2", "2", "--radius", "7"],
+        ["orbit", "1", "1", "--radius", "125000"],
+        ["orbit", "1000", "1000", "--radius", "1"],
+        ["orbit", "1000", "1000", "--radius", huge, "--find", "g1,g2"],
+        # each ball fits on its own; the eleven scans together do not
+        ["probe", "claims", "--radius", "5"],
+        ["probe", "claims", "--radius", huge],
+    ]
+    for argv in refused:
+        if huge not in argv:
+            assert sum(ball_size(k, r) for k, r in _scans(argv)) > cli.SCAN_BUDGET
+        report, code = run(argv)
+        assert code == 2, argv
+        assert report["error"].startswith(f"the scan would cover more than {cli.SCAN_BUDGET} words")
+    # bad input is still reported as such, ahead of the budget
+    for argv, error in (
+        (["tensor-pd", "0", "2", "1", "1", "--radius", huge], "positive integer, got 0"),
+        (["tensor-pd", "2", "2", "3", "1", "--radius", huge], "index 3 out of range for F2"),
+        (["orbit", "2", "-1", "--radius", huge], "positive integer, got -1"),
+        (["orbit", "2", "2", "--radius", huge, "--find", "g9,1"], "F2"),
+        (["tensor-pd", "2", "2", "1", "1", "--radius", "-1"], "radius must be nonnegative"),
+        (["orbit", "2", "2", "--radius", "-1"], "radius must be nonnegative"),
+        (["probe", "claims", "--radius", "-1"], "radius must be nonnegative"),
+    ):
+        report, code = run(argv)
+        assert code == 2 and error in report["error"], (argv, report)
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_budget_edge_follows_the_closed_form(rank, monkeypatch):
+    """The largest radius whose ball fits is admitted and the next one is
+    refused, for tensor-pd and orbit alike."""
+    from freebialg import cli
+    from freebialg.words import ball_size
+
+    radius = 0
+    while ball_size(rank, radius + 1) <= cli.SCAN_BUDGET:
+        radius += 1
+    for r, want in ((radius, 0), (radius + 1, 2)):
+        if want == 0:
+            _stub_scans(monkeypatch)
+        else:
+            _forbid_scans(monkeypatch)
+        for argv in (
+            ["tensor-pd", str(rank), "1", "1", "1", "--radius", str(r)],
+            ["orbit", "1", str(rank), "--radius", str(r)],
+        ):
+            report, code = run(argv)
+            assert code == want, (argv, report)
+        monkeypatch.undo()
+
+
 def test_verify_times_each_check_in_text_only(capsys):
     from freebialg.cli import main
 

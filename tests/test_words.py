@@ -6,11 +6,14 @@ implementation (plain signed integers, no run-length encoding); frozen
 expected values below were computed with it or by hand reduction.
 """
 
+import copy
 import dataclasses
 import doctest
 import importlib
+import pickle
 import pkgutil
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given
@@ -435,7 +438,20 @@ def test_enumerate_ball_counts():
     assert [len(W.enumerate_ball(2, r)) for r in range(3)] == [1, 5, 17]
     for n in (1, 2, 3):
         for r in range(5):
-            assert len(W.enumerate_ball(n, r)) == ball_size(n, r)
+            assert len(W.enumerate_ball(n, r)) == ball_size(n, r) == W.ball_size(n, r)
+
+
+def test_ball_size_closed_form():
+    for n in range(1, 9):
+        for r in range(9):
+            assert W.ball_size(n, r) == ball_size(n, r)
+    assert W.ball_size(6, 5) == 193_261
+    assert W.ball_size(4, 6) == 156_865
+    for bad_rank in (0, -2, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            W.ball_size(bad_rank, 2)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        W.ball_size(2, -1)
 
 
 def test_enumerate_ball_unique_and_reduced():
@@ -497,6 +513,83 @@ def test_word_validation_unchanged():
         with pytest.raises(dataclasses.FrozenInstanceError):
             word.ambient = Rank(3)
         assert word.syllables == ((1, 1), (2, -1))
+
+
+# -- slotted words --------------------------------------------------------------
+
+
+def _words_of_each_kind():
+    """A public word, a library word, an infinite-rank word and a unit."""
+    return [
+        ReducedWord(Rank(3), ((1, 2), (3, -1))),
+        W.multiply(W.gen(4, 2), W.reduce(4, [(4, 3), (1, -1)])),
+        W.reduce(INFINITE, [(7, 1), (2, -2)]),
+        W.unit(2),
+    ]
+
+
+def test_words_are_slotted():
+    for w in _words_of_each_kind():
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(w)
+        # refused either way: Python 3.11's frozen slotted dataclasses raise
+        # TypeError for a name that is not a field
+        with pytest.raises((AttributeError, TypeError)):
+            w.extra = 1
+        assert not hasattr(w, "extra")
+
+
+def test_slotted_word_stays_frozen():
+    for w in _words_of_each_kind():
+        hash(w)
+        for name, value in (("ambient", Rank(5)), ("syllables", ()), ("_hash", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, value)
+        assert hash(w) == hash(((w.ambient.n,), w.syllables))
+
+
+def test_word_hash_is_the_field_hash():
+    for w in _words_of_each_kind():
+        want = hash(((w.ambient.n,), w.syllables))
+        assert hash(w) == want == hash(w)  # computed, then cached
+        assert hash(w) == hash((w.ambient, w.syllables))
+
+
+@pytest.mark.parametrize("clone", ["copy", "deepcopy", *(f"pickle{p}" for p in range(6))])
+def test_copies_are_equal_words_with_the_same_hash(clone):
+    for w in _words_of_each_kind():
+        for hashed in (False, True):
+            if hashed:
+                hash(w)
+            if clone == "copy":
+                got = copy.copy(w)
+            elif clone == "deepcopy":
+                got = copy.deepcopy(w)
+            else:
+                got = pickle.loads(pickle.dumps(w, int(clone[-1])))
+            assert type(got) is ReducedWord and not hasattr(got, "__dict__")
+            assert got._hash is None  # the cache is left behind
+            assert got == w and w == got
+            assert got.syllables == w.syllables
+            assert all(type(s) is W.Syllable for s in got.syllables)
+            assert hash(got) == hash(w)
+            assert {got: 1}[w] == 1
+
+
+def test_replace_checks_and_rehashes():
+    w = W.reduce(2, [(1, 1), (2, -1)])
+    hash(w)
+    with pytest.raises(ValueError, match="not reduced"):
+        dataclasses.replace(w, syllables=((1, 1), (1, 1)))
+    with pytest.raises(ValueError):
+        dataclasses.replace(w, ambient=Rank(1))  # g2 is out of range for F1
+    got = dataclasses.replace(w, syllables=((2, 3),))
+    assert got._hash is None  # not copied from w
+    assert got == W.gen(2, 2, 3)
+    assert hash(got) == hash(((2,), got.syllables)) != hash(w)
+    again = dataclasses.replace(w)
+    assert again == w and again._hash is None and hash(again) == hash(w)
 
 
 # every module but the entry point, which runs the CLI when imported
