@@ -68,6 +68,19 @@ def _multiply_slots(k1: tuple, k2: tuple) -> tuple:
     return tuple(map(multiply, k1, k2))
 
 
+def _grade(label):
+    """The rank of a word, or the tuple of ranks of a word tuple."""
+    return tuple([w.ambient.n for w in label]) if type(label) is tuple else label.ambient.n
+
+
+def _max_deviation(a: "_Linear", b: "_Linear") -> float:
+    """Largest coefficient difference between two elements, label by label."""
+    worst = 0.0
+    for k in a.terms.keys() | b.terms.keys():
+        worst = max(worst, abs(complex(a.terms.get(k, 0)) - complex(b.terms.get(k, 0))))
+    return worst
+
+
 def _merge(pairs, exact: bool) -> dict:
     """Sum the coefficients of equal labels, in first-seen order, and drop the
     zero sums (approximate ones within ``DEFAULT_TOL`` of zero)."""
@@ -91,8 +104,8 @@ class _Linear:
     they skip the checks: ``_merged`` merges such pairs, and ``_wrap`` stores
     a term dict that needs no merge and no zero filter (negation, ``star``,
     ``flip``, nonzero exact scaling, one-term elements).  Subclasses fix the
-    space (a rank, a tuple of ranks or a basis descriptor) and provide
-    ``_check_label``.
+    space: a rank or a tuple of slot ranks (``None`` for any finite rank), or
+    for ``SuppVector`` a basis descriptor that checks the labels itself.
     """
 
     __slots__ = ("space", "terms", "exact")
@@ -108,7 +121,20 @@ class _Linear:
         self.exact = exact
 
     def _check_label(self, label):
-        raise NotImplementedError
+        """Check a word, or a tuple of words one per slot; a ``None`` slot is any finite rank."""
+        slots, words = self.space, label
+        if type(slots) is not tuple:
+            slots, words = (slots,), (label,)
+        elif type(label) is not tuple:
+            words = tuple(label) if isinstance(label, list) else ()
+        if len(words) != len(slots) or not all(
+            isinstance(w, ReducedWord)
+            and (w.ambient.n is not None if r is None else w.ambient == r)
+            for w, r in zip(words, slots)
+        ):
+            names = ("any finite rank" if r is None else str(r) for r in slots)
+            raise ValueError(f"term {label!r} does not live in {'(x)'.join(names)}")
+        return words if type(self.space) is tuple else label
 
     @classmethod
     def _wrap(cls, space, terms: dict, exact: bool):
@@ -176,16 +202,21 @@ class _Linear:
         return self._make([(k, c * v) for k, v in self.terms.items()])
 
     def __mul__(self, other):
-        """Slotwise product of labels, bilinear in the coefficients; any
-        other factor is a scalar."""
+        """Slotwise product of labels of equal grade, bilinear in the
+        coefficients; products across distinct grades vanish, as in a direct
+        sum.  Any other factor is a scalar."""
         if not isinstance(other, _Linear):
             return self.scale(other)
         self._require_compatible(other)
         mul = _multiply_slots if type(self.space) is tuple else multiply
-        right = other.terms.items()
+        by_grade: dict = {}
+        for k2, c2 in other.terms.items():
+            by_grade.setdefault(_grade(k2), []).append((k2, c2))
         # a generator: the pairs stream into the merge and are never all alive
         return self._make(
-            (mul(k1, k2), c1 * c2) for k1, c1 in self.terms.items() for k2, c2 in right
+            (mul(k1, k2), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in by_grade.get(_grade(k1), ())
         )
 
     def __rmul__(self, other):
@@ -218,14 +249,7 @@ class _Linear:
     __hash__ = None
 
     def allclose(self, other, tol: float) -> bool:
-        if self.space != other.space:
-            return False
-        for k in self.terms.keys() | other.terms.keys():
-            a = complex(self.terms.get(k, 0))
-            b = complex(other.terms.get(k, 0))
-            if abs(a - b) > tol:
-                return False
-        return True
+        return self.space == other.space and _max_deviation(self, other) <= tol
 
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _label_key(kv[0]))
@@ -291,11 +315,6 @@ class AlgebraElement(_Linear):
                 return cls._wrap(w.ambient, {w: c}, True)
         return cls(w.ambient, {w: coeff}, exact)
 
-    def _check_label(self, label):
-        if not isinstance(label, ReducedWord) or label.ambient != self.space:
-            raise ValueError(f"term {label!r} does not live in {self.space}")
-        return label
-
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraElement":
         ambient = Rank.from_json(data["rank"])
@@ -327,12 +346,6 @@ class _Tensor(_Linear):
             raise ValueError(f"expected {self._arity} tensor slots, got {len(ambients)}")
         super().__init__(ambients, terms, exact)
 
-    def _check_label(self, label):
-        label = tuple(label)
-        if tuple([w.ambient for w in label]) != self.space:
-            raise ValueError(f"tensor term {label!r} does not match {self.space}")
-        return label
-
 
 class TensorElement(_Tensor):
     """A finitely supported combination of word pairs: the algebraic tensor
@@ -347,9 +360,8 @@ class TensorElement(_Tensor):
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor slots."""
-        a, b = self.space
         terms = {(w2, w1): c for (w1, w2), c in self.terms.items()}
-        return TensorElement._wrap((b, a), terms, self.exact)
+        return self._wrap(self.space[::-1], terms, self.exact)
 
 
 class TripleTensorElement(_Tensor):

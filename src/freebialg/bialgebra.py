@@ -11,6 +11,8 @@ counit is the coefficient sum of the rank-1 words, zero on all higher ranks.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .algebra import (
     AlgebraElement,
     TensorElement,
@@ -20,11 +22,11 @@ from .algebra import (
     varphi_alg,
     varphi_inf_alg,
     _Linear,
+    _grade,
     _merge,
-    _multiply_slots,
 )
 from .scalars import ONE, QI, ZERO
-from .words import ReducedWord, _rank, multiply, phi, phi_inf
+from .words import ReducedWord, _rank, phi, phi_inf
 
 __all__ = [
     "factor_pairs",
@@ -51,12 +53,19 @@ def factor_pairs(n: int) -> list[tuple[int, int]]:
     """Ordered factorizations ``n = m * l`` as pairs ``(m, l)``, ``m`` ascending."""
     if n < 1:
         raise ValueError("rank must be positive")
-    return [(m, n // m) for m in range(1, n + 1) if n % m == 0]
+    # divisors come in pairs (m, n // m) with m <= isqrt(n)
+    small, large = [], []
+    for m in range(1, isqrt(n) + 1):
+        if n % m == 0:
+            small.append((m, n // m))
+            if m * m != n:
+                large.append((n // m, m))
+    return small + large[::-1]
 
 
-def _grade(label):
-    """The rank of a word, or the tuple of ranks of a word tuple."""
-    return tuple([w.ambient.n for w in label]) if type(label) is tuple else label.ambient.n
+def _splittings(w: ReducedWord) -> list:
+    """The pair images of ``w`` under every splitting of its rank."""
+    return [phi(m, l, w) for m, l in factor_pairs(w.ambient.n)]
 
 
 class _DirectSum(_Linear):
@@ -64,7 +73,7 @@ class _DirectSum(_Linear):
     one term dict.  The space ``_space`` is ``None`` ("any finite rank") or
     one ``None`` per tensor slot.  The public constructor takes components
     ``key -> element of class _component`` keyed by rank (a tuple of ranks
-    for tensors); operations build results with the trusted ``_merged``."""
+    for tensors); every operation is the one of :class:`_Linear`."""
 
     __slots__ = ()
     _space = None
@@ -94,15 +103,6 @@ class _DirectSum(_Linear):
         # each component is checked and merged, so only equal keys can overlap
         self.space, self.terms, self.exact = self._space, _merge(pairs, exact), exact
 
-    def _check_label(self, label):
-        tensor = type(self._space) is tuple
-        words = tuple(label) if tensor else (label,)
-        if len(words) != (len(self._space) if tensor else 1) or not all(
-            isinstance(w, ReducedWord) and not w.ambient.is_infinite for w in words
-        ):
-            raise ValueError(f"term {label!r} is not a finite-rank label of {type(self).__name__}")
-        return words if tensor else label
-
     @classmethod
     def zero(cls, exact: bool = True):
         return cls._wrap(cls._space, {}, exact)
@@ -129,22 +129,6 @@ class _DirectSum(_Linear):
 
     def keys(self):
         return sorted({_grade(label) for label in self.terms})
-
-    def __mul__(self, other):
-        """Product within each rank; products across distinct ranks vanish in
-        a direct sum.  Any other factor is a scalar."""
-        if not isinstance(other, _Linear):
-            return self.scale(other)
-        self._require_compatible(other)
-        mul = _multiply_slots if type(self.space) is tuple else multiply
-        by_grade: dict = {}
-        for k2, c2 in other.terms.items():
-            by_grade.setdefault(_grade(k2), []).append((k2, c2))
-        return self._make(
-            (mul(k1, k2), c1 * c2)
-            for k1, c1 in self.terms.items()
-            for k2, c2 in by_grade.get(_grade(k1), ())
-        )
 
     def __str__(self):
         comps = self.components
@@ -188,10 +172,7 @@ class DirectSumTensor(_DirectSum):
     _space = (None, None)
     _component = TensorElement
 
-    def flip(self) -> "DirectSumTensor":
-        """Swap the two tensor slots of every term."""
-        terms = {(w2, w1): c for (w1, w2), c in self.terms.items()}
-        return self._wrap(self.space, terms, self.exact)
+    flip = TensorElement.flip
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -216,10 +197,7 @@ def delta_phi(x: DirectSumElement) -> DirectSumTensor:
     >>> print(delta_phi(DirectSumElement.from_word(gen(6, 2))))
     F1(x)F6: g1(x)g2 (+) F2(x)F3: g1(x)g2 (+) F3(x)F2: g1(x)g2 (+) F6(x)F1: g2(x)g1
     """
-    pairs = []
-    for w, c in x.terms.items():
-        for m, l in factor_pairs(w.ambient.n):
-            pairs.append((phi(m, l, w), c))
+    pairs = [(pair, c) for w, c in x.terms.items() for pair in _splittings(w)]
     return DirectSumTensor._merged(DirectSumTensor._space, pairs, x.exact)
 
 
@@ -236,9 +214,7 @@ def _delta_slot(t: DirectSumTensor, slot: int) -> DirectSumTriple:
     """Apply the comultiplication inside one slot of a direct-sum tensor."""
     pairs = []
     for (w1, w2), c in t.terms.items():
-        w = w1 if slot == 0 else w2
-        for p, q in factor_pairs(w.ambient.n):
-            u, v = phi(p, q, w)
+        for u, v in _splittings(w1 if slot == 0 else w2):
             pairs.append(((u, v, w2) if slot == 0 else (w1, u, v), c))
     return DirectSumTriple._merged(DirectSumTriple._space, pairs, t.exact)
 

@@ -545,7 +545,10 @@ def run(argv: list[str]) -> tuple[dict, int]:
     try:
         if args.command == "delta":
             el = parse_element(args.element)
-            t = delta_phi(DirectSumElement.from_algebra(el))
+            x = DirectSumElement.from_algebra(el)
+            if math.isqrt(el.ambient.n) > SCAN_BUDGET:  # factor_pairs' trial divisors
+                raise ValueError(f"the divisor search would try more than {SCAN_BUDGET} values")
+            t = delta_phi(x)
             return done(
                 {
                     "command": "delta",

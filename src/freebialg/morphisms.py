@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import DEFAULT_TOL, AlgebraElement
-from .bialgebra import DirectSumElement, DirectSumTensor, delta_phi
+from .algebra import DEFAULT_TOL, _max_deviation
+from .bialgebra import DirectSumElement, delta_phi
 from .scalars import ONE, QI
-from .words import ReducedWord, reduce
+from .words import INFINITE, ReducedWord, reduce
 
 __all__ = [
     "GradedEndo",
@@ -46,7 +46,8 @@ class GradedEndo:
     exact: bool
     gen_image: Callable[[int, int], tuple[int, QI | complex]]
 
-    def _apply_word(self, w: ReducedWord):
+    def _apply_word(self, w: ReducedWord, c, exact: bool):
+        """The image of ``w``, and ``c`` times its phase (complex unless ``exact``)."""
         n = w.ambient.n
         phase = ONE if self.exact else (1 + 0j)
         sylls = []
@@ -54,38 +55,27 @@ class GradedEndo:
             target, ph = self.gen_image(n, g)
             sylls.append((target, e))
             phase = phase * ph**e
-        return phase, reduce(w.ambient, sylls)
+        return reduce(w.ambient, sylls), c * (phase if exact else complex(phase))
 
-    def _image(self, terms: dict, exact: bool) -> list:
-        pairs = []
-        for w, c in terms.items():
-            phase, img = self._apply_word(w)
-            if not exact:
-                phase = complex(phase) if isinstance(phase, QI) else phase
-                c = complex(c)
-            pairs.append((img, c * phase))
-        return pairs
-
-    def apply_algebra(self, a: AlgebraElement) -> AlgebraElement:
-        if a.ambient.is_infinite:
+    def apply(self, x):
+        """Apply the endomorphism to every word of an algebra element, a
+        direct sum or a tensor (slot by slot); the result has the type and
+        the space of ``x``, and is exact when both are."""
+        if INFINITE in (x.space if type(x.space) is tuple else (x.space,)):
             raise ValueError("graded endomorphisms act on finite ranks")
-        exact = self.exact and a.exact
-        return AlgebraElement._merged(a.ambient, self._image(a.terms, exact), exact)
-
-    def apply(self, x: DirectSumElement) -> DirectSumElement:
         exact = self.exact and x.exact
-        return DirectSumElement._merged(x.space, self._image(x.terms, exact), exact)
-
-    def apply_tensor(self, t: DirectSumTensor) -> DirectSumTensor:
-        exact = self.exact and t.exact
         pairs = []
-        for (w1, w2), c in t.terms.items():
-            ph1, u1 = self._apply_word(w1)
-            ph2, u2 = self._apply_word(w2)
+        for label, c in x.terms.items():
             if not exact:
-                ph1, ph2, c = complex(ph1), complex(ph2), complex(c)
-            pairs.append(((u1, u2), c * ph1 * ph2))
-        return DirectSumTensor._merged(t.space, pairs, exact)
+                c = complex(c)
+            images = []
+            for w in label if type(label) is tuple else (label,):
+                u, c = self._apply_word(w, c, exact)  # (c * ph1) * ph2 on a pair
+                images.append(u)
+            pairs.append((tuple(images) if type(label) is tuple else images[0], c))
+        return type(x)._merged(x.space, pairs, exact)
+
+    apply_algebra = apply_tensor = apply
 
 
 def identity_endo() -> GradedEndo:
@@ -140,11 +130,7 @@ def bialgebra_morphism_check(
 
 def max_term_deviation(a: DirectSumElement, b: DirectSumElement) -> float:
     """Largest coefficient difference between two direct-sum elements."""
-    worst = 0.0
-    for w in a.terms.keys() | b.terms.keys():
-        diff = abs(complex(a.terms.get(w, 0)) - complex(b.terms.get(w, 0)))
-        worst = max(worst, diff)
-    return worst
+    return _max_deviation(a, b)
 
 
 def group_law_checks(

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .algebra import DEFAULT_TOL, _Linear
 from .scalars import ONE, QI, ZERO
 from .words import (
@@ -139,6 +137,8 @@ def gram_psd(
     >>> gram_psd(PDFunction(2, 1), [unit(2), gen(2, 2)])
     (1.0, True)
     """
+    import numpy as np  # here alone, so importing freebialg does not load numpy
+
     words = list(sample)
     if not words:
         raise ValueError("sample must be nonempty")
@@ -280,18 +280,11 @@ class SuppVector(_Linear):
 
 def L_action(n: int, i: int, x: ReducedWord, v: SuppVector) -> SuppVector:
     """Left translation on coset basis vectors: ``e_[w] -> e_[x w]``."""
-    basis = v.basis
-    if basis != CosetBasis(n, i):
+    if v.basis != CosetBasis(n, i):
         raise ValueError(f"vector is not over the coset basis of F{n}/<g{i}>")
     if x.ambient.n != n:
         raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
-    return SuppVector(
-        basis,
-        (
-            (coset_normal_form(n, i, multiply(x, c.rep)), coeff)
-            for c, coeff in v.terms.items()
-        ),
-    )
+    return v.map_labels(lambda c: coset_normal_form(n, i, multiply(x, c.rep)))
 
 
 def gns_coeff_check(n: int, i: int, w: ReducedWord) -> bool:
@@ -356,25 +349,20 @@ def cyclicity_check(
 
 def lambda_action(n: int, x: ReducedWord, v: SuppVector) -> SuppVector:
     """Left regular representation on group basis vectors."""
-    basis = v.basis
-    if basis != GroupBasis(n):
+    if v.basis != GroupBasis(n):
         raise ValueError(f"vector is not over the group basis of F{n}")
     if x.ambient.n != n:
         raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
-    return SuppVector(basis, ((multiply(x, g), c) for g, c in v.terms.items()))
+    return v.map_labels(lambda g: multiply(x, g))
 
 
 def tensor_rep_action(n: int, m: int, z: ReducedWord, v: SuppVector) -> SuppVector:
     """Pulled-back action of a rank-``n*m`` word on the pair-group basis:
     the pair image translates each factor."""
-    basis = v.basis
-    if basis != PairGroupBasis(n, m):
+    if v.basis != PairGroupBasis(n, m):
         raise ValueError(f"vector is not over the pair basis of F{n} x F{m}")
     p, q = phi(n, m, z)
-    return SuppVector(
-        basis,
-        (((multiply(p, g), multiply(q, h)), c) for (g, h), c in v.terms.items()),
-    )
+    return v.map_labels(lambda gh: (multiply(p, gh[0]), multiply(q, gh[1])))
 
 
 def orbit_bfs(

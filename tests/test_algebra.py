@@ -534,3 +534,60 @@ def test_products_across_spaces_still_raise():
     for x, y in pairs:
         with pytest.raises(ValueError):
             x * y
+
+
+# -- label checks -----------------------------------------------------------------
+
+
+def _bad_labels():
+    from freebialg.bialgebra import DirectSumElement, DirectSumTensor, DirectSumTriple
+
+    g, h = W.gen(2, 1), W.gen(3, 1)
+    inf = W.gen(INFINITE, 1)
+    yield "int pair", lambda: TensorElement((2, 2), {(1, 2): 1})
+    yield "str triple", lambda: TripleTensorElement((2, 2, 2), {("g1", "g1", "g1"): 1})
+    yield "one-slot tensor label", lambda: TensorElement((2, 2), {(g,): 1})
+    yield "bare word in a tensor", lambda: TensorElement((2, 2), {g: 1})
+    yield "three words in a pair", lambda: TensorElement((2, 2), {(g, g, g): 1})
+    yield "slot rank mismatch", lambda: TensorElement((2, 2), {(g, h): 1})
+    yield "finite word in an infinite slot", lambda: TensorElement((INFINITE, 2), {(g, g): 1})
+    yield "word of another rank", lambda: AlgebraElement(2, {h: 1})
+    yield "tuple in an algebra", lambda: AlgebraElement(2, {(g,): 1})
+    yield "int in an algebra", lambda: AlgebraElement(2, {1: 1})
+    yield "word of another rank in a pair", lambda: TensorElement((2, 2), [((g, h), 1)])
+    yield "infinite word in a direct sum", lambda: DirectSumElement().coefficient(inf)
+    yield "pair in a direct sum", lambda: DirectSumElement().coefficient((g, g))
+    yield "infinite slot in a direct-sum pair", lambda: DirectSumTensor().coefficient((g, inf))
+    yield "one-slot direct-sum pair", lambda: DirectSumTensor().coefficient((g,))
+    yield "pair in a direct-sum triple", lambda: DirectSumTriple().coefficient((g, g))
+
+
+@pytest.mark.parametrize("case", [c for c, _ in _bad_labels()])
+def test_every_element_rejects_a_bad_label_with_value_error(case):
+    build = dict(_bad_labels())[case]
+    with pytest.raises(ValueError, match="does not live in"):
+        build()
+
+
+def test_label_errors_name_the_space():
+    from freebialg.bialgebra import DirectSumElement, DirectSumTensor
+
+    with pytest.raises(ValueError, match=r"does not live in F2\(x\)F2$"):
+        TensorElement((2, 2), {(1, 2): 1})
+    with pytest.raises(ValueError, match="does not live in any finite rank$"):
+        DirectSumElement().coefficient(W.gen(INFINITE, 1))
+    with pytest.raises(ValueError, match=r"in any finite rank\(x\)any finite rank$") as info:
+        DirectSumTensor().coefficient((W.gen(2, 1),))
+    assert "None" not in str(info.value)
+
+
+def test_good_labels_are_accepted():
+    from freebialg.bialgebra import DirectSumElement, DirectSumTensor
+
+    g, inf = W.gen(2, 1), W.gen(INFINITE, 2)
+    # a list label is stored as the tuple it names
+    assert TensorElement((2, 2), [([g, g], 3)]).terms == {(g, g): QI(3)}
+    assert TensorElement((INFINITE, 2), {(inf, g): 1}).coefficient((inf, g)) == QI(1)
+    assert AlgebraElement(INFINITE, {inf: 2}).coefficient(inf) == QI(2)
+    assert DirectSumElement().coefficient(W.gen(5, 5)) == QI(0)
+    assert DirectSumTensor().coefficient((g, W.gen(7, 1))) == QI(0)

@@ -41,6 +41,19 @@ def test_factor_pairs():
     assert factor_pairs(7) == [(1, 7), (7, 1)]
 
 
+def test_factor_pairs_match_the_divisor_definition():
+    for n in range(1, 3001):
+        assert factor_pairs(n) == [(m, n // m) for m in range(1, n + 1) if n % m == 0], n
+    for n in (2**40, 10**8, 999_983**2, 2 * 999_983):
+        pairs = factor_pairs(n)
+        assert all(m * l == n for m, l in pairs)
+        assert [m for m, _ in pairs] == sorted({m for m, _ in pairs})
+        assert pairs == [(l, m) for m, l in reversed(pairs)]
+    assert len(factor_pairs(10**8)) == 81 and len(factor_pairs(999_983**2)) == 3
+    with pytest.raises(ValueError):
+        factor_pairs(0)
+
+
 def ordered_divisor_count(n):
     return sum(1 for m in range(1, n + 1) if n % m == 0)
 

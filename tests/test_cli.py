@@ -274,6 +274,27 @@ def test_over_budget_probes_exit_2_before_any_scan(monkeypatch):
         assert code == 2 and error in report["error"], (argv, report)
 
 
+def test_delta_refuses_a_rank_beyond_the_divisor_budget(monkeypatch):
+    """``delta`` tries ``isqrt(rank)`` divisors per term: a rank up to
+    ``SCAN_BUDGET**2`` is admitted and the next square is refused."""
+    from freebialg import cli
+    from freebialg.bialgebra import DirectSumTensor
+
+    edge = cli.SCAN_BUDGET**2
+    monkeypatch.setattr(cli, "delta_phi", lambda x: DirectSumTensor.zero())
+    for rank in (edge, (cli.SCAN_BUDGET + 1) ** 2 - 1):
+        report, code = run(["delta", f"F{rank}: g1"])
+        assert code == 0 and report["canonical"] == "0", (rank, report)
+    monkeypatch.setattr(cli, "delta_phi", _no_scan)
+    for rank in ((cli.SCAN_BUDGET + 1) ** 2, 10**40):
+        report, code = run(["delta", f"F{rank}: g1*g2^-1 + 3*g2"])
+        assert code == 2, rank
+        assert report["error"] == f"the divisor search would try more than {cli.SCAN_BUDGET} values"
+    # a bad element is still reported as such
+    report, code = run(["delta", f"F{10**40}: g0"])
+    assert code == 2 and "divisor" not in report["error"]
+
+
 @pytest.mark.parametrize("rank", range(1, 8))
 def test_budget_edge_follows_the_closed_form(rank, monkeypatch):
     """The largest radius whose ball fits is admitted and the next one is
@@ -413,6 +434,28 @@ def test_cli_process_roundtrip():
         env=env,
     )
     assert proc.returncode == 2
+
+
+def test_import_and_delta_load_no_numpy():
+    # numpy serves the Gram eigenvalues alone, so no other command imports it
+    import freebialg
+
+    src = str(Path(freebialg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from freebialg.cli import main\n"
+        "assert main(['delta', 'F6: g2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _draws_per_check(monkeypatch, claims):

@@ -4,6 +4,8 @@ import cmath
 import math
 import random
 
+import pytest
+
 from freebialg import words as W
 from freebialg.bialgebra import DirectSumElement, counit, delta_phi
 from freebialg.corpus import random_direct_sum
@@ -167,3 +169,75 @@ def test_beta_commutes_with_delta_exactly():
         for k in range(1, n + 1):
             x = dsum_word(n, k)
             assert endo.apply_tensor(delta_phi(x)) == delta_phi(endo.apply(x))
+
+
+# -- one apply for every element type ----------------------------------------------
+
+
+def _reference_image(kind, t, x):
+    """``x``'s image under ``beta`` or ``alpha_t``, term by term: each word of
+    a label is mapped and its phase multiplied in, slot after slot."""
+    from freebialg.scalars import QI
+
+    exact = kind == "beta" and x.exact
+    out = {}
+    for label, c in x.terms.items():
+        c = c if exact else complex(c)
+        images = []
+        for w in label if type(label) is tuple else (label,):
+            n = w.ambient.n
+            if kind == "beta":
+                images.append(W.reduce(w.ambient, [(n - g + 1, e) for g, e in w.syllables]))
+                phase = QI(1)
+            else:
+                images.append(w)
+                phase = 1 + 0j
+                for _, e in w.syllables:
+                    phase = phase * cmath.exp(1j * (t * math.log(n))) ** e
+            c = c * (phase if exact else complex(phase))  # (c * ph1) * ph2
+        # both maps are injective on words, so no two terms collide
+        out[tuple(images) if type(label) is tuple else images[0]] = c
+    return out
+
+
+def _endo_inputs():
+    from freebialg.algebra import tensor
+    from freebialg.corpus import random_algebra_element
+
+    rng = random.Random(47)
+    for _ in range(6):
+        a = random_algebra_element(rng, rng.randint(1, 7), max_len=5, max_terms=4)
+        b = random_algebra_element(rng, rng.randint(1, 7), max_len=5, max_terms=4)
+        x = random_direct_sum(rng, max_rank=12, max_len=5, max_terms=4, parts=3)
+        for el in (a, x, delta_phi(x), tensor(a, b)):
+            yield el
+            yield el.to_approx()
+
+
+def test_graded_endo_apply_matches_a_per_term_reference():
+    inputs = list(_endo_inputs())
+    for kind, endo, t in [("beta", beta_endo(), None)] + [("alpha", alpha_endo(t), t) for t in TS]:
+        for name in ("apply", "apply_algebra", "apply_tensor"):
+            for x in inputs:
+                out = getattr(endo, name)(x)
+                assert type(out) is type(x) and out.space == x.space
+                assert out.exact == (kind == "beta" and x.exact)
+                assert out.terms == _reference_image(kind, t, x), (kind, name, str(x))
+
+
+def test_graded_endo_refuses_infinite_ranks():
+    from freebialg.algebra import AlgebraElement, TensorElement
+
+    rank = W.Rank(None)  # built by hand, so not the shared INFINITE object
+    assert rank is not W.INFINITE
+    w = W.gen(rank, 3)
+    for endo in (beta_endo(), alpha_endo(0.3)):
+        for x in (
+            AlgebraElement(rank, {w: 1}),
+            AlgebraElement(W.INFINITE),
+            TensorElement((2, rank), {(W.gen(2, 1), w): 1}),
+        ):
+            with pytest.raises(ValueError, match="finite ranks"):
+                endo.apply_algebra(x)
+            with pytest.raises(ValueError, match="finite ranks"):
+                endo.apply_tensor(x)
