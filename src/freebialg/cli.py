@@ -71,39 +71,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, suppress=False)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
+    def command(name, help, handler):
         child = sub.add_parser(name, help=help)
         _add_common(child, suppress=True)
+        child.set_defaults(handler=handler)
         return child
 
-    d = command("delta", "print the coproduct of an element")
-    d.add_argument("element")
+    command("delta", "print the coproduct of an element", _delta).add_argument("element")
+    command("counit", "print the counit of an element", _counit).add_argument("element")
 
-    c = command("counit", "print the counit of an element")
-    c.add_argument("element")
-
-    ph = command("phi", "split a word of composite rank")
+    ph = command("phi", "split a word of composite rank", _phi)
     ph.add_argument("n", type=int)
     ph.add_argument("m", type=int)
     ph.add_argument("word")
 
-    tp = command("tensor-pd", "probe the indicator tensor formula")
+    tp = command("tensor-pd", "probe the indicator tensor formula", _tensor_pd)
     tp.add_argument("n", type=int)
     tp.add_argument("m", type=int)
     tp.add_argument("i", type=int)
     tp.add_argument("j", type=int)
     tp.add_argument("--radius", type=int, default=4)
 
-    ob = command("orbit", "enumerate the pair orbit of (1,1)")
+    ob = command("orbit", "enumerate the pair orbit of (1,1)", _orbit)
     ob.add_argument("n", type=int)
     ob.add_argument("m", type=int)
     ob.add_argument("--radius", type=int, default=4)
-    ob.add_argument("--find", default=None, metavar="PAIR")
+    find_help = "report whether PAIR lies in the orbit within --radius"
+    ob.add_argument("--find", metavar="PAIR", help=find_help)
 
-    v = command("verify", "run a verification suite")
+    v = command("verify", "run a verification suite", _verify)
     v.add_argument("suite", nargs="?", default="all", metavar="SUITE")
 
-    pr = command("probe", "run the claim probes")
+    pr = command("probe", "run the claim probes", _probe)
     pr.add_argument("what", nargs="?", default="claims")
     pr.add_argument("--radius", type=int, default=4)
 
@@ -145,7 +144,7 @@ def _counted(claim: str):
                 count += 1
             return True, {"checked": count}
 
-        CHECKS[claim] = check
+        _check(claim)(check)
         return cases
 
     return register
@@ -157,7 +156,7 @@ def _run_checks(claims, seed: int, tol: float) -> list[dict]:
     Each check gets its own random stream seeded by ``(seed, claim)``, so its
     corpus does not depend on which other checks run or in what order.  Each
     result carries the check's run time under the private key
-    ``_elapsed_text_only``, which the JSON output leaves out.
+    ``_elapsed_text_only``, which ``verify`` moves into its text form.
     """
     results = []
     for claim in claims:
@@ -515,6 +514,111 @@ def _probe_reports(radius: int) -> list[dict]:
 
 
 # -- command handlers ----------------------------------------------------------
+#
+# Each subcommand is one handler ``fn(args) -> (report, exit code, text)``:
+# the report is printed as JSON and the text under ``--format text``.
+
+
+def _canonical(command: str, canonical: str, result, **extra) -> tuple[dict, int, str]:
+    """The output of a command whose text form is its canonical string."""
+    return {"command": command, "canonical": canonical, "result": result, **extra}, 0, canonical
+
+
+def _delta(args):
+    el = parse_element(args.element)
+    x = DirectSumElement.from_algebra(el)
+    if math.isqrt(el.ambient.n) > SCAN_BUDGET:  # factor_pairs' trial divisors
+        raise ValueError(f"the divisor search would try more than {SCAN_BUDGET} values")
+    t = delta_phi(x)
+    return _canonical("delta", str(t), t.to_json(), input=str(el))
+
+
+def _counit(args):
+    el = parse_element(args.element)
+    value = counit(DirectSumElement.from_algebra(el))
+    return _canonical("counit", str(value), value.to_json(), input=str(el))
+
+
+def _phi(args):
+    w = parse_word(args.word, _rank(args.n * args.m))
+    p, q = words.phi(args.n, args.m, w)
+    return _canonical("phi", f"({p}, {q})", {"first": p.to_json(), "second": q.to_json()})
+
+
+def _probe_line(r: dict) -> str:
+    params = json.dumps(r["params"], sort_keys=True)
+    return f"{r['claim']} {params}: {len(r['disagreements'])} disagreement(s)"
+
+
+def _tensor_pd(args):
+    # a bad rank or index is reported as such, ahead of the budget
+    reps._check_index(args.n, args.i)
+    reps._check_index(args.m, args.j)
+    _check_budget([(args.n * args.m, args.radius)])
+    report = _pd_report(args.n, args.m, args.i, args.j, args.radius)
+    lines = [f"{_probe_line(report)} at radius {args.radius}"]
+    for d in report["disagreements"]:
+        lines.append(f"  z={d['z']} pullback={d['pullback']} direct={d['direct']}")
+    return report, 0, "\n".join(lines)
+
+
+def _orbit(args):
+    pair = None
+    if args.find is not None:
+        if "," not in args.find:
+            raise ValueError(f"--find expects a pair LEFT,RIGHT, got {args.find!r}")
+        left, _, right = args.find.partition(",")
+        pair = (parse_word(left.strip(), _rank(args.n)), parse_word(right.strip(), _rank(args.m)))
+    start = (unit(args.n), unit(args.m))  # a bad rank is reported ahead of the budget
+    _check_budget([(args.n * args.m, args.radius)])
+    orbit = reps.orbit_bfs(args.n, args.m, start, args.radius)
+    report = {
+        "command": "orbit",
+        "params": {"n": args.n, "m": args.m},
+        "radius": args.radius,
+        "count": len(orbit),
+    }
+    text = f"orbit size {len(orbit)} at radius {args.radius}"
+    if pair is not None:
+        report["found"] = pair in orbit
+        text += f", found={report['found']}"
+    return report, 0, text
+
+
+def _verify(args):
+    name = args.suite
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}")
+    started = time.monotonic()
+    claims = sorted(c for c in CHECKS if name == "all" or c.startswith(name + "."))
+    results = _run_checks(claims, args.seed, args.tol)
+    elapsed = time.monotonic() - started
+    ok = all(r["status"] == "verified" for r in results)
+    status = "verified" if ok else "failed"
+    lines = []
+    for r in results:
+        # run times vary from run to run, so only the text shows them
+        secs = r.pop("_elapsed_text_only")
+        mark = "ok" if r["status"] == "verified" else "FAILED"
+        witness = json.dumps(r["witness"], default=str)
+        lines.append(f"[{mark}] {r['claim']}  {witness}  ({secs:.2f}s)")
+    lines += [f"suite {name}: {status}", f"elapsed: {elapsed:.2f}s"]
+    report = {
+        "command": "verify",
+        "suite": name,
+        "seed": args.seed,
+        "results": results,
+        "status": status,
+    }
+    return report, 0 if ok else 1, "\n".join(lines)
+
+
+def _probe(args):
+    if args.what != "claims":
+        raise ValueError(f"unknown probe target {args.what!r}")
+    reports = _probe_reports(args.radius)
+    text = "\n".join(_probe_line(r) for r in reports)
+    return {"command": "probe", "radius": args.radius, "reports": reports}, 0, text
 
 
 def _requested_format(argv: list[str]) -> str:
@@ -528,177 +632,34 @@ def _requested_format(argv: list[str]) -> str:
         return "json"
 
 
-def run(argv: list[str]) -> tuple[dict, int]:
-    """Execute one invocation; return the report dict and the exit code."""
-    parser = build_parser()
+def _error(message: str) -> tuple[dict, int, str]:
+    return {"error": message}, 2, f"error: {message}"
+
+
+def _invoke(argv: list[str]) -> tuple[str, tuple[dict, int, str]]:
+    """Parse ``argv`` and run its handler; return the output format and the
+    handler's ``(report, exit code, text)``."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse rejects an argv by exiting
         if exc.code == 0:  # --help has printed its text
             raise
-        return {"error": "usage", "_format": _requested_format(argv)}, 2
-
-    def done(report, code):
-        report["_format"] = args.format
-        return report, code
-
+        return _requested_format(argv), _error("usage")
     try:
-        if args.command == "delta":
-            el = parse_element(args.element)
-            x = DirectSumElement.from_algebra(el)
-            if math.isqrt(el.ambient.n) > SCAN_BUDGET:  # factor_pairs' trial divisors
-                raise ValueError(f"the divisor search would try more than {SCAN_BUDGET} values")
-            t = delta_phi(x)
-            return done(
-                {
-                    "command": "delta",
-                    "input": str(el),
-                    "canonical": str(t),
-                    "result": t.to_json(),
-                },
-                0,
-            )
-
-        if args.command == "counit":
-            el = parse_element(args.element)
-            value = counit(DirectSumElement.from_algebra(el))
-            return done(
-                {
-                    "command": "counit",
-                    "input": str(el),
-                    "canonical": str(value),
-                    "result": value.to_json(),
-                },
-                0,
-            )
-
-        if args.command == "phi":
-            w = parse_word(args.word, _rank(args.n * args.m))
-            p, q = words.phi(args.n, args.m, w)
-            return done(
-                {
-                    "command": "phi",
-                    "canonical": f"({p}, {q})",
-                    "result": {"first": p.to_json(), "second": q.to_json()},
-                },
-                0,
-            )
-
-        if args.command == "tensor-pd":
-            # a bad rank or index is reported as such, ahead of the budget
-            reps._check_index(args.n, args.i)
-            reps._check_index(args.m, args.j)
-            _check_budget([(args.n * args.m, args.radius)])
-            return done(_pd_report(args.n, args.m, args.i, args.j, args.radius), 0)
-
-        if args.command == "orbit":
-            pair = None
-            if args.find is not None:
-                if "," not in args.find:
-                    raise ValueError(f"--find expects a pair LEFT,RIGHT, got {args.find!r}")
-                left, _, right = args.find.partition(",")
-                pair = (
-                    parse_word(left.strip(), _rank(args.n)),
-                    parse_word(right.strip(), _rank(args.m)),
-                )
-            start = (unit(args.n), unit(args.m))
-            _check_budget([(args.n * args.m, args.radius)])
-            orbit = reps.orbit_bfs(args.n, args.m, start, args.radius)
-            report = {
-                "command": "orbit",
-                "params": {"n": args.n, "m": args.m},
-                "radius": args.radius,
-                "count": len(orbit),
-            }
-            if pair is not None:
-                report["found"] = pair in orbit
-            return done(report, 0)
-
-        if args.command == "verify":
-            name = args.suite
-            if name not in SUITE_NAMES:
-                return done({"error": f"unknown suite {name!r}"}, 2)
-            started = time.monotonic()
-            claims = sorted(c for c in CHECKS if name == "all" or c.startswith(name + "."))
-            results = _run_checks(claims, args.seed, args.tol)
-            elapsed = time.monotonic() - started
-            ok = all(r["status"] == "verified" for r in results)
-            report = {
-                "command": "verify",
-                "suite": name,
-                "seed": args.seed,
-                "results": results,
-                "status": "verified" if ok else "failed",
-            }
-            # run times vary from run to run, so only the text output shows them
-            report["_elapsed_text_only"] = {
-                "total": elapsed,
-                "checks": [r.pop("_elapsed_text_only") for r in results],
-            }
-            return done(report, 0 if ok else 1)
-
-        if args.command == "probe":
-            if args.what != "claims":
-                return done({"error": f"unknown probe target {args.what!r}"}, 2)
-            return done(
-                {
-                    "command": "probe",
-                    "radius": args.radius,
-                    "reports": _probe_reports(args.radius),
-                },
-                0,
-            )
+        return args.format, args.handler(args)
     except (ParseError, ValueError) as exc:
-        return done({"error": str(exc)}, 2)
-
-    return done({"error": "usage"}, 2)
+        return args.format, _error(str(exc))
 
 
-def _probe_line(r: dict) -> str:
-    params = json.dumps(r["params"], sort_keys=True)
-    return f"{r['claim']} {params}: {len(r['disagreements'])} disagreement(s)"
-
-
-def _render_text(report: dict) -> str:
-    lines = []
-    if "error" in report:
-        return f"error: {report['error']}"
-    cmd = report.get("command")
-    if cmd in ("delta", "counit", "phi"):
-        return report["canonical"]
-    if cmd == "verify":
-        elapsed = report["_elapsed_text_only"]
-        for r, secs in zip(report["results"], elapsed["checks"]):
-            mark = "ok" if r["status"] == "verified" else "FAILED"
-            witness = json.dumps(r["witness"], default=str)
-            lines.append(f"[{mark}] {r['claim']}  {witness}  ({secs:.2f}s)")
-        lines.append(f"suite {report['suite']}: {report['status']}")
-        lines.append(f"elapsed: {elapsed['total']:.2f}s")
-        return "\n".join(lines)
-    if cmd == "probe":
-        return "\n".join(_probe_line(r) for r in report["reports"])
-    if cmd == "orbit":
-        base = f"orbit size {report['count']} at radius {report['radius']}"
-        if "found" in report:
-            base += f", found={report['found']}"
-        return base
-    if "claim" in report:  # single probe report (tensor-pd)
-        lines.append(f"{_probe_line(report)} at radius {report['radius']}")
-        for d in report["disagreements"]:
-            lines.append(f"  z={d['z']} pullback={d['pullback']} direct={d['direct']}")
-        return "\n".join(lines)
-    public = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(public, sort_keys=True)
+def run(argv: list[str]) -> tuple[dict, int]:
+    """Execute one invocation; return the report dict and the exit code."""
+    report, code, _ = _invoke(argv)[1]
+    return report, code
 
 
 def main(argv: list[str] | None = None) -> int:
-    report, code = run(sys.argv[1:] if argv is None else argv)
-    fmt = report.get("_format", "json")
-    if fmt == "text":
-        print(_render_text(report))
-    else:
-        report = {k: v for k, v in report.items() if not k.startswith("_")}
-        print(json.dumps(report, sort_keys=True))
+    fmt, (report, code, text) = _invoke(sys.argv[1:] if argv is None else argv)
+    print(text if fmt == "text" else json.dumps(report, sort_keys=True))
     return code
 
 

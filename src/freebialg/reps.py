@@ -253,6 +253,15 @@ class SuppVector(_Linear):
     def basis_vector(cls, basis, label) -> "SuppVector":
         return cls._wrap(basis, {basis.check(label): ONE}, True)
 
+    def __mul__(self, other):
+        # the basis labels carry no product: vectors are scaled, never multiplied
+        if isinstance(other, _Linear):
+            raise TypeError(f"SuppVector over {self.basis} has no product")
+        return self.scale(other)
+
+    def star(self):
+        raise TypeError(f"SuppVector over {self.basis} has no star involution")
+
     def map_labels(self, fn) -> "SuppVector":
         """Push the vector through a basis-label map, merging collisions."""
         return SuppVector(self.basis, ((fn(k), v) for k, v in self.terms.items()))

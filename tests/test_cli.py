@@ -393,11 +393,7 @@ def test_json_determinism():
     assert first == second
 
     args = ["verify", "words", "--seed", "7"]
-    a = run(args)[0]
-    b = run(args)[0]
-    a.pop("_elapsed_text_only", None)
-    b.pop("_elapsed_text_only", None)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert json.dumps(run(args)[0], sort_keys=True) == json.dumps(run(args)[0], sort_keys=True)
 
 
 def test_cli_process_roundtrip():
@@ -746,3 +742,98 @@ def test_golden_delta_matches_readme():
     lines = readme.splitlines()
     idx = lines.index('freebialg --format text delta "F6: g2"')
     assert lines[idx + 1] == "# " + GOLDEN[0][2].rstrip("\n")
+
+
+# Exact stdout and exit code of `--format text` for every subcommand and for
+# the errors.  `verify`'s run times are masked to N.NN, since they vary.
+TEXT = [
+    (["counit", "F1: g1"], 0, "1\n"),
+    (["phi", "3", "2", "g6^3*g1"], 0, "(g3^3*g1, g2^3*g1)\n"),
+    (
+        ["tensor-pd", "2", "2", "1", "1", "--radius", "4"],
+        0,
+        (1705, "6032b10ccf7b6ef61a75a0abdef8d77344db59897fb48d94064aacb90192e7e8"),
+    ),
+    (["orbit", "2", "2", "--radius", "4"], 0, "orbit size 1929 at radius 4\n"),
+    (
+        ["orbit", "2", "2", "--radius", "4", "--find", "g1*g2*g1^-1*g2^-1,1"],
+        0,
+        "orbit size 1929 at radius 4, found=True\n",
+    ),
+    (
+        ["probe", "claims", "--radius", "3"],
+        0,
+        'prop-indicator-tensor {"i": 1, "j": 1, "m": 2, "n": 2}: 4 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 1, "j": 1, "m": 3, "n": 2}: 8 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 1, "j": 2, "m": 2, "n": 2}: 4 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 1, "j": 2, "m": 3, "n": 2}: 8 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 1, "j": 3, "m": 3, "n": 2}: 8 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 2, "j": 1, "m": 2, "n": 2}: 4 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 2, "j": 1, "m": 3, "n": 2}: 8 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 2, "j": 2, "m": 2, "n": 2}: 4 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 2, "j": 2, "m": 3, "n": 2}: 8 disagreement(s)\n'
+        'prop-indicator-tensor {"i": 2, "j": 3, "m": 3, "n": 2}: 8 disagreement(s)\n'
+        'prop-intertwiner-injectivity {"m": 2, "n": 2}: 1 disagreement(s)\n'
+        'prop-orbit-separation {"m": 2, "n": 2}: 0 disagreement(s)\n',
+    ),
+    (
+        ["counit", "F3: 2*g2 - 1/3"],
+        2,
+        "error: expected '*' after coefficient (at offset 14)\n",
+    ),
+    (["verify", "bogus"], 2, "error: unknown suite 'bogus'\n"),
+    (["probe", "bogus"], 2, "error: unknown probe target 'bogus'\n"),
+    (
+        ["verify", "words"],
+        0,
+        '[ok] words.cancellation-witnesses  {"checked": 3700}  (N.NNs)\n'
+        '[ok] words.kernel-witnesses  {"checked": 169}  (N.NNs)\n'
+        '[ok] words.lift-constructions  {"checked": 600}  (N.NNs)\n'
+        '[ok] words.phi-homomorphism  {"checked": 300}  (N.NNs)\n'
+        '[ok] words.reduction-laws  {"checked": 300}  (N.NNs)\n'
+        "suite words: verified\n"
+        "elapsed: N.NNs\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,want", TEXT, ids=[" ".join(t[0]) for t in TEXT])
+def test_text_output(argv, code, want, capsys):
+    import hashlib
+    import re
+
+    from freebialg.cli import main
+
+    assert main(["--format", "text", *argv]) == code
+    out = re.sub(r"\d+\.\d\ds\b", "N.NNs", capsys.readouterr().out)
+    if isinstance(want, str):
+        assert out == want
+    else:
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "F6: g2"],
+        ["counit", "F1: g1"],
+        ["phi", "2", "2", "g1*g2^-1*g4*g3^-1"],
+        ["tensor-pd", "2", "2", "1", "1", "--radius", "3"],
+        ["orbit", "2", "2", "--radius", "2", "--find", "g1,g1"],
+        ["verify", "words"],
+        ["probe", "claims", "--radius", "2"],
+        ["delta", "F2: g3"],
+        ["verify", "bogus"],
+        ["nonsense"],
+    ],
+    ids=" ".join,
+)
+def test_reports_hold_only_public_keys(argv, capsys):
+    """``run`` returns the report that ``main`` prints as JSON, key for key."""
+    from freebialg.cli import main
+
+    report, code = run(argv)
+    assert not [key for key in report if key.startswith("_")]
+    assert main(argv) == code
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"

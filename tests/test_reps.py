@@ -2,6 +2,7 @@
 regular representations, orbit search, and the probes."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -456,3 +457,29 @@ def test_supp_vector_basis_mismatch():
     w = R.SuppVector.basis_vector(R.GroupBasis(3), W.unit(3))
     with pytest.raises(ValueError):
         v + w
+
+
+@pytest.mark.parametrize(
+    "basis,label",
+    [
+        (R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.gen(2, 2))),
+        (R.GroupBasis(2), W.gen(2, 2)),
+        (R.PairGroupBasis(2, 3), (W.gen(2, 1), W.gen(3, 3, -1))),
+        (
+            R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(3, 2)),
+            (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(3, 2, W.gen(3, 1))),
+        ),
+    ],
+    ids=lambda x: type(x).__name__,
+)
+def test_vectors_have_no_product_and_no_star(basis, label):
+    """A vector is scaled by scalars only: the product of two vectors and
+    the star involution are refused on every basis, with the vector's basis
+    named, and scalars act on either side."""
+    v = R.SuppVector.basis_vector(basis, label)
+    with pytest.raises(TypeError, match=re.escape(f"SuppVector over {basis}")):
+        v * v
+    with pytest.raises(TypeError, match=re.escape(f"SuppVector over {basis}")):
+        v.star()
+    assert v * 3 == 3 * v == R.SuppVector(basis, {label: 3})
+    assert (2 * v).inner(v) == QI(2)
