@@ -215,15 +215,23 @@ class GroupBasis:
         return label
 
 
+def _pair(basis, label) -> tuple:
+    """``label`` as a 2-tuple; raise unless it is a tuple or list of two slots."""
+    if not isinstance(label, (tuple, list)) or len(label) != 2:
+        raise ValueError(f"label {label!r} does not belong to {basis}")
+    return tuple(label)
+
+
 @dataclass(frozen=True)
 class PairGroupBasis:
     n: int
     m: int
 
     def check(self, label):
-        g, h = label
-        if g.ambient.n != self.n or h.ambient.n != self.m:
-            raise ValueError(f"label {label!r} does not belong to {self}")
+        g, h = _pair(self, label)
+        for w, n in ((g, self.n), (h, self.m)):
+            if not isinstance(w, ReducedWord) or w.ambient.n != n:
+                raise ValueError(f"label {label!r} does not belong to {self}")
         return (g, h)
 
 
@@ -233,7 +241,7 @@ class CosetPairBasis:
     right: CosetBasis
 
     def check(self, label):
-        a, b = label
+        a, b = _pair(self, label)
         return (self.left.check(a), self.right.check(b))
 
 

@@ -561,7 +561,8 @@ def test_registry_claims_per_suite():
 
 
 def test_passing_checks_render_nothing(monkeypatch):
-    """A check renders its inputs only for a failing case."""
+    """A check renders its inputs only for a failing case, and its record
+    holds only the keys the JSON prints."""
     from freebialg import algebra, bialgebra, cli, words
 
     def no_render(self):
@@ -571,6 +572,7 @@ def test_passing_checks_render_nothing(monkeypatch):
         monkeypatch.setattr(cls, "__str__", no_render)
     results = cli._run_checks(sorted(cli.CHECKS), 0, algebra.DEFAULT_TOL)
     assert [r["status"] for r in results] == ["verified"] * len(cli.CHECKS)
+    assert all(r.keys() == {"claim", "status", "witness"} for r in results)
 
 
 @pytest.mark.parametrize(

@@ -483,3 +483,41 @@ def test_vectors_have_no_product_and_no_star(basis, label):
         v.star()
     assert v * 3 == 3 * v == R.SuppVector(basis, {label: 3})
     assert (2 * v).inner(v) == QI(2)
+
+
+# each pair basis with a label of it and a label with one slot of the wrong rank
+_PAIR_BASES = [
+    (R.PairGroupBasis(2, 3), (W.gen(2, 1), W.gen(3, 3, -1)), (W.gen(2, 1), W.gen(2, 2))),
+    (
+        R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(3, 2)),
+        (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(3, 2, W.gen(3, 1))),
+        (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(2, 2, W.gen(2, 1))),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "basis,label",
+    [
+        (basis, label)
+        for basis, good, wrong_rank in _PAIR_BASES
+        for label in (good[0], (1, 2), good[:1], good + good[:1], wrong_rank)
+    ],
+    ids=[
+        f"{type(basis).__name__}-{kind}"
+        for basis, _, _ in _PAIR_BASES
+        for kind in ("bare", "ints", "1-tuple", "3-tuple", "wrong-rank")
+    ],
+)
+def test_pair_bases_refuse_malformed_labels(basis, label):
+    """A pair label is a tuple or list of two slots; anything else, or a
+    slot of the wrong basis, is refused by name as on the one-slot bases."""
+    with pytest.raises(ValueError, match=r"label .* does not belong to \w*Basis"):
+        R.SuppVector.basis_vector(basis, label)
+
+
+@pytest.mark.parametrize("basis,good,_", _PAIR_BASES, ids=lambda x: type(x).__name__)
+def test_pair_bases_store_list_labels_as_tuples(basis, good, _):
+    v = R.SuppVector.basis_vector(basis, list(good))
+    assert [type(k) for k in v.terms] == [tuple]
+    assert v == R.SuppVector.basis_vector(basis, good)

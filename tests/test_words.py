@@ -13,6 +13,7 @@ import importlib
 import pickle
 import pkgutil
 import random
+import types
 import weakref
 
 import pytest
@@ -603,6 +604,28 @@ def test_module_doctests_pass(name):
     result = doctest.testmod(importlib.import_module(f"freebialg.{name}"))
     assert result.failed == 0
     assert (result.attempted > 0) == (name in DOCTESTED)
+
+
+# the modules whose __all__ the package re-exports, in order
+EXPORTED = ("scalars", "words", "algebra", "bialgebra", "reps", "morphisms", "text")
+
+
+def test_package_reexports_each_module_all():
+    """``freebialg.__all__`` is the modules' ``__all__`` lists end to end,
+    each name bound to the object its module defines; corpus stays out."""
+    modules = [importlib.import_module(f"freebialg.{name}") for name in EXPORTED]
+    names = [name for m in modules for name in m.__all__]
+    assert freebialg.__all__ == names
+    assert len(set(names)) == len(names)
+    for m in modules:
+        for name in m.__all__:
+            obj = getattr(freebialg, name)
+            assert obj is getattr(m, name), name
+            if isinstance(obj, (type, types.FunctionType)):
+                assert obj.__module__ == m.__name__, name
+    corpus = importlib.import_module("freebialg.corpus")
+    assert not any(hasattr(freebialg, name) for name in corpus.__all__)
+    assert set(MODULES) - set(EXPORTED) == {"cli", "corpus"}
 
 
 # -- words built without re-validation ----------------------------------------------------
