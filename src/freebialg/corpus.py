@@ -45,11 +45,12 @@ def random_reduced_word(
     return ReducedWord._new(ambient, tuple(sylls))
 
 
-def random_exact_scalar(rng: random.Random, span: int = 3) -> QI:
-    """A small nonzero Gaussian rational with denominators 1 or 2."""
+def random_exact_scalar(rng: random.Random) -> QI:
+    """A small nonzero Gaussian rational: numerators in -3..3, denominators
+    1 or 2."""
     while True:
-        re = Fraction(rng.randint(-span, span), rng.randint(1, 2))
-        im = Fraction(rng.randint(-span, span), rng.randint(1, 2))
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        im = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         if re or im:
             return QI(re, im)
 

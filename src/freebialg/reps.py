@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algebra import DEFAULT_TOL, _Linear
+from .algebra import DEFAULT_TOL, _Linear, _label_str
 from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
@@ -279,17 +279,20 @@ class SuppVector(_Linear):
         if self.basis != other.basis:
             raise ValueError("vectors live over different bases")
         total = ZERO
-        small, big = self.terms, other.terms
-        for k, v in small.items():
-            w = big.get(k)
-            if w is not None:
-                total = total + v.conjugate() * w
+        mine, theirs = self.terms, other.terms
+        small, big = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)
+        for k in small:
+            if k in big:
+                total = total + mine[k].conjugate() * theirs[k]
         return total
 
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*e{lbl}" for lbl, c in self.terms.items())
+        return " + ".join(
+            f"{c}*e({_label_str(lbl)})" if type(lbl) is tuple else f"{c}*e{lbl}"
+            for lbl, c in self.terms.items()
+        )
 
 
 # -- actions -----------------------------------------------------------------
@@ -307,12 +310,11 @@ def L_action(n: int, i: int, x: ReducedWord, v: SuppVector) -> SuppVector:
 def gns_coeff_check(n: int, i: int, w: ReducedWord) -> bool:
     """Compare the diagonal matrix coefficient of the coset action at the
     base point with the subgroup indicator; the two are computed along
-    independent routes (coset normal form vs. syllable pattern)."""
-    basis = CosetBasis(n, i)
-    e0 = SuppVector.basis_vector(basis, coset_normal_form(n, i, unit(n)))
-    moved = L_action(n, i, w, e0)
-    coeff = e0.inner(moved)
-    return coeff == QI(f_eval(PDFunction(n, i), w))
+    independent routes (coset normal form vs. syllable pattern).  ``w``
+    moves ``e_[1]`` to ``e_[w]``, so the coefficient is 1 iff ``[w] = [1]``."""
+    base = coset_normal_form(n, i, unit(n))
+    coeff = 1 if coset_normal_form(n, i, w) == base else 0
+    return coeff == f_eval(PDFunction(n, i), w)
 
 
 def fixed_vector_dim(n: int, i: int, j: int, radius: int) -> int:
@@ -437,10 +439,9 @@ def intertwine_check(
     n: int, m: int, x: ReducedWord, h: ReducedWord, g: ReducedWord
 ) -> bool:
     """Check the intertwining relation on one basis vector: mapping after
-    translating by ``h`` agrees with acting by ``h`` after mapping."""
-    basis = PairGroupBasis(n, m)
-    direct = SuppVector.basis_vector(basis, U_map(n, m, x, multiply(h, g)))
-    routed = tensor_rep_action(
-        n, m, h, SuppVector.basis_vector(basis, U_map(n, m, x, g))
-    )
-    return direct == routed
+    translating by ``h`` agrees with acting by ``h`` after mapping.  Both
+    sides are basis vectors, so their pair labels are compared."""
+    direct = U_map(n, m, x, multiply(h, g))
+    a, b = U_map(n, m, x, g)
+    p, q = phi(n, m, h)
+    return direct == (multiply(p, a), multiply(q, b))

@@ -21,6 +21,7 @@ from freebialg.algebra import (
     tensor,
     varphi_alg,
     varphi_inf_alg,
+    _Linear,
 )
 from freebialg.bialgebra import _DirectSum, delta_phi
 from freebialg.corpus import (
@@ -254,6 +255,41 @@ def test_apply_tensor_right_validates():
         apply_tensor_right(t, AlgebraElement.from_word(W.gen(2, 1)), "middle")
     with pytest.raises(ValueError):
         apply_tensor_right(t, AlgebraElement.from_word(W.gen(2, 1)), "right")
+
+
+def test_mode_and_rank_refusals():
+    exact = AlgebraElement.from_word(W.gen(2, 1))
+    approx = exact.to_approx()
+    t = TensorElement.from_pair(W.gen(2, 1), W.gen(2, 2))
+    with pytest.raises(ValueError, match="cannot tensor exact with approximate elements"):
+        tensor(exact, approx)
+    with pytest.raises(ValueError, match="cannot mix exact and approximate elements"):
+        apply_tensor_right(t, approx, "left")
+    with pytest.raises(ValueError, match="element lives in F2, expected F4"):
+        varphi_alg(2, 2, exact)
+    with pytest.raises(ValueError, match="element lives in F2, expected Finf"):
+        varphi_inf_alg(2, exact)
+    with pytest.raises(ValueError, match="expected 2 tensor slots, got 3"):
+        TensorElement((2, 2, 2))
+    with pytest.raises(TypeError, match="cannot use str as an approximate coefficient"):
+        AlgebraElement(2, {W.gen(2, 1): "1"}, exact=False)
+
+
+def test_direct_sum_constructor_refusals():
+    from freebialg.bialgebra import DirectSumElement
+
+    a = AlgebraElement.from_word(W.gen(2, 1))
+    inf = AlgebraElement.from_word(W.gen(INFINITE, 1))
+    with pytest.raises(TypeError, match="components must be AlgebraElement"):
+        DirectSumElement({2: TensorElement.from_pair(W.gen(2, 1), W.gen(2, 1))})
+    with pytest.raises(ValueError, match="direct-sum components must have finite rank"):
+        DirectSumElement({None: inf})
+    with pytest.raises(ValueError, match="direct-sum components must have finite rank"):
+        DirectSumElement.from_algebra(inf)
+    with pytest.raises(ValueError, match="component key 3 does not match F2"):
+        DirectSumElement({3: a})
+    with pytest.raises(ValueError, match="declared scalar mode contradicts the components"):
+        DirectSumElement({2: a}, exact=False)
 
 
 # -- tensor and triple structure --------------------------------------------------------------
@@ -591,3 +627,49 @@ def test_good_labels_are_accepted():
     assert AlgebraElement(INFINITE, {inf: 2}).coefficient(inf) == QI(2)
     assert DirectSumElement().coefficient(W.gen(5, 5)) == QI(0)
     assert DirectSumTensor().coefficient((g, W.gen(7, 1))) == QI(0)
+
+
+# -- checkers on basis elements ---------------------------------------------------
+
+
+def _linear_classes(cls=_Linear):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _linear_classes(sub)
+
+
+def test_basis_element_checkers_build_no_linear_element(monkeypatch):
+    """The cancellation, counit-axiom, GNS-coefficient and intertwiner
+    checkers compare words and labels.  Every linear element is built by
+    some class's ``__init__`` or by ``_Linear._wrap`` (which ``_merged`` and
+    the one-term fast paths use), so refusing both refuses them all."""
+    from freebialg.bialgebra import counit_axiom_check, verify_cancellation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear element was built")
+
+    for cls in _linear_classes():
+        if "__init__" in vars(cls):
+            monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(_Linear, "_wrap", classmethod(refuse))
+    for build in (
+        lambda: AlgebraElement.from_word(W.gen(2, 1)),
+        lambda: R.SuppVector.basis_vector(R.GroupBasis(2), W.gen(2, 1)),
+        lambda: _DirectSum({}),
+    ):
+        with pytest.raises(AssertionError):
+            build()
+
+    ball2 = W.enumerate_ball(2, 2)
+    for x in ball2:
+        for y in W.enumerate_ball(1, 2):
+            assert verify_cancellation(x, y) and verify_cancellation(y, x)
+    for n in range(1, 5):
+        for z in W.enumerate_ball(n, 1):
+            assert counit_axiom_check(n, z)
+    for i in (1, 2):
+        for w in ball2:
+            assert R.gns_coeff_check(2, i, w)
+    for x in W.enumerate_ball(2, 1):
+        for h in W.enumerate_ball(4, 1):
+            assert R.intertwine_check(2, 2, x, h, W.reduce(4, [(2, 1), (3, -1)]))

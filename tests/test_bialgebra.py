@@ -243,6 +243,16 @@ def test_unitized_delta_multiplicative():
         assert unitized_counit(a * b) == unitized_counit(a) * unitized_counit(b)
 
 
+def test_unitized_sum_equality_and_text():
+    a = UnitizedElement(dsum_word(3, 2), 2)
+    b = UnitizedElement(dsum_word(1, 1), -1)
+    total = a + b
+    assert total == UnitizedElement(dsum_word(3, 2) + dsum_word(1, 1), 1)
+    assert total != a and (a == dsum_word(3, 2)) is False
+    assert str(total) == "F1: g1 (+) F3: g2 + 1*~1"
+    assert str(UnitizedElement.adjoined_unit()) == "0 + 1*~1"
+
+
 def test_unitized_requires_exact():
     rng = random.Random(11)
     x = random_direct_sum(rng, max_rank=3, max_len=2).to_approx()
@@ -265,6 +275,50 @@ def test_verify_cancellation_random():
         assert verify_cancellation(
             random_reduced_word(rng, n, 5), random_reduced_word(rng, m, 5)
         )
+
+
+def test_verify_cancellation_fails_under_a_perturbed_correction(monkeypatch):
+    from freebialg import bialgebra
+
+    pairs = [(x, y) for x in W.enumerate_ball(2, 2) for y in W.enumerate_ball(3, 1)]
+    for name in ("cancellation_witness_left", "cancellation_witness_right"):
+        honest = getattr(W, name)
+
+        def perturbed(x, y, honest=honest):
+            correction, z = honest(x, y)
+            return W.multiply(correction, W.gen(correction.ambient, 1)), z
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bialgebra, name, perturbed)
+            assert not any(verify_cancellation(x, y) for x, y in pairs)
+
+
+def test_counit_axiom_fails_when_phi_returns_the_wrong_slot(monkeypatch):
+    from freebialg import bialgebra
+
+    words = [(n, z) for n in range(2, 6) for z in W.enumerate_ball(n, 1)]
+    # swap the slots of the left trivial splitting (1, n), then of the right one (n, 1)
+    for swapped in (lambda n, m: n == 1, lambda n, m: m == 1):
+
+        def phi(n, m, z, swapped=swapped):
+            pair = W.phi(n, m, z)
+            return pair[::-1] if swapped(n, m) else pair
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bialgebra, "phi", phi)
+            assert not any(counit_axiom_check(n, z) for n, z in words)
+
+
+def test_basis_element_checkers_refuse_bad_ranks():
+    with pytest.raises(ValueError, match="expected a word of rank 3, got ambient F2"):
+        counit_axiom_check(3, W.gen(2, 1))
+    with pytest.raises(ValueError, match="expected a word of rank 2, got ambient Finf"):
+        counit_axiom_check(2, W.gen(INFINITE, 1))
+    with pytest.raises(ValueError, match="expected a word of rank 0"):
+        counit_axiom_check(0, W.gen(2, 1))
+    for pair in ((W.gen(INFINITE, 1), W.gen(2, 1)), (W.gen(2, 1), W.gen(INFINITE, 1))):
+        with pytest.raises(ValueError, match="cancellation witnesses require finite ranks"):
+            verify_cancellation(*pair)
 
 
 # -- coaction ----------------------------------------------------------------------------------

@@ -57,6 +57,22 @@ def test_parse_rejects_malformed():
             parse_element(bad)
 
 
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_element, "F2: 1/0*g1", "zero denominator (at offset 7)"),
+        (parse_element, "F2: (1+i)*g1", "expected an integer (at offset 7)"),
+        (parse_element, "F2: (1*i)*g1", "expected '+' or '-' in complex coefficient (at offset 6)"),
+        (parse_rank, "F3 x", "trailing input after rank (at offset 3)"),
+        (lambda text: parse_word(text, 2), "g1 g2", "trailing input after word (at offset 3)"),
+    ],
+)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_zero_coefficient_terms_parse():
     assert parse_element("F2: 0*g1").is_zero
     assert parse_element("F2: 0*g1 + g2") == parse_element("F2: g2")

@@ -235,6 +235,12 @@ def test_coset_normal_form_matches_the_public_constructor():
             assert (c.n, c.i) == (3, i)
 
 
+def test_coset_normal_form_checks_the_index():
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range for F2$"):
+            R.coset_normal_form(2, i, W.gen(2, 1))
+
+
 # -- actions ------------------------------------------------------------------------------
 
 
@@ -290,6 +296,24 @@ def test_tensor_rep_action_examples():
     assert R.tensor_rep_action(2, 2, kernel, w) == w
 
 
+def test_actions_refuse_a_wrong_basis_or_rank():
+    coset = R.SuppVector.basis_vector(R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
+    group = R.SuppVector.basis_vector(R.GroupBasis(2), W.unit(2))
+    g3 = W.gen(3, 1)
+    with pytest.raises(ValueError, match=re.escape("not over the coset basis of F2/<g2>")):
+        R.L_action(2, 2, W.gen(2, 1), coset)
+    with pytest.raises(ValueError, match="acting word lives in F3, expected F2"):
+        R.L_action(2, 1, g3, coset)
+    with pytest.raises(ValueError, match="vector is not over the group basis of F3"):
+        R.lambda_action(3, g3, group)
+    with pytest.raises(ValueError, match="acting word lives in F3, expected F2"):
+        R.lambda_action(2, g3, group)
+    with pytest.raises(ValueError, match="vector is not over the pair basis of F2 x F2"):
+        R.tensor_rep_action(2, 2, W.gen(4, 1), group)
+    with pytest.raises(ValueError, match="vector is not over the group basis of F4"):
+        R.U_apply(2, 2, W.unit(2), group)
+
+
 # -- matrix coefficients and fixed vectors ------------------------------------------------------
 
 
@@ -305,6 +329,27 @@ def test_gns_coeff_full_balls():
         for i in range(1, n + 1):
             for w in ball:
                 assert R.gns_coeff_check(n, i, w)
+
+
+def test_gns_coeff_fails_when_either_route_is_broken(monkeypatch):
+    honest = R.f_eval
+    with monkeypatch.context() as patch:
+        patch.setattr(R, "f_eval", lambda f, w: 1 - honest(f, w))
+        for i in (1, 2):
+            assert not any(R.gns_coeff_check(2, i, w) for w in W.enumerate_ball(2, 2))
+    # a normal form that strips no g_1 power separates g_1^k from the base coset
+    monkeypatch.setattr(R, "coset_normal_form", lambda n, i, w: w)
+    assert not any(R.gns_coeff_check(2, 1, W.gen(2, 1, k)) for k in (1, -1, 2))
+
+
+def test_gns_coeff_refuses_a_bad_rank_or_index():
+    with pytest.raises(ValueError, match="^word lives in F3, expected F2$"):
+        R.gns_coeff_check(2, 1, W.gen(3, 1))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range for F2$"):
+            R.gns_coeff_check(2, i, W.gen(2, 1))
+    with pytest.raises(ValueError, match="finite rank must be a positive integer, got 0"):
+        R.gns_coeff_check(0, 1, W.gen(2, 1))
 
 
 def test_fixed_vector_dims():
@@ -441,6 +486,47 @@ def test_intertwine_seeded_corpus():
         assert R.intertwine_check(2, 2, x, h, g)
 
 
+def test_intertwine_fails_under_a_perturbed_U_map(monkeypatch):
+    honest = R.U_map
+    # one letter changes the length parity, so every case below is a counterexample
+    letters = [W.gen(4, k, e) for k in range(1, 5) for e in (1, -1)]
+    for slot in (0, 1):
+
+        def perturbed(n, m, x, g, slot=slot):
+            # not equivariant: one slot moves by g_1 on words of odd length
+            pair = list(honest(n, m, x, g))
+            if g.letter_length % 2:
+                pair[slot] = W.multiply(pair[slot], W.gen(pair[slot].ambient, 1))
+            return tuple(pair)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(R, "U_map", perturbed)
+            for x in W.enumerate_ball(2, 1):
+                for g in W.enumerate_ball(4, 2):
+                    assert not any(R.intertwine_check(2, 2, x, h, g) for h in letters)
+
+
+def test_intertwine_refuses_bad_ranks():
+    x, h, g, w3 = W.gen(2, 1), W.gen(4, 1), W.gen(4, 2), W.gen(3, 1)
+    with pytest.raises(ValueError, match="ambient mismatch: F3 vs F4"):
+        R.intertwine_check(2, 2, x, w3, g)
+    with pytest.raises(ValueError, match="ambient mismatch: F4 vs F3"):
+        R.intertwine_check(2, 2, x, h, w3)
+    with pytest.raises(ValueError, match="ambient mismatch: F2 vs F3"):
+        R.intertwine_check(2, 2, w3, h, g)
+    with pytest.raises(ValueError, match="expected a word of rank 6, got ambient F4"):
+        R.intertwine_check(2, 3, x, h, g)
+
+
+def test_orbit_bfs_refusals():
+    u2, u3 = W.unit(2), W.unit(3)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        R.orbit_bfs(2, 2, (u2, u2), -1)
+    for start in ((u3, u2), (u2, u3)):
+        with pytest.raises(ValueError, match="start pair does not match the declared ranks"):
+            R.orbit_bfs(2, 2, start, 1)
+
+
 # -- vectors -------------------------------------------------------------------------------------------
 
 
@@ -450,6 +536,38 @@ def test_supp_vector_inner_product():
     w = R.SuppVector(basis, {W.unit(2): QI(3)})
     assert v.inner(w) == QI(0, -3)
     assert v.inner(v) == QI(5)
+
+
+def test_supp_vector_inner_product_conjugates_its_first_argument():
+    # the loop runs over the smaller support, whichever argument holds it
+    basis = R.GroupBasis(2)
+    v = R.SuppVector(basis, {W.unit(2): QI(0, 1), W.gen(2, 1): QI(2)})
+    w = R.SuppVector(basis, {W.unit(2): QI(3)})
+    assert w.inner(v) == QI(0, 3) == v.inner(w).conjugate()
+    with pytest.raises(ValueError, match="vectors live over different bases"):
+        v.inner(R.SuppVector.basis_vector(R.GroupBasis(3), W.unit(3)))
+
+
+@pytest.mark.parametrize(
+    "basis,label,text",
+    [
+        (R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.gen(2, 2)), "e[g2]"),
+        (R.GroupBasis(2), W.gen(2, 1), "eg1"),
+        (R.PairGroupBasis(2, 2), (W.gen(2, 1), W.unit(2)), "e(g1(x)1)"),
+        (
+            R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(2, 2)),
+            (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(2, 2, W.gen(2, 1))),
+            "e([g2](x)[g1])",
+        ),
+    ],
+    ids=["CosetBasis", "GroupBasis", "PairGroupBasis", "CosetPairBasis"],
+)
+def test_supp_vector_text_on_every_basis(basis, label, text):
+    """A pair label prints as its two slots joined by ``(x)`` in parentheses."""
+    v = R.SuppVector.basis_vector(basis, label)
+    assert str(v) == "1*" + text
+    assert str(3 * v) == "3*" + text
+    assert str(v - v) == "0"
 
 
 def test_supp_vector_basis_mismatch():

@@ -287,6 +287,12 @@ def test_kernel_witness_range_check():
         W.kernel_witness(2, 2, 3, 1, 1, 2)
 
 
+def test_kernel_witness_column_range_check():
+    for j, k in ((3, 1), (1, 0)):
+        with pytest.raises(ValueError, match=r"column indices must lie in 1\.\.2"):
+            W.kernel_witness(2, 2, 1, 2, j, k)
+
+
 # -- lifts -------------------------------------------------------------------------
 
 
@@ -345,6 +351,17 @@ def test_lifts_reject_bad_ranks(bad):
         W.lift_first(W.gen(2, 1), bad)
     with pytest.raises(ValueError, match=msg):
         W.lift_second(W.gen(2, 1), bad)
+
+
+def test_witness_constructions_refuse_infinite_rank():
+    x, y = W.gen(INFINITE, 1), W.gen(2, 1)
+    for lift in (W.lift_first, W.lift_second):
+        with pytest.raises(ValueError, match="lift requires a finite-rank word"):
+            lift(x, 2)
+    for witness in (W.cancellation_witness_left, W.cancellation_witness_right):
+        for pair in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="cancellation witnesses require finite ranks"):
+                witness(*pair)
 
 
 # -- cancellation witnesses ----------------------------------------------------------
@@ -428,6 +445,16 @@ def test_cyclicity_witness_posts_seeded():
         assert rest.is_unit or (len(rest.syllables) == 1 and rest.syllables[0].gen == j)
 
 
+def test_cyclicity_witness_refusals():
+    x = W.gen(2, 1)
+    for i, j in ((0, 1), (3, 1), (1, 0), (1, 3)):
+        with pytest.raises(ValueError, match="subgroup indices out of range"):
+            W.cyclicity_witness(2, 2, i, j, x, x)
+    for pair in ((W.gen(3, 1), x), (x, W.gen(3, 1))):
+        with pytest.raises(ValueError, match="ambient mismatch with declared ranks"):
+            W.cyclicity_witness(2, 2, 1, 1, *pair)
+
+
 # -- enumerate_ball ---------------------------------------------------------------------
 
 
@@ -466,6 +493,16 @@ def test_enumerate_ball_infinite_needs_cutoff():
         W.enumerate_ball(INFINITE, 2)
     ball = W.enumerate_ball(INFINITE, 2, max_gen=2)
     assert len(ball) == ball_size(2, 2)
+
+
+def test_enumerate_ball_refuses_a_negative_radius():
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        W.enumerate_ball(2, -1)
+
+
+def test_random_word_of_infinite_rank_needs_cutoff():
+    with pytest.raises(ValueError, match="infinite rank needs max_gen"):
+        random_reduced_word(random.Random(0), INFINITE, 3)
 
 
 # -- words as data -----------------------------------------------------------------------
