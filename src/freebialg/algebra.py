@@ -83,16 +83,29 @@ def _max_deviation(a: "_Linear", b: "_Linear") -> float:
 
 def _merge(pairs, exact: bool) -> dict:
     """Sum the coefficients of equal labels, in first-seen order, and drop the
-    zero sums (approximate ones within ``DEFAULT_TOL`` of zero)."""
+    zero sums (approximate ones within ``DEFAULT_TOL`` of zero, and NaN).
+
+    A new label costs one hash: ``setdefault`` inserts it, and an unchanged
+    size says it was there already (an ``is`` test cannot, since shared
+    coefficients such as ``ONE`` repeat).  The zero sums are deleted in
+    place; a dict never shrinks on deletion, so when most entries went the
+    survivors are copied into a compact dict."""
     acc: dict = {}
+    setdefault = acc.setdefault
+    size = 0
     for label, c in pairs:
-        if label in acc:
-            acc[label] = acc[label] + c
+        v = setdefault(label, c)
+        if len(acc) == size:
+            acc[label] = v + c
         else:
-            acc[label] = c
+            size += 1
     if exact:
-        return {k: v for k, v in acc.items() if v}
-    return {k: v for k, v in acc.items() if abs(v) > DEFAULT_TOL}
+        zeros = [k for k, v in acc.items() if not v]
+    else:
+        zeros = [k for k, v in acc.items() if not abs(v) > DEFAULT_TOL]
+    for k in zeros:
+        del acc[k]
+    return acc.copy() if len(zeros) > len(acc) else acc
 
 
 class _Linear:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement
 from .bialgebra import DirectSumElement
 from .scalars import QI
-from .words import Rank, ReducedWord, Syllable, _as_rank
+from .words import Rank, ReducedWord, Syllable, _as_rank, _syllable
 
 __all__ = [
     "random_reduced_word",
@@ -39,9 +39,9 @@ def random_reduced_word(
             if last.gen != g or (last.exp > 0) == (e > 0):
                 break
         if sylls and sylls[-1].gen == g:
-            sylls[-1] = Syllable(g, sylls[-1].exp + e)
+            sylls[-1] = _syllable(g, sylls[-1].exp + e)
         else:
-            sylls.append(Syllable(g, e))
+            sylls.append(_syllable(g, e))
     return ReducedWord._new(ambient, tuple(sylls))
 
 

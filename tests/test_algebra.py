@@ -673,3 +673,91 @@ def test_basis_element_checkers_build_no_linear_element(monkeypatch):
     for x in W.enumerate_ball(2, 1):
         for h in W.enumerate_ball(4, 1):
             assert R.intertwine_check(2, 2, x, h, W.reduce(4, [(2, 1), (3, -1)]))
+
+
+# -- the merge ------------------------------------------------------------------------------
+#
+# ``_merge`` is the one place where coefficients are summed.  Each case is
+# checked against this copy of its plain form: a membership test, a read and
+# a write per pair, then a rebuilt dict without the zero sums.
+
+
+def _plain_merge(pairs, exact):
+    acc = {}
+    for label, c in pairs:
+        if label in acc:
+            acc[label] = acc[label] + c
+        else:
+            acc[label] = c
+    if exact:
+        return {k: v for k, v in acc.items() if v}
+    return {k: v for k, v in acc.items() if abs(v) > DEFAULT_TOL}
+
+
+def _merge_both(pairs, exact):
+    import freebialg.algebra as A
+
+    got, want = A._merge(iter(pairs), exact), _plain_merge(pairs, exact)
+    assert list(got.items()) == list(want.items())
+    return got
+
+
+def test_repeated_labels_sum_in_every_space():
+    from freebialg.bialgebra import DirectSumElement
+    from freebialg.scalars import ONE
+
+    w, v = W.gen(2, 1), W.gen(3, 2, -1)
+    two = QI(2)
+    assert AlgebraElement(2, [(w, ONE), (w, ONE)]).coefficient(w) == two
+    assert TensorElement((2, 3), [((w, v), ONE), ((w, v), ONE)]).coefficient((w, v)) == two
+    one = AlgebraElement.from_word(w)
+    assert DirectSumElement([(2, one), (2, one)]).terms == {w: two}
+    assert (one + one).terms == {w: two}
+    assert _merge_both([(w, ONE), (w, ONE)], True) == {w: two}
+    assert _merge_both([((w, v), ONE)] * 3, True) == {(w, v): QI(3)}
+
+
+def test_cancelled_labels_go_and_survivors_keep_first_order_and_key():
+    words = [W.reduce(3, [(g, e)]) for g in (1, 2, 3) for e in (1, -2)]
+    # equal words that are other objects than the first-seen ones
+    again = [W.reduce(3, list(w.syllables)) for w in words]
+    assert all(a == w and a is not w for a, w in zip(again, words))
+    pairs = [(w, QI(k + 1)) for k, w in enumerate(words)]
+    pairs += [(again[1], QI(-2)), (again[4], QI(-5)), (again[0], QI(3)), (again[5], QI(0, 1))]
+    got = _merge_both(pairs, True)
+    assert list(got) == [words[0], words[2], words[3], words[5]]
+    assert all(any(k is w for w in words) for k in got)
+    assert got[words[0]] == QI(4) and got[words[5]] == QI(6, 1)
+    # a zero coefficient that arrives alone is dropped too
+    assert _merge_both([(words[0], QI(0)), (words[1], QI(1))], True) == {words[1]: QI(1)}
+
+
+def test_approximate_sums_at_the_threshold():
+    w, v, u = W.gen(2, 1), W.gen(2, 2), W.gen(2, 1, 2)
+    nan = float("nan")
+    pairs = [
+        (w, complex(DEFAULT_TOL)),
+        (v, complex(DEFAULT_TOL)),
+        (v, complex(DEFAULT_TOL)),
+        (u, complex(nan, 0)),
+    ]
+    assert _merge_both(pairs, False) == {v: complex(2 * DEFAULT_TOL)}
+    assert AlgebraElement(2, {w: 1j * DEFAULT_TOL, v: 2 * DEFAULT_TOL}, exact=False).terms == {
+        v: complex(2 * DEFAULT_TOL)
+    }
+    assert AlgebraElement(2, {w: complex(nan, 1.0)}, exact=False).is_zero
+
+
+def test_mostly_cancelled_sums_are_stored_compactly():
+    import sys
+
+    n = 30_000
+    ws = [W.gen(n, g) for g in range(1, n + 1)]
+    x = AlgebraElement._wrap(W.Rank(n), {w: QI(g) for g, w in enumerate(ws, 1)}, True)
+    assert sys.getsizeof((x + (-x)).terms) == sys.getsizeof({})
+    # ten survivors of 30,000 labels take the room of ten
+    y = AlgebraElement._wrap(x.ambient, {w: QI(-g) for g, w in enumerate(ws[10:], 11)}, True)
+    left = (x + y).terms
+    assert list(left) == ws[:10]
+    assert sys.getsizeof(left) == sys.getsizeof(dict(left))
+    assert sys.getsizeof(left) < sys.getsizeof(x.terms) // 100

@@ -73,6 +73,21 @@ def test_parse_error_messages(parse, text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("F2: g0", "generator index 0 out of range for F2 (at offset 4)"),
+        ("Finf: g0", "generator index 0 out of range for Finf (at offset 6)"),
+        ("F2: g1*g3", "generator index 3 out of range for F2 (at offset 7)"),
+    ],
+)
+def test_generator_index_errors_use_the_word_wording(text, message):
+    """The parser names a bad generator index as the word layer does; index 0
+    exceeds no rank."""
+    report, code = run(["delta", text])
+    assert (report, code) == ({"error": message}, 2)
+
+
 def test_zero_coefficient_terms_parse():
     assert parse_element("F2: 0*g1").is_zero
     assert parse_element("F2: 0*g1 + g2") == parse_element("F2: g2")

@@ -216,12 +216,17 @@ def split_by_letters(z, m, left_rank, right_rank):
     return left.syllables, right.syllables
 
 
+# generator indices and exponents reach past the shared syllable table
+SPLIT_RANK, SPLIT_EXP = 2 * W._TABLE_GENS + 12, W._TABLE_EXP + 4
+
+
 @st.composite
 def split_cases(draw):
-    """``(n, m, z)`` with ``z`` a word of rank ``n*m <= 12``."""
-    k = draw(st.integers(1, 12))
+    """``(n, m, z)`` with ``z`` a word of rank ``n*m <= SPLIT_RANK``."""
+    k = draw(st.integers(1, SPLIT_RANK))
     n = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
-    pairs = draw(st.lists(st.tuples(st.integers(1, k), st.integers(-3, 3)), max_size=10))
+    exps = st.integers(-SPLIT_EXP, SPLIT_EXP)
+    pairs = draw(st.lists(st.tuples(st.integers(1, k), exps), max_size=10))
     return n, k // n, W.reduce(k, pairs)
 
 
@@ -232,6 +237,9 @@ def split_cases(draw):
 @example((2, 2, W.reduce(4, [(1, 1), (4, 1), (2, -1), (3, -1), (1, 1)])))
 @example((2, 2, W.kernel_witness(2, 2, 1, 2, 1, 2)))
 @example((2, 3, W.reduce(6, [(5, 2), (4, -2), (1, 1), (3, -1)])))
+@example((1, 30, W.reduce(30, [(30, 9), (25, -12), (2, 5)])))
+@example((30, 1, W.reduce(30, [(30, 9), (25, -12), (30, 4)])))
+@example((2, 2, W.reduce(4, [(1, 8), (2, 1), (3, -9), (4, -1)])))
 @given(split_cases())
 def test_phi_matches_the_letter_split(case):
     n, m, z = case
@@ -239,10 +247,16 @@ def test_phi_matches_the_letter_split(case):
     assert (p.syllables, q.syllables) == split_by_letters(z, m, n, m)
 
 
-# infinite-rank words over the first 5 generators
+# infinite-rank words over the first SPLIT_RANK generators
 @example([(1, 1), (2, 1), (4, -1), (3, -1)], 2)
 @example([(5, 2), (1, -1), (3, 1)], 2)
-@given(st.lists(st.tuples(st.integers(1, 5), st.integers(-3, 3)), max_size=10), st.integers(1, 4))
+@example([(50, 9), (26, -12), (2, 3)], 2)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, SPLIT_RANK), st.integers(-SPLIT_EXP, SPLIT_EXP)), max_size=10
+    ),
+    st.integers(1, 4),
+)
 def test_phi_inf_matches_the_letter_split(pairs, n):
     z = W.reduce(INFINITE, pairs)
     p, q = W.phi_inf(n, z)
@@ -447,7 +461,7 @@ def test_cyclicity_witness_posts_seeded():
 
 def test_cyclicity_witness_refusals():
     x = W.gen(2, 1)
-    for i, j in ((0, 1), (3, 1), (1, 0), (1, 3)):
+    for i, j in ((0, 1), (3, 1), (1, 0), (1, 3), (1, 2.0), (True, 1), (1, True)):
         with pytest.raises(ValueError, match="subgroup indices out of range"):
             W.cyclicity_witness(2, 2, i, j, x, x)
     for pair in ((W.gen(3, 1), x), (x, W.gen(3, 1))):
@@ -551,6 +565,117 @@ def test_word_validation_unchanged():
         with pytest.raises(dataclasses.FrozenInstanceError):
             word.ambient = Rank(3)
         assert word.syllables == ((1, 1), (2, -1))
+
+
+# A float or a bool equals an int, and True == 1, but neither is a generator
+# index or an exponent: each constructor refuses them instead of printing
+# ``g1^1.5`` or ``gTrue``.
+NOT_INT_SYLLABLES = [(1, 1.5), (1.0, 1), (True, 2), (1, True), (2, 2.0), (1, 0.0)]
+
+
+@pytest.mark.parametrize("syllable", NOT_INT_SYLLABLES)
+def test_word_constructors_refuse_syllables_that_are_not_ints(syllable):
+    msg = "generator index and exponent must be ints"
+    with pytest.raises(ValueError, match=msg):
+        ReducedWord(Rank(2), [syllable])
+    with pytest.raises(ValueError, match=msg):
+        W.reduce(2, [syllable, (2, 1)])
+    with pytest.raises(ValueError, match=msg):
+        W.gen(2, *syllable)
+
+
+def test_int_syllables_still_build_words():
+    assert str(ReducedWord(Rank(2), [(1, 2), [2, -1]])) == "g1^2*g2^-1"
+    assert W.gen(2, 5, 0).is_unit  # exponent 0 is the unit, as before
+    with pytest.raises(ValueError, match="generator index 3 out of range for F2"):
+        W.reduce(2, [(3, 1)])
+
+
+# -- shared syllables -----------------------------------------------------------
+#
+# The library takes the syllables it builds from one table and falls back to
+# a new tuple outside it; a shared syllable is the same value as a new one.
+
+GENS, EXPS = W._TABLE_GENS, W._TABLE_EXP
+
+
+def _shared(s):
+    return s is W._SYLLABLES[s.gen][s.exp]
+
+
+def _in_range_results():
+    """Words built by the table's users, every syllable inside the table."""
+    z = W.reduce(12, [(1, 2), (5, -1), (12, 3), (7, 1), (8, -2)])
+    yield from W.phi(3, 4, z)
+    yield from W.phi(4, 3, z)
+    yield from W.phi_inf(3, W.reduce(INFINITE, [(20, 2), (4, -1), (6, 1)]))
+    yield W.multiply(W.gen(3, 1, 2), W.gen(3, 1, 3))  # the seam merges
+    yield W.multiply(z, z.inverse() * W.gen(12, 8, 5))
+    yield z.inverse()
+    yield from W.enumerate_ball(GENS, 2)
+    yield from W.enumerate_ball(2, EXPS)
+    yield W.gen(GENS, GENS, -EXPS)
+    yield W.reduce(GENS, [(GENS, EXPS), (1, -EXPS)])
+    yield from W.lift_first(z, 2)
+    yield W.cyclicity_witness(3, 4, 1, 2, W.gen(3, 3, -2), W.gen(4, 4, 1))
+
+
+def test_in_range_syllables_are_the_tables_own():
+    for w in _in_range_results():
+        assert all(map(_shared, w.syllables)), w
+
+
+def _record_fallbacks(monkeypatch) -> list:
+    """Wrap the fallback constructor; return the list of ``(g, e)`` it builds."""
+    built = []
+
+    def recording_new(cls, args):
+        built.append(args)
+        return tuple.__new__(cls, args)
+
+    monkeypatch.setattr(W, "_tuple_new", recording_new)
+    return built
+
+
+def test_in_range_syllables_never_reach_the_fallback(monkeypatch):
+    built = _record_fallbacks(monkeypatch)
+    assert sum(len(w.syllables) for w in _in_range_results()) > 1000
+    assert built == []
+
+
+def _past_the_table():
+    """Words whose syllables lie just past each bound of the table."""
+    big = W.Rank(10**40)
+    yield W.gen(GENS + 1, GENS + 1)
+    yield W.gen(2, 1, EXPS + 1)
+    yield W.gen(2, 2, -EXPS - 1)
+    yield W.multiply(W.gen(2, 1, EXPS), W.gen(2, 1))  # the seam leaves the table
+    yield W.reduce(2, [(1, -EXPS), (1, -1)])
+    yield W.gen(2, 1, EXPS + 1).inverse()
+    yield from W.phi(1, GENS + 1, W.gen(GENS + 1, GENS + 1, 3))
+    yield from W.phi(GENS + 1, 1, W.reduce(GENS + 1, [(GENS + 1, 1), (1, EXPS + 1)]))
+    yield from W.phi(2, 2, W.reduce(4, [(1, EXPS), (2, 1)]))  # merges past the bound
+    yield W.enumerate_ball(GENS + 1, 1)[-1]
+    yield W.enumerate_ball(1, EXPS + 1)[-1]
+    yield W.gen(big, 10**40 - 1, 3)
+    yield W.multiply(W.gen(big, 7, 2), W.gen(big, 7, 10**40))
+
+
+def test_syllables_past_the_table_fall_back_to_equal_new_ones(monkeypatch):
+    built = _record_fallbacks(monkeypatch)
+    past = 0
+    for w in _past_the_table():
+        for s in w.syllables:
+            g, e = s
+            new = W.Syllable(g, e)
+            assert type(s) is W.Syllable and s == new and hash(s) == hash(new)
+            assert (s.gen, s.exp) == (g, e)
+            if g <= GENS and -EXPS <= e <= EXPS:
+                assert _shared(s)
+            else:
+                assert (g, e) in built
+                past += 1
+    assert past == 15
 
 
 # -- slotted words --------------------------------------------------------------
