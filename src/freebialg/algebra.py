@@ -9,6 +9,7 @@ inside one element or one operation; converting is always explicit via
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from functools import partial
 
@@ -89,16 +90,28 @@ def _merge(pairs, exact: bool) -> dict:
     size says it was there already (an ``is`` test cannot, since shared
     coefficients such as ``ONE`` repeat).  The zero sums are deleted in
     place; a dict never shrinks on deletion, so when most entries went the
-    survivors are copied into a compact dict."""
-    acc: dict = {}
-    setdefault = acc.setdefault
-    size = 0
-    for label, c in pairs:
-        v = setdefault(label, c)
-        if len(acc) == size:
-            acc[label] = v + c
-        else:
-            size += 1
+    survivors are copied into a compact dict.
+
+    The cyclic collector is paused while the pairs are consumed: the words,
+    scalars and term dicts built here form no reference cycles, so its
+    passes over them free nothing.  It is re-enabled on the way out, also
+    when the pair stream raises, and only if it was enabled on the way in,
+    so a merge nested in a pair stream leaves that to the outermost one."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        acc: dict = {}
+        setdefault = acc.setdefault
+        size = 0
+        for label, c in pairs:
+            v = setdefault(label, c)
+            if len(acc) == size:
+                acc[label] = v + c
+            else:
+                size += 1
+    finally:
+        if enabled:
+            gc.enable()
     if exact:
         zeros = [k for k, v in acc.items() if not v]
     else:

@@ -14,6 +14,7 @@ not failures, and do not affect the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -596,6 +597,13 @@ def _probe(args):
     return {"command": "probe", "radius": args.radius, "reports": reports}, 0, text
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was, and a
+    # build costs about 50 times a parse
+    return build_parser()
+
+
 def _requested_format(argv: list[str]) -> str:
     # the output format of an argv the full parser rejected: read the
     # --format flag alone, wherever it stands, and fall back to JSON
@@ -615,7 +623,7 @@ def _invoke(argv: list[str]) -> tuple[str, tuple[dict, int, str]]:
     """Parse ``argv`` and run its handler; return the output format and the
     handler's ``(report, exit code, text)``."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse rejects an argv by exiting
         if exc.code == 0:  # --help has printed its text
             raise

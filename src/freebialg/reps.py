@@ -17,6 +17,7 @@ from .algebra import DEFAULT_TOL, _Linear, _label_str
 from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
+    _check_radius,
     _rank,
     enumerate_ball,
     gen,
@@ -390,8 +391,7 @@ def orbit_bfs(
     """All pairs reachable from ``start`` by at most ``radius`` left
     multiplications with pair images of rank-``n*m`` generators or their
     inverses."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     g0, h0 = start
     if g0.ambient.n != n or h0.ambient.n != m:
         raise ValueError("start pair does not match the declared ranks")

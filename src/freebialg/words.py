@@ -516,6 +516,13 @@ def cyclicity_witness(
     return multiply(zp, tail)
 
 
+def _check_radius(radius) -> None:
+    if type(radius) is not int:
+        raise ValueError(f"radius must be an int, got {radius!r}")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+
+
 def enumerate_ball(
     ambient: Rank | int, radius: int, max_gen: int | None = None
 ) -> list[ReducedWord]:
@@ -526,11 +533,12 @@ def enumerate_ball(
     ranges over the first ``max_gen`` generators.
     """
     ambient = _as_rank(ambient)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     if ambient.is_infinite:
         if max_gen is None:
             raise ValueError("enumerating an infinite-rank ball requires max_gen")
+        if type(max_gen) is not int or max_gen < 1:
+            raise ValueError(f"max_gen must be a positive int, got {max_gen!r}")
         span = max_gen
     else:
         span = ambient.n
@@ -564,8 +572,7 @@ def ball_size(rank: int, radius: int) -> int:
     (17, 17)
     """
     _rank(rank)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     if rank == 1:
         return 2 * radius + 1
     return 1 + 2 * rank * ((2 * rank - 1) ** radius - 1) // (2 * rank - 2)

@@ -761,3 +761,126 @@ def test_mostly_cancelled_sums_are_stored_compactly():
     assert list(left) == ws[:10]
     assert sys.getsizeof(left) == sys.getsizeof(dict(left))
     assert sys.getsizeof(left) < sys.getsizeof(x.terms) // 100
+
+
+# -- the collector pause ------------------------------------------------------------
+#
+# ``_merge`` runs with the cyclic collector paused and leaves it as it found
+# it.  Each test restores the collector in its own ``finally``, so a failure
+# here cannot leave it off for the rest of the session.
+
+
+def test_merge_leaves_an_enabled_collector_enabled():
+    import gc
+
+    import freebialg.algebra as A
+
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        w = W.gen(2, 1)
+        assert A._merge(iter([(w, QI(1)), (w, QI(2))]), True) == {w: QI(3)}
+        assert gc.isenabled()
+        assert AlgebraElement(2, {w: 1}) * AlgebraElement(2, {w: 1}) == AlgebraElement(
+            2, {W.gen(2, 1, 2): 1}
+        )
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_merge_reenables_the_collector_when_the_stream_raises():
+    import gc
+
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        # the first label is good; the second is of the wrong rank
+        with pytest.raises(ValueError, match="does not live in F2"):
+            AlgebraElement(2, {W.gen(2, 1): 1, W.gen(3, 1): 1})
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="does not live in F2"):
+            AlgebraElement(2, {W.gen(3, 1): 1})
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_merge_leaves_a_disabled_collector_disabled():
+    import gc
+
+    import freebialg.algebra as A
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        w = W.gen(2, 1)
+        assert A._merge(iter([(w, QI(1))]), True) == {w: QI(1)}
+        assert not gc.isenabled()
+        with pytest.raises(ValueError):
+            AlgebraElement(2, {W.gen(3, 1): 1})
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_a_nested_merge_leaves_the_collector_to_the_outermost():
+    import gc
+
+    import freebialg.algebra as A
+
+    seen = []
+    w, v = W.gen(2, 1), W.gen(2, 2)
+
+    def stream():
+        seen.append(gc.isenabled())
+        inner = A._merge(iter([(v, QI(1)), (v, QI(1))]), True)
+        seen.append(gc.isenabled())
+        yield w, QI(1)
+        yield from inner.items()
+
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        assert A._merge(stream(), True) == {w: QI(1), v: QI(2)}
+        assert seen == [False, False]
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_the_engine_makes_no_reference_cycles():
+    """The pause is sound only while no operation leaves cyclic garbage:
+    run each kind of operation with the collector off and count what a
+    full collection then finds."""
+    import gc
+
+    from freebialg import cli
+    from freebialg.bialgebra import DirectSumElement, coassoc_check
+    from freebialg.text import parse_element
+
+    # warm the caches a first call fills: the parser, the check registry
+    cli.run(["delta", "F2: g1"])
+    cli.run(["verify", "words"])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        x = el("F2: 1/2*g1*g2^-1 + (1-2i)*g2^3 - 1")
+        y = el("F2: g1^2 + 2/3*g2*g1 + (0+1i)*g2^-1")
+        z = el("F6: g6*g1^-2 - 1/5*g4")
+        results = [
+            x * y,
+            (x * y) * x,
+            x.star(),
+            varphi_alg(2, 1, x),
+            delta_phi(DirectSumElement({2: x, 6: z})),
+            coassoc_check(DirectSumElement({2: y, 6: z})),
+            parse_element("F6: (1/2-3i)*g1*g5^-2 + 2*g6 - 1"),
+            cli.run(["delta", "F6: g2*g3^-1 + 1/2*g1"]),
+            cli.run(["verify", "words"]),
+        ]
+        del results, x, y, z
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if enabled else gc.disable)()

@@ -870,3 +870,51 @@ def test_reports_hold_only_public_keys(argv, capsys):
     assert not [key for key in report if key.startswith("_")]
     assert main(argv) == code
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
+
+
+# -- the cached parser ---------------------------------------------------------------
+
+
+def test_the_cached_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    """Calls through the one cached parser print what calls through a fresh
+    parser each print, whatever flags the calls before them set."""
+    from freebialg import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    plain = ["verify", "morphisms"]
+    delta = ["delta", "F2: g1*g2^-1 + 1/2*g2"]
+    calls = [
+        (cli.run, plain),
+        (cli.main, ["--seed", "3", *plain]),
+        (cli.run, plain),
+        (cli.main, [*plain, "--tol", "0"]),
+        (cli.main, plain),
+        (cli.run, [*plain, "--seed", "3"]),
+        (cli.main, ["--format", "text", *delta]),
+        (cli.main, delta),
+        (cli.run, ["--tol", "0", *plain]),
+        (cli.main, [*delta, "--format", "text"]),
+        (cli.run, delta),
+        (cli.main, ["--format", "text", "--seed", "x", *plain]),
+        (cli.main, plain),
+        (cli.run, plain),
+        (cli.main, delta),
+    ]
+
+    def outputs():
+        got = []
+        for call, argv in calls:
+            result = call(argv)
+            got.append((result, capsys.readouterr().out))
+        return got
+
+    cached = outputs()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == outputs()
+    # the flags show in the output, so a value left over from an earlier
+    # call would too
+    assert cached[1][1] != cached[4][1] and cached[3][0] == 1 and cached[4][0] == 0
+    assert cached[6][1] == cached[9][1] != cached[7][1]
+    assert cached[11] == (2, "error: usage\n")
+    assert cached[0] == cached[2] == cached[13] and cached[4] == cached[12]

@@ -522,6 +522,8 @@ def test_orbit_bfs_refusals():
     u2, u3 = W.unit(2), W.unit(3)
     with pytest.raises(ValueError, match="radius must be nonnegative"):
         R.orbit_bfs(2, 2, (u2, u2), -1)
+    with pytest.raises(ValueError, match="radius must be an int, got 2.0"):
+        R.orbit_bfs(2, 2, (u2, u2), 2.0)
     for start in ((u3, u2), (u2, u3)):
         with pytest.raises(ValueError, match="start pair does not match the declared ranks"):
             R.orbit_bfs(2, 2, start, 1)

@@ -514,6 +514,30 @@ def test_enumerate_ball_refuses_a_negative_radius():
         W.enumerate_ball(2, -1)
 
 
+@pytest.mark.parametrize("radius", [2.0, True, "2", None])
+def test_ball_radius_must_be_an_int(radius):
+    for call in (
+        lambda: W.enumerate_ball(2, radius),
+        lambda: W.enumerate_ball(INFINITE, radius, 2),
+        lambda: W.ball_size(2, radius),
+    ):
+        with pytest.raises(ValueError, match=f"radius must be an int, got {radius!r}"):
+            call()
+
+
+@pytest.mark.parametrize("max_gen", [0, -1, 2.0, True, "2"])
+def test_infinite_ball_cutoff_must_be_a_positive_int(max_gen):
+    with pytest.raises(ValueError, match=f"max_gen must be a positive int, got {max_gen!r}"):
+        W.enumerate_ball(INFINITE, 2, max_gen)
+
+
+def test_ball_arguments_at_their_edges():
+    assert len(W.enumerate_ball(INFINITE, 2, 1)) == ball_size(1, 2) == 5
+    assert W.enumerate_ball(2, 0) == [W.unit(2)] and W.ball_size(2, 0) == 1
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        W.enumerate_ball(INFINITE, -1, 2)
+
+
 def test_random_word_of_infinite_rank_needs_cutoff():
     with pytest.raises(ValueError, match="infinite rank needs max_gen"):
         random_reduced_word(random.Random(0), INFINITE, 3)
