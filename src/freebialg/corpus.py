@@ -24,9 +24,16 @@ def random_reduced_word(
     """A uniformly-lengthed non-backtracking random walk, hence exactly
     reduced.  For infinite rank a generator cutoff is required."""
     ambient = _as_rank(ambient)
-    span = max_gen if ambient.is_infinite else ambient.n
+    # exact type tests, as in ``words.enumerate_ball``: True is no length
+    if type(max_len) is not int or max_len < 0:
+        raise ValueError(f"max_len must be a nonnegative int, got {max_len!r}")
+    span = ambient.n
     if span is None:
-        raise ValueError("infinite rank needs max_gen")
+        if max_gen is None:
+            raise ValueError("infinite rank needs max_gen")
+        if type(max_gen) is not int or max_gen < 1:
+            raise ValueError(f"max_gen must be a positive int, got {max_gen!r}")
+        span = max_gen
     length = rng.randint(0, max_len)
     sylls: list[Syllable] = []
     for _ in range(length):

@@ -55,7 +55,8 @@ __all__ = [
 
 def _check_index(n: int, i: int) -> None:
     """Raise unless ``g_i`` is a generator of the rank-``n`` free group."""
-    if not 1 <= i <= n:
+    # an exact type test, as ``Rank.allows`` makes: 1.5 and True are no index
+    if type(i) is not int or not 1 <= i <= n:
         _rank(n)  # a rank below 1 is reported as such, not as a bad index
         raise ValueError(f"generator index {i} out of range for F{n}")
 
@@ -173,16 +174,27 @@ class Coset:
         return f"[{self.rep}]"
 
 
+def _coset_label(sylls: tuple, i: int) -> tuple:
+    """The syllables of the canonical representative of the coset
+    ``w<g_i>``, for the syllables ``sylls`` of ``w``: a trailing ``g_i``
+    syllable stripped.  Two words lie in one coset exactly when their labels
+    are equal."""
+    if sylls and sylls[-1][0] == i:
+        return sylls[:-1]
+    return sylls
+
+
 def coset_normal_form(n: int, i: int, w: ReducedWord) -> Coset:
     """Strip the maximal trailing power of ``g_i``; two words land on equal
     cosets exactly when they differ by a right factor in ``<g_i>``."""
     if w.ambient.n != n:
         raise ValueError(f"word lives in {w.ambient}, expected F{n}")
-    if not 1 <= i <= n:
+    if type(i) is not int or not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for F{n}")
     sylls = w.syllables
-    if sylls and sylls[-1].gen == i:
-        w = ReducedWord._new(w.ambient, sylls[:-1])
+    label = _coset_label(sylls, i)
+    if label is not sylls:
+        w = ReducedWord._new(w.ambient, label)
     # canonical by construction, so built without the checking constructor
     c = _object_new(Coset)
     d = c.__dict__
@@ -360,11 +372,13 @@ def cyclicity_check(
     The action permutes basis vectors, so the test compares labels: the base
     label is the pair of trivial cosets, which the pair image ``(p, q)`` of
     the witness moves to ``([p], [q])``, and the target is ``([x], [y])``.
+    Each coset is compared by its label, so no :class:`Coset` is built.
     """
     z = _cyclicity_witness(n, m, i, j, x, y)
     p, q = phi(n, m, z)
-    moved = (coset_normal_form(n, i, p), coset_normal_form(m, j, q))
-    return moved == (coset_normal_form(n, i, x), coset_normal_form(m, j, y))
+    return _coset_label(p.syllables, i) == _coset_label(x.syllables, i) and (
+        _coset_label(q.syllables, j) == _coset_label(y.syllables, j)
+    )
 
 
 def lambda_action(n: int, x: ReducedWord, v: SuppVector) -> SuppVector:

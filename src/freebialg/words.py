@@ -209,7 +209,7 @@ class ReducedWord:
 
     @property
     def exponent_sum(self) -> int:
-        return sum(s.exp for s in self.syllables)
+        return _exponent_sum(self.syllables)
 
     def letters(self) -> Iterator[Syllable]:
         """Yield single-letter syllables ``g^{+-1}`` left to right."""
@@ -279,6 +279,28 @@ def gen(ambient: Rank | int, i: int, exp: int = 1) -> ReducedWord:
     if type(exp) is not int or not ambient.allows(i):
         raise _bad_syllable(ambient, i, exp)
     return ReducedWord._new(ambient, (_syllable(i, exp),))
+
+
+def _exponent_sum(sylls: tuple[Syllable, ...]) -> int:
+    return sum([e for _, e in sylls])
+
+
+def _power_times(k: int, t: int, sylls: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
+    """The syllables of ``g_k^t * w`` for the syllables ``sylls`` of a reduced
+    word ``w``: only the seam can merge, and a syllable that cancels is
+    dropped, leaving a seam of two distinct generators."""
+    if not t:
+        return sylls
+    if sylls and sylls[0][0] == k:
+        e = sylls[0][1] + t
+        return ((_syllable(k, e),) if e else ()) + sylls[1:]
+    return (_syllable(k, t),) + sylls
+
+
+def _column(sylls: tuple[Syllable, ...], m: int, j: int) -> tuple[Syllable, ...]:
+    """The syllables ``g_t^e`` read as ``g_{m(t-1)+j}^e`` of rank ``n*m``: the
+    letter map is injective, so a reduced word stays reduced."""
+    return tuple([_syllable(m * (g - 1) + j, e) for g, e in sylls])
 
 
 def _push(stack: list[Syllable], g: int, e: int) -> None:
@@ -440,11 +462,8 @@ def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
     if x.ambient.is_infinite:
         raise ValueError("lift requires a finite-rank word")
     n = x.ambient.n
-    z = ReducedWord._new(
-        _rank(n * m),
-        tuple([_syllable(m * (g - 1) + 1, e) for g, e in x.syllables]),
-    )
-    y = gen(m, 1, x.exponent_sum)
+    z = ReducedWord._new(_rank(n * m), _column(x.syllables, m, 1))
+    y = ReducedWord._new(_rank(m), _power_times(1, _exponent_sum(x.syllables), ()))
     return y, z
 
 
@@ -458,7 +477,7 @@ def lift_second(y: ReducedWord, n: int) -> tuple[ReducedWord, ReducedWord]:
         raise ValueError("lift requires a finite-rank word")
     m = y.ambient.n
     z = ReducedWord._new(_rank(n * m), y.syllables)
-    x = gen(n, 1, y.exponent_sum)
+    x = ReducedWord._new(_rank(n), _power_times(1, _exponent_sum(y.syllables), ()))
     return x, z
 
 
@@ -467,26 +486,30 @@ def cancellation_witness_left(
 ) -> tuple[ReducedWord, ReducedWord]:
     """Return ``(xp, z)`` with ``phi(z) * (xp, 1) = (x, y)`` componentwise.
 
-    Built from :func:`lift_second`: if ``phi(z) = (x2, y)`` then
-    ``xp = x2^-1 * x`` corrects the first slot.
+    ``z`` is the lift of ``y`` by :func:`lift_second`, with ``phi(z) =
+    (g_1^s, y)`` for the exponent sum ``s`` of ``y``, so ``xp = g_1^-s * x``.
     """
-    n = x.ambient.n
-    if n is None or y.ambient.n is None:
+    n, m = x.ambient.n, y.ambient.n
+    if n is None or m is None:
         raise ValueError("cancellation witnesses require finite ranks")
-    x2, z = lift_second(y, n)
-    xp = multiply(x2.inverse(), x)
+    z = ReducedWord._new(_rank(n * m), y.syllables)
+    xp = ReducedWord._new(x.ambient, _power_times(1, -_exponent_sum(y.syllables), x.syllables))
     return xp, z
 
 
 def cancellation_witness_right(
     x: ReducedWord, y: ReducedWord
 ) -> tuple[ReducedWord, ReducedWord]:
-    """Return ``(yp, z)`` with ``phi(z) * (1, yp) = (x, y)`` componentwise."""
-    m = y.ambient.n
-    if m is None or x.ambient.n is None:
+    """Return ``(yp, z)`` with ``phi(z) * (1, yp) = (x, y)`` componentwise.
+
+    ``z`` is the lift of ``x`` by :func:`lift_first`, with ``phi(z) =
+    (x, g_1^s)`` for the exponent sum ``s`` of ``x``, so ``yp = g_1^-s * y``.
+    """
+    n, m = x.ambient.n, y.ambient.n
+    if n is None or m is None:
         raise ValueError("cancellation witnesses require finite ranks")
-    y2, z = lift_first(x, m)
-    yp = multiply(y2.inverse(), y)
+    z = ReducedWord._new(_rank(n * m), _column(x.syllables, m, 1))
+    yp = ReducedWord._new(y.ambient, _power_times(1, -_exponent_sum(x.syllables), y.syllables))
     return yp, z
 
 
@@ -496,24 +519,30 @@ def cyclicity_witness(
     """A word ``z`` of rank ``n*m`` with ``phi(z) = (x, y * g_j^s)`` for some
     integer ``s``.
 
-    Take ``(xp, zp)`` from :func:`cancellation_witness_left` and append, for
-    each letter ``g_t^e`` of ``xp``, the generator ``g_{m(t-1)+j}^e``.  The
-    appended part maps to ``(xp, g_j^s)``, so the first slot closes up to
-    ``x`` exactly while the second slot moves inside the cyclic subgroup
-    generated by ``g_j``.  The appended letter map is injective, so the
-    appended part is reduced as built.  The index ``i`` only names the coset
-    space the caller acts on; the construction does not depend on it.
+    With ``s`` the exponent sum of ``y`` and ``xp = g_1^-s * x``, ``z`` is the
+    reduced product of two words of rank ``n*m``: the syllables of ``y`` read
+    as first-row generators, which map to ``(g_1^s, y)``, then the letters
+    ``g_{m(t-1)+j}^e`` for each letter ``g_t^e`` of ``xp``, which map to
+    ``(xp, g_j^s)``.  So the first slot closes up to ``x`` exactly while the
+    second slot moves inside the cyclic subgroup generated by ``g_j``.  The
+    index ``i`` only names the coset space the caller acts on; the
+    construction does not depend on it.
     """
     if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= m):
         raise ValueError("subgroup indices out of range")
     if x.ambient.n != n or y.ambient.n != m:
         raise ValueError("ambient mismatch with declared ranks")
-    xp, zp = cancellation_witness_left(x, y)
-    tail = ReducedWord._new(
-        _rank(n * m),
-        tuple([_syllable(m * (g - 1) + j, e) for g, e in xp.syllables]),
-    )
-    return multiply(zp, tail)
+    head = y.syllables
+    xp = _power_times(1, -_exponent_sum(head), x.syllables)
+    tail = _column(xp, m, j)
+    if head:
+        # the head's generators lie in 1..m, and a tail syllable's only when
+        # it comes from a ``g_1`` syllable of ``xp``; so if the seam cancels,
+        # the next tail syllable, from another ``g_t``, lies past m and
+        # nothing more merges
+        g, e = head[-1]
+        tail = head[:-1] + _power_times(g, e, tail)
+    return ReducedWord._new(_rank(n * m), tail)
 
 
 def _check_radius(radius) -> None:

@@ -241,6 +241,28 @@ def test_coset_normal_form_checks_the_index():
             R.coset_normal_form(2, i, W.gen(2, 1))
 
 
+NOT_INT_INDICES = [1.5, 1.0, True]
+
+
+@pytest.mark.parametrize("i", NOT_INT_INDICES)
+def test_indices_that_are_not_ints_are_refused(i):
+    # an exact type test, as Rank.allows makes: 1.0 == 1 and True == 1, but
+    # neither is a generator index
+    msg = f"^generator index {i} out of range for F2$"
+    with pytest.raises(ValueError, match=msg):
+        R.PDFunction(2, i)
+    with pytest.raises(ValueError, match=msg):
+        R.coset_normal_form(2, i, W.gen(2, 1))
+    with pytest.raises(ValueError, match=msg):
+        R.f_pullback_eval(2, i, 2, 1, W.gen(4, 1))
+    with pytest.raises(ValueError, match=msg):
+        R.f_pullback_eval(2, 1, 2, i, W.gen(4, 1))
+    with pytest.raises(ValueError, match=msg):
+        R.claim_probe_pd(2, 2, i, 1, 2)
+    with pytest.raises(ValueError, match=msg):
+        R.gns_coeff_check(2, i, W.gen(2, 1))
+
+
 # -- actions ------------------------------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ import freebialg
 from freebialg import reps as R
 from freebialg import words as W
 from freebialg.corpus import random_reduced_word
+from freebialg.text import parse_word
 from freebialg.words import INFINITE, Rank, ReducedWord
 
 
@@ -358,7 +359,7 @@ def test_trusted_lifts_match_their_reduce_form():
         assert W.cyclicity_witness(n, m, i, j, x, y) == W.multiply(zp, tail)
 
 
-@pytest.mark.parametrize("bad", [0, -2])
+@pytest.mark.parametrize("bad", [0, -2, 1.5])
 def test_lifts_reject_bad_ranks(bad):
     msg = f"finite rank must be a positive integer, got {2 * bad}"
     with pytest.raises(ValueError, match=msg):
@@ -373,7 +374,7 @@ def test_witness_constructions_refuse_infinite_rank():
         with pytest.raises(ValueError, match="lift requires a finite-rank word"):
             lift(x, 2)
     for witness in (W.cancellation_witness_left, W.cancellation_witness_right):
-        for pair in ((x, y), (y, x)):
+        for pair in ((x, y), (y, x), (x, x)):
             with pytest.raises(ValueError, match="cancellation witnesses require finite ranks"):
                 witness(*pair)
 
@@ -469,6 +470,196 @@ def test_cyclicity_witness_refusals():
             W.cyclicity_witness(2, 2, 1, 1, *pair)
 
 
+# -- fused witnesses against their three-step constructions -----------------------------
+#
+# The lifts and witnesses build their words straight from syllables.  Each
+# reference below builds the same word the long way: ``gen``, then
+# ``inverse``, then ``multiply``, and the cyclicity witness through the left
+# cancellation witness.
+
+
+def _exp_sum(w):
+    return sum(e for _, e in w.syllables)
+
+
+def _ref_lift_first(x, m):
+    n = x.ambient.n
+    z = W.reduce(n * m, [(m * (g - 1) + 1, e) for g, e in x.syllables])
+    return W.gen(m, 1, _exp_sum(x)), z
+
+
+def _ref_lift_second(y, n):
+    m = y.ambient.n
+    return W.gen(n, 1, _exp_sum(y)), W.reduce(n * m, y.syllables)
+
+
+def _ref_cancellation_left(x, y):
+    x2, z = _ref_lift_second(y, x.ambient.n)
+    return W.multiply(W.inverse(x2), x), z
+
+
+def _ref_cancellation_right(x, y):
+    y2, z = _ref_lift_first(x, y.ambient.n)
+    return W.multiply(W.inverse(y2), y), z
+
+
+def _ref_cyclicity_witness(n, m, i, j, x, y):
+    xp, zp = _ref_cancellation_left(x, y)
+    tail = W.reduce(n * m, [(m * (g - 1) + j, e) for g, e in xp.syllables])
+    return W.multiply(zp, tail)
+
+
+def _assert_words_match(got, want):
+    assert got == want
+    for w in got:
+        assert all(type(s) is W.Syllable and s.exp for s in w.syllables), w
+
+
+def _assert_lifts_match(x, k):
+    """The lifts of ``x`` through either slot, beside a rank-``k`` factor."""
+    _assert_words_match(
+        [*W.lift_first(x, k), *W.lift_second(x, k)],
+        [*_ref_lift_first(x, k), *_ref_lift_second(x, k)],
+    )
+
+
+def _assert_witnesses_match(x, y, js=None):
+    """Both cancellation witnesses of ``(x, y)``, and the cyclicity witness
+    for each ``j`` in ``js``, every ``j`` by default."""
+    n, m = x.ambient.n, y.ambient.n
+    got = [*W.cancellation_witness_left(x, y), *W.cancellation_witness_right(x, y)]
+    want = [*_ref_cancellation_left(x, y), *_ref_cancellation_right(x, y)]
+    for j in js or range(1, m + 1):
+        i = 1 + (j + x.letter_length) % n
+        got.append(W.cyclicity_witness(n, m, i, j, x, y))
+        want.append(_ref_cyclicity_witness(n, m, i, j, x, y))
+    _assert_words_match(got, want)
+
+
+def _assert_fused_match(x, y):
+    _assert_lifts_match(x, y.ambient.n)
+    _assert_lifts_match(y, x.ambient.n)
+    _assert_witnesses_match(x, y)
+
+
+def test_fused_witnesses_match_on_radius3_balls():
+    # every pair, with the column j of the cyclicity witness cycling
+    balls = {n: W.enumerate_ball(n, 3) for n in (1, 2, 3)}
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for x in balls[n]:
+                _assert_lifts_match(x, m)
+            for a, x in enumerate(balls[n]):
+                for b, y in enumerate(balls[m]):
+                    _assert_witnesses_match(x, y, (1 + (a + b) % m,))
+
+
+def test_fused_witnesses_match_past_the_syllable_table():
+    # exponents past +-EXPS and generators past GENS, in either slot and
+    # in the product rank
+    rng = random.Random(17)
+    ranks = (1, 2, 5, W._TABLE_GENS + 2, 30)
+    past = 0
+    for _ in range(600):
+        n, m = rng.choice(ranks), rng.choice(ranks)
+        x, y = (
+            W.reduce(r, [(rng.randint(1, r), rng.randint(-20, 20)) for _ in range(rng.randint(0, 4))])
+            for r in (n, m)
+        )
+        _assert_fused_match(x, y)
+        sylls = x.syllables + y.syllables
+        past += any(abs(e) > W._TABLE_EXP or g > W._TABLE_GENS for g, e in sylls)
+    assert past > 300
+
+
+@pytest.mark.parametrize(
+    "x, y, xp, z",
+    [
+        # s = 0: x passes through
+        ("g2*g1^3", "g1*g2^-1", "g2*g1^3", "g1*g2^-1*g4*g2^3"),
+        # g1^-s cancels x's leading g1 power exactly
+        ("g1^3*g2", "g2^3", "g2", "g2^3*g4"),
+        # g1^-s merges with it, and the tail merges with the head
+        ("g1^5*g2", "g2^3", "g1^2*g2", "g2^5*g4"),
+        # g1^-s prepends a syllable, whose tail syllable cancels the head
+        ("g2", "g2^2", "g1^-2*g2", "g4"),
+        # ... or merges with it
+        ("g1^-1*g2", "g2^2", "g1^-3*g2", "g2^-1*g4"),
+        # the tail starts past the first row and meets no head syllable
+        ("g2*g1", "g1^-1*g2", "g2*g1", "g1^-1*g2*g4*g2"),
+    ],
+)
+def test_fused_witnesses_at_the_seam(x, y, xp, z):
+    x, y = parse_word(x, 2), parse_word(y, 2)
+    left = W.cancellation_witness_left(x, y)
+    assert str(left[0]) == xp
+    # with j = 2 the tail of the cyclicity witness starts with g2 when xp
+    # starts with a g1 power, which meets y's last syllable g2 at the seam
+    assert str(W.cyclicity_witness(2, 2, 1, 2, x, y)) == z
+    _assert_fused_match(x, y)
+    _assert_fused_match(y, x)
+
+
+# -- words built ------------------------------------------------------------------------
+#
+# A deterministic guard on allocation: count ``ReducedWord._new`` calls,
+# through which the library builds every word.
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A list that grows by one for each word built, and by ``"Coset"`` for
+    each coset built either way ``reps`` builds one."""
+    calls = []
+    new = ReducedWord._new
+
+    def counted_new(ambient, syllables):
+        calls.append("word")
+        return new(ambient, syllables)
+
+    object_new = R._object_new
+
+    def counted_object_new(cls):
+        calls.append(cls.__name__)
+        return object_new(cls)
+
+    post_init = R.Coset.__post_init__
+
+    def counted_post_init(self):
+        calls.append("Coset")
+        post_init(self)
+
+    monkeypatch.setattr(ReducedWord, "_new", staticmethod(counted_new))
+    monkeypatch.setattr(R, "_object_new", counted_object_new)
+    monkeypatch.setattr(R.Coset, "__post_init__", counted_post_init)
+    return calls
+
+
+def _count(calls, fn, *args):
+    del calls[:]
+    fn(*args)
+    return calls.count("word"), calls.count("Coset")
+
+
+def test_witnesses_build_only_the_words_they_return(built):
+    ball = W.enumerate_ball(2, 3)
+    # the counters see what they must
+    assert _count(built, W.gen, 2, 1) == (1, 0)
+    assert _count(built, R.coset_normal_form, 2, 1, W.unit(2)) == (0, 1)
+    assert _count(built, R.Coset, 2, 1, W.unit(2)) == (0, 1)
+    for x in ball:
+        assert _count(built, W.lift_first, x, 2) == (2, 0)
+        assert _count(built, W.lift_second, x, 2) == (2, 0)
+        for y in ball:
+            assert _count(built, W.cancellation_witness_left, x, y) == (2, 0)
+            assert _count(built, W.cancellation_witness_right, x, y) == (2, 0)
+            for i in (1, 2):
+                for j in (1, 2):
+                    assert _count(built, W.cyclicity_witness, 2, 2, i, j, x, y) == (1, 0)
+                    # the witness and the two words of its pair image
+                    assert _count(built, R.cyclicity_check, 2, 2, i, j, x, y) == (3, 0)
+
+
 # -- enumerate_ball ---------------------------------------------------------------------
 
 
@@ -541,6 +732,32 @@ def test_ball_arguments_at_their_edges():
 def test_random_word_of_infinite_rank_needs_cutoff():
     with pytest.raises(ValueError, match="infinite rank needs max_gen"):
         random_reduced_word(random.Random(0), INFINITE, 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, True])
+def test_random_word_refuses_a_bad_max_len(bad):
+    for ambient in (2, INFINITE):
+        with pytest.raises(ValueError, match=f"^max_len must be a nonnegative int, got {bad!r}$"):
+            random_reduced_word(random.Random(0), ambient, bad, 3)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.0, True])
+def test_random_word_refuses_a_bad_cutoff(bad):
+    with pytest.raises(ValueError, match=f"^max_gen must be a positive int, got {bad!r}$"):
+        random_reduced_word(random.Random(0), INFINITE, 3, bad)
+
+
+def test_random_word_draws_are_unchanged_by_the_checks():
+    rng = random.Random(11)
+    assert [str(random_reduced_word(rng, INFINITE, 4, 30)) for _ in range(4)] == [
+        "g28^-1*g15*g6^-1",
+        "g26*g4^-1*g10*g3",
+        "g13^-1*g21*g20*g27",
+        "1",
+    ]
+    # a finite rank ignores the cutoff, as before; max_len 0 draws the unit
+    assert [str(random_reduced_word(rng, 3, 5, 0)) for _ in range(3)] == ["1", "g1", "g2^-1*g3^2"]
+    assert random_reduced_word(rng, 3, 0).is_unit
 
 
 # -- words as data -----------------------------------------------------------------------
