@@ -465,8 +465,8 @@ def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> Tensor
     """Multiply ``b`` from the right into one tensor slot of ``t``.
 
     ``slot`` is ``"left"`` or ``"right"``; the other slot is multiplied by
-    the unit.  This is the elementary-tensor factorization pattern used by
-    the cancellation-law checks.
+    the unit.  The cancellation-law checks do not use it: they compare
+    word pairs (see :func:`bialgebra.verify_cancellation`).
     """
     if slot not in ("left", "right"):
         raise ValueError("slot must be 'left' or 'right'")

@@ -25,6 +25,8 @@ from .algebra import (
 from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
+    _check_count,
+    _finite_rank,
     _rank,
     cancellation_witness_left,
     cancellation_witness_right,
@@ -56,8 +58,7 @@ __all__ = [
 
 def factor_pairs(n: int) -> list[tuple[int, int]]:
     """Ordered factorizations ``n = m * l`` as pairs ``(m, l)``, ``m`` ascending."""
-    if n < 1:
-        raise ValueError("rank must be positive")
+    _finite_rank(n)
     # divisors come in pairs (m, n // m) with m <= isqrt(n)
     small, large = [], []
     for m in range(1, isqrt(n) + 1):
@@ -338,8 +339,7 @@ def verify_cancellation(x: ReducedWord, y: ReducedWord) -> bool:
 def coaction(x: AlgebraElement, N: int) -> dict[int, TensorElement]:
     """The first ``N`` components of the coaction on the infinite-rank
     algebra: ``{n: varphi_inf_alg(n, x)}`` for ``1 <= n <= N``."""
-    if N < 1:
-        raise ValueError("truncation bound must be at least 1")
+    _check_count("truncation bound", N, 1)
     return {n: varphi_inf_alg(n, x) for n in range(1, N + 1)}
 
 

@@ -37,7 +37,7 @@ from .bialgebra import (
 )
 from .corpus import random_direct_sum, random_reduced_word
 from .text import ParseError, parse_element, parse_word
-from .words import _rank, ball_size, enumerate_ball, gen, kernel_witness, unit
+from .words import _check_index, _rank, ball_size, enumerate_ball, gen, kernel_witness, unit
 
 FORMATS = ("json", "text")
 
@@ -528,8 +528,8 @@ def _probe_line(r: dict) -> str:
 
 def _tensor_pd(args):
     # a bad rank or index is reported as such, ahead of the budget
-    reps._check_index(args.n, args.i)
-    reps._check_index(args.m, args.j)
+    _check_index(args.n, args.i)
+    _check_index(args.m, args.j)
     _check_budget([(args.n * args.m, args.radius)])
     report = _pd_report(args.n, args.m, args.i, args.j, args.radius)
     lines = [f"{_probe_line(report)} at radius {args.radius}"]

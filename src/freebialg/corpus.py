@@ -8,7 +8,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement
 from .bialgebra import DirectSumElement
 from .scalars import QI
-from .words import Rank, ReducedWord, Syllable, _as_rank, _syllable
+from .words import Rank, ReducedWord, Syllable, _as_rank, _check_count, _syllable
 
 __all__ = [
     "random_reduced_word",
@@ -24,15 +24,12 @@ def random_reduced_word(
     """A uniformly-lengthed non-backtracking random walk, hence exactly
     reduced.  For infinite rank a generator cutoff is required."""
     ambient = _as_rank(ambient)
-    # exact type tests, as in ``words.enumerate_ball``: True is no length
-    if type(max_len) is not int or max_len < 0:
-        raise ValueError(f"max_len must be a nonnegative int, got {max_len!r}")
+    _check_count("max_len", max_len, 0)
     span = ambient.n
     if span is None:
         if max_gen is None:
             raise ValueError("infinite rank needs max_gen")
-        if type(max_gen) is not int or max_gen < 1:
-            raise ValueError(f"max_gen must be a positive int, got {max_gen!r}")
+        _check_count("max_gen", max_gen, 1)
         span = max_gen
     length = rng.randint(0, max_len)
     sylls: list[Syllable] = []

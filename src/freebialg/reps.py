@@ -17,8 +17,9 @@ from .algebra import DEFAULT_TOL, _Linear, _label_str
 from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
-    _check_radius,
-    _rank,
+    _check_count,
+    _check_index,
+    _finite_rank,
     enumerate_ball,
     gen,
     multiply,
@@ -53,14 +54,6 @@ __all__ = [
 ]
 
 
-def _check_index(n: int, i: int) -> None:
-    """Raise unless ``g_i`` is a generator of the rank-``n`` free group."""
-    # an exact type test, as ``Rank.allows`` makes: 1.5 and True are no index
-    if type(i) is not int or not 1 <= i <= n:
-        _rank(n)  # a rank below 1 is reported as such, not as a bad index
-        raise ValueError(f"generator index {i} out of range for F{n}")
-
-
 def _in_cyclic(w: ReducedWord, i: int) -> bool:
     """Whether ``w`` is a power of ``g_i`` (the unit included)."""
     sylls = w.syllables
@@ -76,7 +69,6 @@ class PDFunction:
     i: int
 
     def __post_init__(self):
-        _rank(self.n)
         _check_index(self.n, self.i)
 
     def __call__(self, w: ReducedWord) -> int:
@@ -167,6 +159,9 @@ class Coset:
     rep: ReducedWord
 
     def __post_init__(self):
+        _check_index(self.n, self.i)
+        if self.rep.ambient.n != self.n:
+            raise ValueError(f"word lives in {self.rep.ambient}, expected F{self.n}")
         if self.rep.syllables and self.rep.syllables[-1].gen == self.i:
             raise ValueError("coset representative not in canonical form")
 
@@ -187,10 +182,9 @@ def _coset_label(sylls: tuple, i: int) -> tuple:
 def coset_normal_form(n: int, i: int, w: ReducedWord) -> Coset:
     """Strip the maximal trailing power of ``g_i``; two words land on equal
     cosets exactly when they differ by a right factor in ``<g_i>``."""
+    _check_index(n, i)
     if w.ambient.n != n:
         raise ValueError(f"word lives in {w.ambient}, expected F{n}")
-    if type(i) is not int or not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range for F{n}")
     sylls = w.syllables
     label = _coset_label(sylls, i)
     if label is not sylls:
@@ -405,7 +399,8 @@ def orbit_bfs(
     """All pairs reachable from ``start`` by at most ``radius`` left
     multiplications with pair images of rank-``n*m`` generators or their
     inverses."""
-    _check_radius(radius)
+    _finite_rank(n), _finite_rank(m)
+    _check_count("radius", radius, 0)
     g0, h0 = start
     if g0.ambient.n != n or h0.ambient.n != m:
         raise ValueError("start pair does not match the declared ranks")

@@ -90,6 +90,29 @@ def _as_rank(ambient: Rank | int) -> Rank:
     return ambient if isinstance(ambient, Rank) else _rank(ambient)
 
 
+# ``_rank``/``_finite_rank``, ``_check_index`` and ``_check_count`` are the package's
+# one definition of a valid rank, generator index and count (radius, cutoff, length)
+def _finite_rank(n) -> Rank:
+    """``_rank(n)`` for a rank that must be finite: ``None`` is refused too."""
+    if n is None:
+        raise ValueError("finite rank must be a positive integer, got None")
+    return _rank(n)
+
+
+def _check_index(n: int, i: int) -> None:
+    """Raise unless ``n`` is a finite rank (checked first) with a generator ``g_i``."""
+    if not _finite_rank(n).allows(i):
+        raise ValueError(f"generator index {i} out of range for F{n}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise unless ``value`` is exactly an ``int`` of at least ``least`` (0 or 1)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+
+
 class Syllable(NamedTuple):
     gen: int
     exp: int
@@ -134,10 +157,10 @@ def _bad_syllable(ambient: Rank, g, e) -> ValueError:
 class ReducedWord:
     """A freely reduced word; the empty syllable sequence is the group unit.
 
-    Public construction checks every syllable.  Library operations whose
-    output is reduced by construction build words with :meth:`_new`, which
-    skips the check.  Words are slotted: they carry no ``__dict__`` and take
-    no weak references.
+    Public construction checks the ambient and every syllable.  Library
+    operations whose output is reduced by construction build words with
+    :meth:`_new`, which skips the checks.  Words are slotted: they carry no
+    ``__dict__`` and take no weak references.
 
     >>> w = reduce(Rank(2), [(1, 1), (2, 1), (2, -1), (1, 1)])
     >>> str(w)
@@ -160,6 +183,8 @@ class ReducedWord:
         return w
 
     def __post_init__(self):
+        if not isinstance(self.ambient, Rank):
+            raise ValueError(f"ambient must be a Rank, got {self.ambient!r}")
         sylls = []
         prev = 0
         for g, e in self.syllables:
@@ -435,19 +460,10 @@ def kernel_witness(n: int, m: int, i: int, l: int, j: int, k: int) -> ReducedWor
     indices, and the word itself is nontrivial exactly when ``i != l`` and
     ``j != k``.
     """
-    if not (1 <= i <= n and 1 <= l <= n):
-        raise ValueError(f"row indices must lie in 1..{n}")
-    if not (1 <= j <= m and 1 <= k <= m):
-        raise ValueError(f"column indices must lie in 1..{m}")
-    return reduce(
-        n * m,
-        [
-            (m * (i - 1) + j, 1),
-            (m * (i - 1) + k, -1),
-            (m * (l - 1) + k, 1),
-            (m * (l - 1) + j, -1),
-        ],
-    )
+    for rank, index in ((n, i), (n, l), (m, j), (m, k)):
+        _check_index(rank, index)
+    a, b = m * (i - 1), m * (l - 1)
+    return reduce(n * m, [(a + j, 1), (a + k, -1), (b + k, 1), (b + j, -1)])
 
 
 def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
@@ -528,8 +544,8 @@ def cyclicity_witness(
     index ``i`` only names the coset space the caller acts on; the
     construction does not depend on it.
     """
-    if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= m):
-        raise ValueError("subgroup indices out of range")
+    _check_index(n, i)
+    _check_index(m, j)
     if x.ambient.n != n or y.ambient.n != m:
         raise ValueError("ambient mismatch with declared ranks")
     head = y.syllables
@@ -545,13 +561,6 @@ def cyclicity_witness(
     return ReducedWord._new(_rank(n * m), tail)
 
 
-def _check_radius(radius) -> None:
-    if type(radius) is not int:
-        raise ValueError(f"radius must be an int, got {radius!r}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-
-
 def enumerate_ball(
     ambient: Rank | int, radius: int, max_gen: int | None = None
 ) -> list[ReducedWord]:
@@ -562,12 +571,11 @@ def enumerate_ball(
     ranges over the first ``max_gen`` generators.
     """
     ambient = _as_rank(ambient)
-    _check_radius(radius)
+    _check_count("radius", radius, 0)
     if ambient.is_infinite:
         if max_gen is None:
             raise ValueError("enumerating an infinite-rank ball requires max_gen")
-        if type(max_gen) is not int or max_gen < 1:
-            raise ValueError(f"max_gen must be a positive int, got {max_gen!r}")
+        _check_count("max_gen", max_gen, 1)
         span = max_gen
     else:
         span = ambient.n
@@ -601,7 +609,7 @@ def ball_size(rank: int, radius: int) -> int:
     (17, 17)
     """
     _rank(rank)
-    _check_radius(radius)
+    _check_count("radius", radius, 0)
     if rank == 1:
         return 2 * radius + 1
     return 1 + 2 * rank * ((2 * rank - 1) ** radius - 1) // (2 * rank - 2)

@@ -50,8 +50,11 @@ def test_factor_pairs_match_the_divisor_definition():
         assert [m for m, _ in pairs] == sorted({m for m, _ in pairs})
         assert pairs == [(l, m) for m, l in reversed(pairs)]
     assert len(factor_pairs(10**8)) == 81 and len(factor_pairs(999_983**2)) == 3
-    with pytest.raises(ValueError):
-        factor_pairs(0)
+    # a rank is checked as every finite rank is: True == 1, but it is no rank
+    for bad in (0, -3, True, 2.0, None):
+        msg = f"^finite rank must be a positive integer, got {bad}$"
+        with pytest.raises(ValueError, match=msg):
+            factor_pairs(bad)
 
 
 def ordered_divisor_count(n):
@@ -338,8 +341,15 @@ def test_coaction_examples():
 
 
 def test_coaction_validates_truncation():
-    with pytest.raises(ValueError):
-        coaction(AlgebraElement.unit(INFINITE), 0)
+    x = AlgebraElement.unit(INFINITE)
+    for bad, error in (
+        (0, "truncation bound must be positive"),
+        (-1, "truncation bound must be positive"),
+        (True, "truncation bound must be an int, got True"),
+        (2.0, "truncation bound must be an int, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            coaction(x, bad)
 
 
 def test_comodule_check_examples():

@@ -115,6 +115,9 @@ def test_claim_probe_first_disagreements_at_radius_three():
                 got = R.claim_probe_pd(n, m, i, j, 3)
                 assert len(got) == count
                 assert got == _oracle_probe(n, m, i, j, 3)
+                # ints, not bools, as the public evaluators return: the
+                # probe's JSON prints them
+                assert {(type(pb), type(dv)) for _, pb, dv in got} == {(int, int)}
 
 
 def test_claim_probe_reports_kernel_disagreement():
@@ -225,6 +228,22 @@ def test_coset_rejects_noncanonical_rep():
         R.Coset(2, 1, W.gen(2, 2) * W.gen(2, 1, -2))
 
 
+def test_coset_checks_its_rank_index_and_representative():
+    for args, error in (
+        ((2, 5, W.gen(2, 1)), "generator index 5 out of range for F2"),
+        ((2, 0, W.unit(2)), "generator index 0 out of range for F2"),
+        ((0, 1, W.unit(2)), "finite rank must be a positive integer, got 0"),
+        ((None, 1, W.unit(W.INFINITE)), "finite rank must be a positive integer, got None"),
+        ((2, 1, W.gen(3, 2)), "word lives in F3, expected F2"),
+        ((2, 1, W.gen(W.INFINITE, 2)), "word lives in Finf, expected F2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            R.Coset(*args)
+    # coset_normal_form builds its result unchecked, and it is the same value
+    c = R.coset_normal_form(2, 1, W.gen(2, 2) * W.gen(2, 1))
+    assert c == R.Coset(2, 1, W.gen(2, 2))
+
+
 def test_coset_normal_form_matches_the_public_constructor():
     for i in (1, 2, 3):
         for w in W.enumerate_ball(3, 3):
@@ -261,6 +280,28 @@ def test_indices_that_are_not_ints_are_refused(i):
         R.claim_probe_pd(2, 2, i, 1, 2)
     with pytest.raises(ValueError, match=msg):
         R.gns_coeff_check(2, i, W.gen(2, 1))
+    with pytest.raises(ValueError, match=msg):
+        R.Coset(2, i, W.gen(2, 2))
+    # nor is a rank that is not exactly a positive int, or None where the rank
+    # must be finite: it is reported as a rank, by every entry point, ahead of
+    # the index, the word and the radius (2.0 == 2 matches the start pair)
+    z = W.gen(4, 1)
+    start = (W.unit(2), W.unit(2))
+    for n in (i, 2.5, 2.0, 0, None):
+        rank_msg = f"^finite rank must be a positive integer, got {n}$"
+        for call in (
+            lambda: R.PDFunction(n, 1),
+            lambda: R.Coset(n, 1, W.gen(2, 2)),
+            lambda: R.coset_normal_form(n, 1, W.gen(2, 2)),
+            lambda: R.orbit_bfs(n, 2, start, 1),
+            lambda: R.orbit_bfs(2, n, start, -1),
+            lambda: R.f_pullback_eval(n, 1, 2, 1, z),
+            lambda: R.f_pullback_eval(2, 1, n, 1, z),
+            lambda: R.claim_probe_pd(n, 2, 1, 1, 2),
+            lambda: R.claim_probe_pd(2, n, 1, 1, 2),
+        ):
+            with pytest.raises(ValueError, match=rank_msg):
+                call()
 
 
 # -- actions ------------------------------------------------------------------------------

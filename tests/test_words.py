@@ -10,9 +10,11 @@ import copy
 import dataclasses
 import doctest
 import importlib
+import inspect
 import pickle
 import pkgutil
 import random
+import re
 import types
 import weakref
 
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 import freebialg
 from freebialg import reps as R
 from freebialg import words as W
+from freebialg.algebra import AlgebraElement
+from freebialg.bialgebra import coaction
 from freebialg.corpus import random_reduced_word
 from freebialg.text import parse_word
 from freebialg.words import INFINITE, Rank, ReducedWord
@@ -303,9 +307,22 @@ def test_kernel_witness_range_check():
 
 
 def test_kernel_witness_column_range_check():
-    for j, k in ((3, 1), (1, 0)):
-        with pytest.raises(ValueError, match=r"column indices must lie in 1\.\.2"):
-            W.kernel_witness(2, 2, 1, 2, j, k)
+    # each index is checked against its own rank, which is checked first;
+    # True == 1, but it is no generator index in any of the four slots
+    for args, error in (
+        ((2, 2, 1, 2, 3, 1), "generator index 3 out of range for F2"),
+        ((2, 2, 1, 2, 1, 0), "generator index 0 out of range for F2"),
+        ((2, 2, 1, 2, 1, True), "generator index True out of range for F2"),
+        ((2, 2, 1, 2, True, 2), "generator index True out of range for F2"),
+        ((2, 2, 1, 2, 1, 2.0), "generator index 2.0 out of range for F2"),
+        ((2, 2, True, 2, 1, 2), "generator index True out of range for F2"),
+        ((2, 2, 1, True, 1, 2), "generator index True out of range for F2"),
+        ((2, 0, 1, 2, 1, 1), "finite rank must be a positive integer, got 0"),
+        ((2.0, 2, 1, 2, 1, 1), "finite rank must be a positive integer, got 2.0"),
+        ((None, 2, 1, 2, 1, 1), "finite rank must be a positive integer, got None"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            W.kernel_witness(*args)
 
 
 # -- lifts -------------------------------------------------------------------------
@@ -463,8 +480,14 @@ def test_cyclicity_witness_posts_seeded():
 def test_cyclicity_witness_refusals():
     x = W.gen(2, 1)
     for i, j in ((0, 1), (3, 1), (1, 0), (1, 3), (1, 2.0), (True, 1), (1, True)):
-        with pytest.raises(ValueError, match="subgroup indices out of range"):
+        bad = i if type(i) is not int or not 1 <= i <= 2 else j
+        with pytest.raises(ValueError, match=f"^generator index {bad} out of range for F2$"):
             W.cyclicity_witness(2, 2, i, j, x, x)
+    # a bad rank is reported as such, ahead of the indices and the ambients
+    for n, m in ((2.5, 2), (2, True), (None, 2), (0, 2)):
+        msg = f"^finite rank must be a positive integer, got {n if n != 2 else m}$"
+        with pytest.raises(ValueError, match=msg):
+            W.cyclicity_witness(n, m, 1, 1, x, x)
     for pair in ((W.gen(3, 1), x), (x, W.gen(3, 1))):
         with pytest.raises(ValueError, match="ambient mismatch with declared ranks"):
             W.cyclicity_witness(2, 2, 1, 1, *pair)
@@ -705,20 +728,34 @@ def test_enumerate_ball_refuses_a_negative_radius():
         W.enumerate_ball(2, -1)
 
 
+def count_error(name, value, least):
+    """The anchored refusal text for the count argument ``name`` whose least
+    value is ``least``: it quotes a value that is not exactly an ``int``, and
+    not one that is too small."""
+    if type(value) is not int:
+        return f"^{re.escape(f'{name} must be an int, got {value!r}')}$"
+    return f"^{name} must be {'positive' if least else 'nonnegative'}$"
+
+
 @pytest.mark.parametrize("radius", [2.0, True, "2", None])
 def test_ball_radius_must_be_an_int(radius):
-    for call in (
-        lambda: W.enumerate_ball(2, radius),
-        lambda: W.enumerate_ball(INFINITE, radius, 2),
-        lambda: W.ball_size(2, radius),
+    # one check owns every count argument, so each refuses the same values
+    x = AlgebraElement.unit(INFINITE)
+    for name, call in (
+        ("radius", lambda: W.enumerate_ball(2, radius)),
+        ("radius", lambda: W.enumerate_ball(INFINITE, radius, 2)),
+        ("radius", lambda: W.ball_size(2, radius)),
+        ("radius", lambda: R.orbit_bfs(2, 2, (W.unit(2), W.unit(2)), radius)),
+        ("max_len", lambda: random_reduced_word(random.Random(0), 2, radius)),
+        ("truncation bound", lambda: coaction(x, radius)),
     ):
-        with pytest.raises(ValueError, match=f"radius must be an int, got {radius!r}"):
+        with pytest.raises(ValueError, match=count_error(name, radius, 0)):
             call()
 
 
 @pytest.mark.parametrize("max_gen", [0, -1, 2.0, True, "2"])
 def test_infinite_ball_cutoff_must_be_a_positive_int(max_gen):
-    with pytest.raises(ValueError, match=f"max_gen must be a positive int, got {max_gen!r}"):
+    with pytest.raises(ValueError, match=count_error("max_gen", max_gen, 1)):
         W.enumerate_ball(INFINITE, 2, max_gen)
 
 
@@ -734,16 +771,16 @@ def test_random_word_of_infinite_rank_needs_cutoff():
         random_reduced_word(random.Random(0), INFINITE, 3)
 
 
-@pytest.mark.parametrize("bad", [-1, 2.0, True])
+@pytest.mark.parametrize("bad", [-1, 2.0, True, "2", None])
 def test_random_word_refuses_a_bad_max_len(bad):
     for ambient in (2, INFINITE):
-        with pytest.raises(ValueError, match=f"^max_len must be a nonnegative int, got {bad!r}$"):
+        with pytest.raises(ValueError, match=count_error("max_len", bad, 0)):
             random_reduced_word(random.Random(0), ambient, bad, 3)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.0, True])
+@pytest.mark.parametrize("bad", [0, -1, 2.0, True, "2"])
 def test_random_word_refuses_a_bad_cutoff(bad):
-    with pytest.raises(ValueError, match=f"^max_gen must be a positive int, got {bad!r}$"):
+    with pytest.raises(ValueError, match=count_error("max_gen", bad, 1)):
         random_reduced_word(random.Random(0), INFINITE, 3, bad)
 
 
@@ -806,6 +843,15 @@ def test_word_validation_unchanged():
         with pytest.raises(dataclasses.FrozenInstanceError):
             word.ambient = Rank(3)
         assert word.syllables == ((1, 1), (2, -1))
+
+
+@pytest.mark.parametrize(
+    "args", [(2,), (2, ((1, 1),)), (None,), ("F2", ())], ids=["int", "int-word", "None", "str"]
+)
+def test_reduced_word_refuses_an_ambient_that_is_not_a_rank(args):
+    msg = f"^ambient must be a Rank, got {re.escape(repr(args[0]))}$"
+    with pytest.raises(ValueError, match=msg):
+        ReducedWord(*args)
 
 
 # A float or a bool equals an int, and True == 1, but neither is a generator
@@ -1029,6 +1075,21 @@ def test_package_reexports_each_module_all():
     corpus = importlib.import_module("freebialg.corpus")
     assert not any(hasattr(freebialg, name) for name in corpus.__all__)
     assert set(MODULES) - set(EXPORTED) == {"cli", "corpus"}
+
+
+# the modules that take ranks, generator indices or counts from their callers
+# and leave the checks to ``words``
+CHECK_CALLERS = ("algebra", "bialgebra", "cli", "corpus", "morphisms", "reps", "text")
+
+
+@pytest.mark.parametrize("name", CHECK_CALLERS)
+def test_argument_checks_have_one_owner(name):
+    """``words`` alone tests a value for being exactly an ``int`` and defines
+    the rank, index and count checks; a copy elsewhere fails here."""
+    source = inspect.getsource(importlib.import_module(f"freebialg.{name}"))
+    assert "is not int" not in source
+    for check in ("_rank", "_finite_rank", "_check_index", "_check_count", "_check_radius"):
+        assert f"def {check}(" not in source
 
 
 # -- words built without re-validation ----------------------------------------------------
