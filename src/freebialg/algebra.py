@@ -473,11 +473,6 @@ def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> Tensor
     idx = 0 if slot == "left" else 1
     if b.ambient != t.ambients[idx]:
         raise ValueError(f"{b.ambient} does not match tensor slot {t.ambients[idx]}")
-    if b.exact != t.exact:
-        raise ValueError("cannot mix exact and approximate elements")
-    pairs = []
-    for (w1, w2), c in t.terms.items():
-        for u, d in b.terms.items():
-            key = (multiply(w1, u), w2) if idx == 0 else (w1, multiply(w2, u))
-            pairs.append((key, c * d))
-    return TensorElement._merged(t.ambients, pairs, t.exact)
+    # the unit takes b's mode, so the product refuses a mode mismatch itself
+    one = AlgebraElement.unit(t.ambients[1 - idx], b.exact)
+    return t * (tensor(b, one) if idx == 0 else tensor(one, b))

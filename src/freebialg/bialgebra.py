@@ -266,11 +266,12 @@ def counit_axiom_check(n: int, z: ReducedWord) -> bool:
 
 class UnitizedElement:
     """An element ``a + c*1`` of the smallest unitization: a direct-sum body
-    plus a scalar multiple of the adjoined unit."""
+    plus a scalar multiple of the adjoined unit.  The body may also be a
+    :class:`DirectSumTensor`, for the values of :func:`unitized_delta`."""
 
     __slots__ = ("body", "unit_coeff")
 
-    def __init__(self, body: DirectSumElement, unit_coeff=0):
+    def __init__(self, body: DirectSumElement | DirectSumTensor, unit_coeff=0):
         if not body.exact:
             raise ValueError("the unitization is modeled with exact scalars")
         if not isinstance(unit_coeff, QI):
@@ -318,10 +319,10 @@ def unitized_counit(x: UnitizedElement) -> QI:
 def unitized_tensor_mul(
     p1: tuple[DirectSumTensor, QI], p2: tuple[DirectSumTensor, QI]
 ) -> tuple[DirectSumTensor, QI]:
-    """Multiply two unitized-coproduct values ``T + c*(1 (x) 1)``."""
-    t1, c1 = p1
-    t2, c2 = p2
-    return t1 * t2 + t1.scale(c2) + t2.scale(c1), c1 * c2
+    """Multiply two unitized-coproduct values ``T + c*(1 (x) 1)``: the
+    product of the unitization, with tensor bodies."""
+    prod = UnitizedElement(*p1) * UnitizedElement(*p2)
+    return prod.body, prod.unit_coeff
 
 
 def verify_cancellation(x: ReducedWord, y: ReducedWord) -> bool:

@@ -20,11 +20,11 @@ from .words import (
     _check_count,
     _check_index,
     _finite_rank,
+    _power_times,
     enumerate_ball,
     gen,
     multiply,
     phi,
-    unit,
 )
 from .words import cyclicity_witness as _cyclicity_witness
 
@@ -146,7 +146,14 @@ def gram_psd(
     return min_eig, min_eig >= -tol
 
 
-_object_new = object.__new__
+def _coset_label(sylls: tuple, i: int) -> tuple:
+    """The syllables of the canonical representative of the coset
+    ``w<g_i>``, for the syllables ``sylls`` of ``w``: a trailing ``g_i``
+    syllable stripped.  Two words lie in one coset exactly when their labels
+    are equal; ``sylls`` itself is returned when it is already a label."""
+    if sylls and sylls[-1][0] == i:
+        return sylls[:-1]
+    return sylls
 
 
 @dataclass(frozen=True)
@@ -162,40 +169,20 @@ class Coset:
         _check_index(self.n, self.i)
         if self.rep.ambient.n != self.n:
             raise ValueError(f"word lives in {self.rep.ambient}, expected F{self.n}")
-        if self.rep.syllables and self.rep.syllables[-1].gen == self.i:
+        sylls = self.rep.syllables
+        if _coset_label(sylls, self.i) is not sylls:
             raise ValueError("coset representative not in canonical form")
 
     def __str__(self):
         return f"[{self.rep}]"
 
 
-def _coset_label(sylls: tuple, i: int) -> tuple:
-    """The syllables of the canonical representative of the coset
-    ``w<g_i>``, for the syllables ``sylls`` of ``w``: a trailing ``g_i``
-    syllable stripped.  Two words lie in one coset exactly when their labels
-    are equal."""
-    if sylls and sylls[-1][0] == i:
-        return sylls[:-1]
-    return sylls
-
-
 def coset_normal_form(n: int, i: int, w: ReducedWord) -> Coset:
     """Strip the maximal trailing power of ``g_i``; two words land on equal
     cosets exactly when they differ by a right factor in ``<g_i>``."""
-    _check_index(n, i)
-    if w.ambient.n != n:
-        raise ValueError(f"word lives in {w.ambient}, expected F{n}")
     sylls = w.syllables
     label = _coset_label(sylls, i)
-    if label is not sylls:
-        w = ReducedWord._new(w.ambient, label)
-    # canonical by construction, so built without the checking constructor
-    c = _object_new(Coset)
-    d = c.__dict__
-    d["n"] = n
-    d["i"] = i
-    d["rep"] = w
-    return c
+    return Coset(n, i, w if label is sylls else ReducedWord._new(w.ambient, label))
 
 
 # -- basis descriptors and vectors ------------------------------------------
@@ -206,6 +193,9 @@ class CosetBasis:
     n: int
     i: int
 
+    def __post_init__(self):
+        _check_index(self.n, self.i)
+
     def check(self, label):
         if not isinstance(label, Coset) or (label.n, label.i) != (self.n, self.i):
             raise ValueError(f"label {label!r} does not belong to {self}")
@@ -215,6 +205,9 @@ class CosetBasis:
 @dataclass(frozen=True)
 class GroupBasis:
     n: int
+
+    def __post_init__(self):
+        _finite_rank(self.n)
 
     def check(self, label):
         if not isinstance(label, ReducedWord) or label.ambient.n != self.n:
@@ -233,6 +226,9 @@ def _pair(basis, label) -> tuple:
 class PairGroupBasis:
     n: int
     m: int
+
+    def __post_init__(self):
+        _finite_rank(self.n), _finite_rank(self.m)
 
     def check(self, label):
         g, h = _pair(self, label)
@@ -317,10 +313,10 @@ def L_action(n: int, i: int, x: ReducedWord, v: SuppVector) -> SuppVector:
 def gns_coeff_check(n: int, i: int, w: ReducedWord) -> bool:
     """Compare the diagonal matrix coefficient of the coset action at the
     base point with the subgroup indicator; the two are computed along
-    independent routes (coset normal form vs. syllable pattern).  ``w``
-    moves ``e_[1]`` to ``e_[w]``, so the coefficient is 1 iff ``[w] = [1]``."""
-    base = coset_normal_form(n, i, unit(n))
-    coeff = 1 if coset_normal_form(n, i, w) == base else 0
+    independent routes (coset label vs. syllable pattern).  ``w`` moves
+    ``e_[1]`` to ``e_[w]``, so the coefficient is 1 iff the label of ``w`` is
+    the empty label of the base coset."""
+    coeff = 1 if _coset_label(w.syllables, i) == () else 0
     return coeff == f_eval(PDFunction(n, i), w)
 
 
@@ -333,17 +329,19 @@ def fixed_vector_dim(n: int, i: int, j: int, radius: int) -> int:
     orbit that escapes the support window, so the dimension equals the number
     of ``g_j``-cycles lying entirely inside the window.  For ``j == i`` the
     base coset is the unique finite orbit; for ``j != i`` every orbit is
-    infinite.
+    infinite.  Cosets are walked as labels.  The count does not depend on the
+    visiting order: an orbit is either a cycle inside the window, counted
+    once from whichever member comes first, or it is never counted.
     """
-    window = {coset_normal_form(n, i, w) for w in enumerate_ball(n, radius)}
-    gj = gen(n, j)
+    _check_index(n, i), _check_index(n, j)
+    window = {_coset_label(w.syllables, i) for w in enumerate_ball(n, radius)}
 
-    def step(c: Coset) -> Coset:
-        return coset_normal_form(n, i, multiply(gj, c.rep))
+    def step(label: tuple) -> tuple:
+        return _coset_label(_power_times(j, 1, label), i)
 
-    visited: set[Coset] = set()
+    visited: set[tuple] = set()
     cycles = 0
-    for start in sorted(window, key=lambda c: c.rep.sort_key()):
+    for start in window:
         if start in visited:
             continue
         path = [start]
@@ -438,9 +436,9 @@ def U_map(
 def U_apply(n: int, m: int, x: ReducedWord, v: SuppVector) -> SuppVector:
     """Linear extension of :func:`U_map` from the rank-``n*m`` group basis
     to the pair-group basis."""
+    target = PairGroupBasis(n, m)  # checks n and m, ahead of their product
     if v.basis != GroupBasis(n * m):
         raise ValueError(f"vector is not over the group basis of F{n * m}")
-    target = PairGroupBasis(n, m)
     return SuppVector(target, ((U_map(n, m, x, g), c) for g, c in v.terms.items()))
 
 

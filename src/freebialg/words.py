@@ -478,8 +478,8 @@ def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
     if x.ambient.is_infinite:
         raise ValueError("lift requires a finite-rank word")
     n = x.ambient.n
+    y = ReducedWord._new(_finite_rank(m), _power_times(1, _exponent_sum(x.syllables), ()))
     z = ReducedWord._new(_rank(n * m), _column(x.syllables, m, 1))
-    y = ReducedWord._new(_rank(m), _power_times(1, _exponent_sum(x.syllables), ()))
     return y, z
 
 
@@ -492,8 +492,8 @@ def lift_second(y: ReducedWord, n: int) -> tuple[ReducedWord, ReducedWord]:
     if y.ambient.is_infinite:
         raise ValueError("lift requires a finite-rank word")
     m = y.ambient.n
+    x = ReducedWord._new(_finite_rank(n), _power_times(1, _exponent_sum(y.syllables), ()))
     z = ReducedWord._new(_rank(n * m), y.syllables)
-    x = ReducedWord._new(_rank(n), _power_times(1, _exponent_sum(y.syllables), ()))
     return x, z
 
 

@@ -239,7 +239,7 @@ def test_coset_checks_its_rank_index_and_representative():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             R.Coset(*args)
-    # coset_normal_form builds its result unchecked, and it is the same value
+    # coset_normal_form builds its result through the same constructor
     c = R.coset_normal_form(2, 1, W.gen(2, 2) * W.gen(2, 1))
     assert c == R.Coset(2, 1, W.gen(2, 2))
 
@@ -282,11 +282,20 @@ def test_indices_that_are_not_ints_are_refused(i):
         R.gns_coeff_check(2, i, W.gen(2, 1))
     with pytest.raises(ValueError, match=msg):
         R.Coset(2, i, W.gen(2, 2))
+    with pytest.raises(ValueError, match=msg):
+        R.fixed_vector_dim(2, i, 1, 2)
+    with pytest.raises(ValueError, match=msg):
+        R.fixed_vector_dim(2, 1, i, 2)
+    with pytest.raises(ValueError, match=msg):
+        R.CosetBasis(2, i)
     # nor is a rank that is not exactly a positive int, or None where the rank
     # must be finite: it is reported as a rank, by every entry point, ahead of
     # the index, the word and the radius (2.0 == 2 matches the start pair)
     z = W.gen(4, 1)
     start = (W.unit(2), W.unit(2))
+    on_f4 = R.SuppVector.basis_vector(R.GroupBasis(4), z)
+    base = R.coset_normal_form(2, 1, W.unit(2))
+    on_cosets = R.SuppVector.basis_vector(R.CosetBasis(2, 1), base)
     for n in (i, 2.5, 2.0, 0, None):
         rank_msg = f"^finite rank must be a positive integer, got {n}$"
         for call in (
@@ -299,6 +308,13 @@ def test_indices_that_are_not_ints_are_refused(i):
             lambda: R.f_pullback_eval(2, 1, n, 1, z),
             lambda: R.claim_probe_pd(n, 2, 1, 1, 2),
             lambda: R.claim_probe_pd(2, n, 1, 1, 2),
+            lambda: R.fixed_vector_dim(n, 1, 1, 2),
+            lambda: R.CosetBasis(n, 1),
+            lambda: R.GroupBasis(n),
+            lambda: R.PairGroupBasis(n, 2),
+            lambda: R.PairGroupBasis(2, n),
+            lambda: R.U_apply(n, 2, W.unit(2), on_f4),
+            lambda: R.L_action(n, 1, W.unit(2), on_cosets),
         ):
             with pytest.raises(ValueError, match=rank_msg):
                 call()
@@ -400,8 +416,8 @@ def test_gns_coeff_fails_when_either_route_is_broken(monkeypatch):
         patch.setattr(R, "f_eval", lambda f, w: 1 - honest(f, w))
         for i in (1, 2):
             assert not any(R.gns_coeff_check(2, i, w) for w in W.enumerate_ball(2, 2))
-    # a normal form that strips no g_1 power separates g_1^k from the base coset
-    monkeypatch.setattr(R, "coset_normal_form", lambda n, i, w: w)
+    # a label that strips no g_1 power separates g_1^k from the base coset
+    monkeypatch.setattr(R, "_coset_label", lambda sylls, i: sylls)
     assert not any(R.gns_coeff_check(2, 1, W.gen(2, 1, k)) for k in (1, -1, 2))
 
 
@@ -425,6 +441,54 @@ def test_fixed_vector_dims():
                 expected = 1 if i == j else 0
                 for radius in range(4):
                     assert R.fixed_vector_dim(n, i, j, radius) == expected
+
+
+def _reference_fixed_vector_dim(n, i, j, radius):
+    """The count walked over ``Coset`` values built by ``coset_normal_form``,
+    stepping by the word ``g_j`` and visiting the window in word order."""
+    window = {R.coset_normal_form(n, i, w) for w in W.enumerate_ball(n, radius)}
+    gj = W.gen(n, j)
+
+    def step(c):
+        return R.coset_normal_form(n, i, W.multiply(gj, c.rep))
+
+    visited = set()
+    cycles = 0
+    for start in sorted(window, key=lambda c: c.rep.sort_key()):
+        if start in visited:
+            continue
+        path = [start]
+        cur = step(start)
+        while cur in window and cur not in visited and cur != start:
+            path.append(cur)
+            cur = step(cur)
+        visited.update(path)
+        if cur == start:
+            cycles += 1
+    return cycles
+
+
+def test_fixed_vector_dim_matches_the_coset_walk():
+    for n in (1, 2, 3):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for radius in range(5):
+                    expected = _reference_fixed_vector_dim(n, i, j, radius)
+                    assert R.fixed_vector_dim(n, i, j, radius) == expected
+
+
+def test_basis_descriptors_check_their_ranks_and_index():
+    for make, error in (
+        (lambda: R.CosetBasis(2, 5), "generator index 5 out of range for F2"),
+        (lambda: R.GroupBasis(0), "finite rank must be a positive integer, got 0"),
+        (lambda: R.PairGroupBasis(2.5, 1), "finite rank must be a positive integer, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            make()
+    # an acting index out of range is refused by the basis the action names
+    e0 = R.SuppVector.basis_vector(R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
+    with pytest.raises(ValueError, match="^generator index 3 out of range for F2$"):
+        R.L_action(2, 3, W.gen(2, 1), e0)
 
 
 # -- cyclicity ------------------------------------------------------------------------------------

@@ -376,9 +376,10 @@ def test_trusted_lifts_match_their_reduce_form():
         assert W.cyclicity_witness(n, m, i, j, x, y) == W.multiply(zp, tail)
 
 
-@pytest.mark.parametrize("bad", [0, -2, 1.5])
+@pytest.mark.parametrize("bad", [0, -2, 1.5, 2.0, None])
 def test_lifts_reject_bad_ranks(bad):
-    msg = f"finite rank must be a positive integer, got {2 * bad}"
+    # the error names the rank argument, not the product rank formed from it
+    msg = f"^{re.escape(f'finite rank must be a positive integer, got {bad}')}$"
     with pytest.raises(ValueError, match=msg):
         W.lift_first(W.gen(2, 1), bad)
     with pytest.raises(ValueError, match=msg):
@@ -632,19 +633,13 @@ def test_fused_witnesses_at_the_seam(x, y, xp, z):
 @pytest.fixture
 def built(monkeypatch):
     """A list that grows by one for each word built, and by ``"Coset"`` for
-    each coset built either way ``reps`` builds one."""
+    each coset built; ``reps`` builds every coset through its constructor."""
     calls = []
     new = ReducedWord._new
 
     def counted_new(ambient, syllables):
         calls.append("word")
         return new(ambient, syllables)
-
-    object_new = R._object_new
-
-    def counted_object_new(cls):
-        calls.append(cls.__name__)
-        return object_new(cls)
 
     post_init = R.Coset.__post_init__
 
@@ -653,7 +648,6 @@ def built(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ReducedWord, "_new", staticmethod(counted_new))
-    monkeypatch.setattr(R, "_object_new", counted_object_new)
     monkeypatch.setattr(R.Coset, "__post_init__", counted_post_init)
     return calls
 
@@ -665,11 +659,21 @@ def _count(calls, fn, *args):
 
 
 def test_witnesses_build_only_the_words_they_return(built):
+    # no coset is built behind its constructor's back, so the counter sees all
+    source = inspect.getsource(R)
+    assert "__new__" not in source and "__dict__" not in source
     ball = W.enumerate_ball(2, 3)
     # the counters see what they must
     assert _count(built, W.gen, 2, 1) == (1, 0)
     assert _count(built, R.coset_normal_form, 2, 1, W.unit(2)) == (0, 1)
+    assert _count(built, R.coset_normal_form, 2, 1, W.gen(2, 1)) == (1, 1)
     assert _count(built, R.Coset, 2, 1, W.unit(2)) == (0, 1)
+    # the two coset checks compare labels: the ball's words, and no coset
+    for n, i, j, radius in ((2, 1, 1, 3), (2, 1, 2, 3), (3, 2, 1, 2)):
+        words = W.ball_size(n, radius)
+        assert _count(built, R.fixed_vector_dim, n, i, j, radius) == (words, 0)
+    for w in ball:
+        assert _count(built, R.gns_coeff_check, 2, 1, w) == (0, 0)
     for x in ball:
         assert _count(built, W.lift_first, x, 2) == (2, 0)
         assert _count(built, W.lift_second, x, 2) == (2, 0)
