@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 
 from .scalars import ONE, QI, ZERO
-from .words import INFINITE, Rank, ReducedWord, _as_rank, _rank, multiply, phi, phi_inf
+from .words import INFINITE, Rank, ReducedWord, _finite_rank, _rank, multiply, phi, phi_inf
 
 __all__ = [
     "DEFAULT_TOL",
@@ -326,11 +326,11 @@ class AlgebraElement(_Linear):
     _json_keys = ("rank", "word")
 
     def __init__(self, ambient: Rank | int, terms=(), exact: bool = True):
-        super().__init__(_as_rank(ambient), terms, exact)
+        super().__init__(_rank(ambient), terms, exact)
 
     @classmethod
     def unit(cls, ambient, exact: bool = True):
-        amb = _as_rank(ambient)
+        amb = _rank(ambient)
         return cls(amb, {ReducedWord._new(amb, ()): ONE if exact else 1.0}, exact)
 
     @classmethod
@@ -367,7 +367,7 @@ class _Tensor(_Linear):
     _arity = None
 
     def __init__(self, ambients, terms=(), exact: bool = True):
-        ambients = tuple([_as_rank(r) for r in ambients])
+        ambients = tuple([_rank(r) for r in ambients])
         if self._arity is not None and len(ambients) != self._arity:
             raise ValueError(f"expected {self._arity} tensor slots, got {len(ambients)}")
         super().__init__(ambients, terms, exact)
@@ -434,7 +434,7 @@ def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
     """Linear extension of ``phi_inf(n, .)`` on infinite-rank elements."""
     if not a.ambient.is_infinite:
         raise ValueError(f"element lives in {a.ambient}, expected Finf")
-    return _extend(partial(phi_inf, n), a, (INFINITE, _rank(n)))
+    return _extend(partial(phi_inf, n), a, (INFINITE, _finite_rank(n)))
 
 
 def standard_delta(a: AlgebraElement) -> TensorElement:
@@ -450,7 +450,7 @@ def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:
     Both routes land in the four-fold tensor over ranks (n, n, m, m); the
     comparison is exact.
     """
-    rn, rm = _rank(n), _rank(m)
+    rn, rm = _finite_rank(n), _finite_rank(m)
     ranks = (rn, rn, rm, rm)
     lhs = [((w1, w1, w2, w2), c) for (w1, w2), c in varphi_alg(n, m, a).terms.items()]
     rhs = []
@@ -465,8 +465,8 @@ def apply_tensor_right(t: TensorElement, b: AlgebraElement, slot: str) -> Tensor
     """Multiply ``b`` from the right into one tensor slot of ``t``.
 
     ``slot`` is ``"left"`` or ``"right"``; the other slot is multiplied by
-    the unit.  The cancellation-law checks do not use it: they compare
-    word pairs (see :func:`bialgebra.verify_cancellation`).
+    the unit.  :func:`reps.U_apply` is ``varphi_alg`` followed by this map
+    on the left slot.
     """
     if slot not in ("left", "right"):
         raise ValueError("slot must be 'left' or 'right'")

@@ -49,7 +49,6 @@ __all__ = [
     "counit_axiom_check",
     "unitized_delta",
     "unitized_counit",
-    "unitized_tensor_mul",
     "verify_cancellation",
     "coaction",
     "comodule_check",
@@ -128,7 +127,9 @@ class _DirectSum(_Linear):
         }
 
     def component(self, *key):
-        """The component of the given ranks, zero when absent."""
+        """The component of the given ranks, one per slot, zero when absent."""
+        if len(key) != (len(self._space) if type(self._space) is tuple else 1):
+            raise ValueError(f"component key {key} does not give one rank per slot")
         key = key[0] if len(key) == 1 else key
         got = self.components.get(key)
         return self._component.zero(key, self.exact) if got is None else got
@@ -272,6 +273,8 @@ class UnitizedElement:
     __slots__ = ("body", "unit_coeff")
 
     def __init__(self, body: DirectSumElement | DirectSumTensor, unit_coeff=0):
+        if not isinstance(body, (DirectSumElement, DirectSumTensor)):
+            raise TypeError(f"the body must be a direct sum, got {type(body).__name__}")
         if not body.exact:
             raise ValueError("the unitization is modeled with exact scalars")
         if not isinstance(unit_coeff, QI):
@@ -284,9 +287,13 @@ class UnitizedElement:
         return cls(DirectSumElement.zero(), ONE)
 
     def __add__(self, other: "UnitizedElement") -> "UnitizedElement":
+        if not isinstance(other, UnitizedElement):
+            return NotImplemented
         return UnitizedElement(self.body + other.body, self.unit_coeff + other.unit_coeff)
 
     def __mul__(self, other: "UnitizedElement") -> "UnitizedElement":
+        if not isinstance(other, UnitizedElement):
+            return NotImplemented
         # (a + c)(b + d) = ab + c b + d a + c d, the adjoined unit acting as identity
         body = (
             self.body * other.body
@@ -306,23 +313,14 @@ class UnitizedElement:
         return f"{self.body} + {self.unit_coeff}*~1"
 
 
-def unitized_delta(x: UnitizedElement) -> tuple[DirectSumTensor, QI]:
+def unitized_delta(x: UnitizedElement) -> UnitizedElement:
     """Coproduct on the unitization: the body maps as usual and the adjoined
-    unit is group-like; its coefficient is carried separately."""
-    return delta_phi(x.body), x.unit_coeff
+    unit is group-like, ``1 -> 1 (x) 1``, so its coefficient carries over."""
+    return UnitizedElement(delta_phi(x.body), x.unit_coeff)
 
 
 def unitized_counit(x: UnitizedElement) -> QI:
     return counit(x.body) + x.unit_coeff
-
-
-def unitized_tensor_mul(
-    p1: tuple[DirectSumTensor, QI], p2: tuple[DirectSumTensor, QI]
-) -> tuple[DirectSumTensor, QI]:
-    """Multiply two unitized-coproduct values ``T + c*(1 (x) 1)``: the
-    product of the unitization, with tensor bodies."""
-    prod = UnitizedElement(*p1) * UnitizedElement(*p2)
-    return prod.body, prod.unit_coeff
 
 
 def verify_cancellation(x: ReducedWord, y: ReducedWord) -> bool:

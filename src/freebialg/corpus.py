@@ -8,7 +8,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement
 from .bialgebra import DirectSumElement
 from .scalars import QI
-from .words import Rank, ReducedWord, Syllable, _as_rank, _check_count, _syllable
+from .words import Rank, ReducedWord, Syllable, _check_count, _rank, _syllable
 
 __all__ = [
     "random_reduced_word",
@@ -23,7 +23,7 @@ def random_reduced_word(
 ) -> ReducedWord:
     """A uniformly-lengthed non-backtracking random walk, hence exactly
     reduced.  For infinite rank a generator cutoff is required."""
-    ambient = _as_rank(ambient)
+    ambient = _rank(ambient)
     _check_count("max_len", max_len, 0)
     span = ambient.n
     if span is None:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algebra import DEFAULT_TOL, _Linear, _label_str
+from .algebra import DEFAULT_TOL, AlgebraElement, TensorElement, _Linear, _label_str
+from .algebra import apply_tensor_right, varphi_alg
 from .scalars import ONE, QI, ZERO
 from .words import (
     ReducedWord,
@@ -32,8 +33,6 @@ __all__ = [
     "PDFunction",
     "Coset",
     "CosetBasis",
-    "GroupBasis",
-    "PairGroupBasis",
     "CosetPairBasis",
     "SuppVector",
     "f_eval",
@@ -203,54 +202,19 @@ class CosetBasis:
 
 
 @dataclass(frozen=True)
-class GroupBasis:
-    n: int
-
-    def __post_init__(self):
-        _finite_rank(self.n)
-
-    def check(self, label):
-        if not isinstance(label, ReducedWord) or label.ambient.n != self.n:
-            raise ValueError(f"label {label!r} does not belong to {self}")
-        return label
-
-
-def _pair(basis, label) -> tuple:
-    """``label`` as a 2-tuple; raise unless it is a tuple or list of two slots."""
-    if not isinstance(label, (tuple, list)) or len(label) != 2:
-        raise ValueError(f"label {label!r} does not belong to {basis}")
-    return tuple(label)
-
-
-@dataclass(frozen=True)
-class PairGroupBasis:
-    n: int
-    m: int
-
-    def __post_init__(self):
-        _finite_rank(self.n), _finite_rank(self.m)
-
-    def check(self, label):
-        g, h = _pair(self, label)
-        for w, n in ((g, self.n), (h, self.m)):
-            if not isinstance(w, ReducedWord) or w.ambient.n != n:
-                raise ValueError(f"label {label!r} does not belong to {self}")
-        return (g, h)
-
-
-@dataclass(frozen=True)
 class CosetPairBasis:
     left: CosetBasis
     right: CosetBasis
 
     def check(self, label):
-        a, b = _pair(self, label)
-        return (self.left.check(a), self.right.check(b))
+        if not isinstance(label, (tuple, list)) or len(label) != 2:
+            raise ValueError(f"label {label!r} does not belong to {self}")
+        return (self.left.check(label[0]), self.right.check(label[1]))
 
 
 class SuppVector(_Linear):
-    """A finitely supported vector over a labeled basis with exact
-    coefficients; permutation actions on these never truncate."""
+    """A finitely supported vector over a coset basis or a pair of them, in
+    either coefficient mode; permutation actions on these never truncate."""
 
     __slots__ = ()
     basis = _Linear.space  # the basis descriptor, under its public name
@@ -275,7 +239,7 @@ class SuppVector(_Linear):
 
     def map_labels(self, fn) -> "SuppVector":
         """Push the vector through a basis-label map, merging collisions."""
-        return SuppVector(self.basis, ((fn(k), v) for k, v in self.terms.items()))
+        return SuppVector(self.basis, ((fn(k), v) for k, v in self.terms.items()), self.exact)
 
     def inner(self, other: "SuppVector") -> QI:
         """Standard inner product, conjugate linear in the first argument."""
@@ -373,22 +337,28 @@ def cyclicity_check(
     )
 
 
-def lambda_action(n: int, x: ReducedWord, v: SuppVector) -> SuppVector:
-    """Left regular representation on group basis vectors."""
-    if v.basis != GroupBasis(n):
+def lambda_action(n: int, x: ReducedWord, v: AlgebraElement) -> AlgebraElement:
+    """Left regular representation: the finitely supported vectors of
+    ``l^2(F_n)`` form the group algebra, and ``lambda(x)`` multiplies by ``x``.
+
+    >>> print(lambda_action(2, gen(2, 1), AlgebraElement.from_word(gen(2, 2))))
+    F2: g1*g2
+    """
+    rank = _finite_rank(n)
+    if not isinstance(v, AlgebraElement) or v.ambient != rank:
         raise ValueError(f"vector is not over the group basis of F{n}")
-    if x.ambient.n != n:
+    if x.ambient != rank:
         raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
-    return v.map_labels(lambda g: multiply(x, g))
+    return AlgebraElement.from_word(x, exact=v.exact) * v
 
 
-def tensor_rep_action(n: int, m: int, z: ReducedWord, v: SuppVector) -> SuppVector:
-    """Pulled-back action of a rank-``n*m`` word on the pair-group basis:
-    the pair image translates each factor."""
-    if v.basis != PairGroupBasis(n, m):
+def tensor_rep_action(n: int, m: int, z: ReducedWord, v: TensorElement) -> TensorElement:
+    """Pulled-back action ``(lambda (x) lambda) o phi`` of a rank-``n*m``
+    word on ``F_n x F_m``: the pair image of ``z`` multiplies each slot."""
+    ranks = (_finite_rank(n), _finite_rank(m))  # checked ahead of the vector
+    if not isinstance(v, TensorElement) or v.ambients != ranks:
         raise ValueError(f"vector is not over the pair basis of F{n} x F{m}")
-    p, q = phi(n, m, z)
-    return v.map_labels(lambda gh: (multiply(p, gh[0]), multiply(q, gh[1])))
+    return TensorElement.from_pair(*phi(n, m, z), exact=v.exact) * v
 
 
 def orbit_bfs(
@@ -433,13 +403,18 @@ def U_map(
     return multiply(p, x), q
 
 
-def U_apply(n: int, m: int, x: ReducedWord, v: SuppVector) -> SuppVector:
-    """Linear extension of :func:`U_map` from the rank-``n*m`` group basis
-    to the pair-group basis."""
-    target = PairGroupBasis(n, m)  # checks n and m, ahead of their product
-    if v.basis != GroupBasis(n * m):
+def U_apply(n: int, m: int, x: ReducedWord, v: AlgebraElement) -> TensorElement:
+    """Linear extension of :func:`U_map` to the rank-``n*m`` group algebra:
+    split ``v`` with ``phi``, then multiply the left slot by ``x`` from the right.
+
+    >>> print(U_apply(2, 2, gen(2, 1), AlgebraElement.from_word(gen(4, 2))))
+    F2(x)F2: g1^2(x)g2
+    """
+    _finite_rank(n), _finite_rank(m)  # checked ahead of their product
+    if not isinstance(v, AlgebraElement) or v.ambient.n != n * m:
         raise ValueError(f"vector is not over the group basis of F{n * m}")
-    return SuppVector(target, ((U_map(n, m, x, g), c) for g, c in v.terms.items()))
+    b = AlgebraElement.from_word(x, exact=v.exact)
+    return apply_tensor_right(varphi_alg(n, m, v), b, "left")
 
 
 def intertwine_check(

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .scalars import ONE, QI
-from .words import INFINITE, Rank, ReducedWord, Syllable, _as_rank, _rank, reduce, unit
+from .words import INFINITE, Rank, ReducedWord, Syllable, _rank, reduce, unit
 
 __all__ = ["ParseError", "parse_rank", "parse_word", "parse_element"]
 
@@ -144,7 +144,7 @@ def _parse_word(sc: _Scanner, ambient: Rank) -> ReducedWord:
 
 def parse_word(text: str, ambient: Rank | int) -> ReducedWord:
     """Parse a word like ``g1*g2^-1`` over the given ambient rank."""
-    ambient = _as_rank(ambient)
+    ambient = _rank(ambient)
     sc = _Scanner(text)
     w = _parse_word(sc, ambient)
     if not sc.at_end():

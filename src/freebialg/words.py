@@ -77,25 +77,21 @@ _RANKS: dict[int, Rank] = {}
 
 def _rank(n) -> Rank:
     """The one shared ``Rank(n)`` for an int ``n``, built (and validated) on
-    first use; any other value goes to the validating constructor."""
+    first use; a ``Rank`` passes, any other value goes to the constructor."""
     if type(n) is not int:
-        return INFINITE if n is None else Rank(n)
+        return n if isinstance(n, Rank) else INFINITE if n is None else Rank(n)
     r = _RANKS.get(n)
     if r is None:
         r = _RANKS[n] = Rank(n)
     return r
 
 
-def _as_rank(ambient: Rank | int) -> Rank:
-    return ambient if isinstance(ambient, Rank) else _rank(ambient)
-
-
 # ``_rank``/``_finite_rank``, ``_check_index`` and ``_check_count`` are the package's
 # one definition of a valid rank, generator index and count (radius, cutoff, length)
 def _finite_rank(n) -> Rank:
-    """``_rank(n)`` for a rank that must be finite: ``None`` is refused too."""
-    if n is None:
-        raise ValueError("finite rank must be a positive integer, got None")
+    """``_rank(n)`` for a rank that must be an int: ``None`` and a ``Rank`` are refused."""
+    if type(n) is not int:
+        raise ValueError(f"finite rank must be a positive integer, got {n!r}")
     return _rank(n)
 
 
@@ -293,12 +289,12 @@ _set_hash = ReducedWord._hash.__set__
 
 
 def unit(ambient: Rank | int) -> ReducedWord:
-    return ReducedWord._new(_as_rank(ambient), ())
+    return ReducedWord._new(_rank(ambient), ())
 
 
 def gen(ambient: Rank | int, i: int, exp: int = 1) -> ReducedWord:
     """The word ``g_i^exp`` (the unit when ``exp == 0``)."""
-    ambient = _as_rank(ambient)
+    ambient = _rank(ambient)
     if exp == 0 and type(exp) is int and type(i) is int:
         return ReducedWord._new(ambient, ())
     if type(exp) is not int or not ambient.allows(i):
@@ -349,7 +345,7 @@ def reduce(ambient: Rank | int, letters: Iterable[tuple[int, int]]) -> ReducedWo
     >>> str(reduce(2, [(1, 1), (1, -1)]))
     '1'
     """
-    ambient = _as_rank(ambient)
+    ambient = _rank(ambient)
     stack: list[Syllable] = []
     for g, e in letters:
         if type(e) is not int or not ambient.allows(g):
@@ -449,7 +445,7 @@ def phi_inf(n: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     """
     if not z.ambient.is_infinite:
         raise ValueError(f"expected an infinite-rank word, got ambient {z.ambient}")
-    return _split(z, n, INFINITE, _rank(n))
+    return _split(z, n, INFINITE, _finite_rank(n))
 
 
 def kernel_witness(n: int, m: int, i: int, l: int, j: int, k: int) -> ReducedWord:
@@ -570,7 +566,7 @@ def enumerate_ball(
     For infinite ambient rank a ``max_gen`` cutoff is required; the ball then
     ranges over the first ``max_gen`` generators.
     """
-    ambient = _as_rank(ambient)
+    ambient = _rank(ambient)
     _check_count("radius", radius, 0)
     if ambient.is_infinite:
         if max_gen is None:
@@ -608,7 +604,7 @@ def ball_size(rank: int, radius: int) -> int:
     >>> ball_size(2, 2), len(enumerate_ball(2, 2))
     (17, 17)
     """
-    _rank(rank)
+    _finite_rank(rank)
     _check_count("radius", radius, 0)
     if rank == 1:
         return 2 * radius + 1

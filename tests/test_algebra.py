@@ -652,9 +652,10 @@ def test_basis_element_checkers_build_no_linear_element(monkeypatch):
         if "__init__" in vars(cls):
             monkeypatch.setattr(cls, "__init__", refuse)
     monkeypatch.setattr(_Linear, "_wrap", classmethod(refuse))
+    coset = R.coset_normal_form(2, 1, W.gen(2, 2))
     for build in (
         lambda: AlgebraElement.from_word(W.gen(2, 1)),
-        lambda: R.SuppVector.basis_vector(R.GroupBasis(2), W.gen(2, 1)),
+        lambda: R.SuppVector.basis_vector(R.CosetBasis(2, 1), coset),
         lambda: _DirectSum({}),
     ):
         with pytest.raises(AssertionError):

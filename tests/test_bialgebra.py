@@ -2,6 +2,7 @@
 axiom checkers."""
 
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,6 @@ from freebialg.bialgebra import (
     factor_pairs,
     unitized_counit,
     unitized_delta,
-    unitized_tensor_mul,
     verify_cancellation,
     wcs_check,
 )
@@ -84,6 +84,25 @@ def test_delta_of_g3_rank4():
     assert t.component(1, 4) == TensorElement.from_pair(W.gen(1, 1), W.gen(4, 3))
     assert t.component(2, 2) == TensorElement.from_pair(W.gen(2, 2), W.gen(2, 1))
     assert t.component(4, 1) == TensorElement.from_pair(W.gen(4, 3), W.gen(1, 1))
+
+
+def test_component_refuses_a_key_with_the_wrong_number_of_ranks():
+    t = delta_phi(dsum_word(4, 3))
+    x = dsum_word(4, 3)
+    for element, key in (
+        (DirectSumTensor.zero(), (2,)),
+        (t, (4,)),
+        (t, (1, 2, 2)),
+        (DirectSumElement.zero(), (2, 3)),
+        (x, (4, 1)),
+        (x, ()),
+        (DirectSumTriple.zero(), (1, 2)),
+    ):
+        with pytest.raises(ValueError, match=rf"^component key {re.escape(str(key))} does not"):
+            element.component(*key)
+    # the right number of ranks is taken, present or not
+    assert x.component(4) == AlgebraElement.from_word(W.gen(4, 3))
+    assert t.component(2, 3) == TensorElement.zero((2, 3))
 
 
 def test_delta_summand_count_is_ordered_divisor_count():
@@ -218,14 +237,13 @@ def test_counit_axiom_generators():
 
 
 def test_unitized_delta_of_unit():
-    t, lam = unitized_delta(UnitizedElement.adjoined_unit())
-    assert t.is_zero and lam == QI(1)
+    d = unitized_delta(UnitizedElement.adjoined_unit())
+    assert d.body == DirectSumTensor.zero() and d.unit_coeff == QI(1)
 
 
 def test_unitized_delta_of_body_element():
-    x = UnitizedElement(dsum_word(6, 2))
-    t, lam = unitized_delta(x)
-    assert lam == QI(0) and t == delta_phi(dsum_word(6, 2))
+    x = UnitizedElement(dsum_word(6, 2), 3)
+    assert unitized_delta(x) == UnitizedElement(delta_phi(dsum_word(6, 2)), 3)
 
 
 def test_unitized_counit_examples():
@@ -241,8 +259,11 @@ def test_unitized_delta_multiplicative():
         a = UnitizedElement(random_direct_sum(rng, max_rank=6, max_len=3), rng.randint(-2, 2))
         b = UnitizedElement(random_direct_sum(rng, max_rank=6, max_len=3), rng.randint(-2, 2))
         lhs = unitized_delta(a * b)
-        rhs = unitized_tensor_mul(unitized_delta(a), unitized_delta(b))
-        assert lhs[0] == rhs[0] and lhs[1] == rhs[1]
+        rhs = unitized_delta(a) * unitized_delta(b)
+        assert lhs.body == rhs.body and lhs.unit_coeff == rhs.unit_coeff
+        # the product with tensor bodies, written out: T + c(1(x)1) times S + d(1(x)1)
+        (s, c), (t, d) = ((u.body, u.unit_coeff) for u in (unitized_delta(a), unitized_delta(b)))
+        assert lhs.body == s * t + t.scale(c) + s.scale(d) and lhs.unit_coeff == c * d
         assert unitized_counit(a * b) == unitized_counit(a) * unitized_counit(b)
 
 
@@ -261,6 +282,25 @@ def test_unitized_requires_exact():
     x = random_direct_sum(rng, max_rank=3, max_len=2).to_approx()
     with pytest.raises(ValueError):
         UnitizedElement(x)
+
+
+def test_unitized_refuses_what_is_not_a_unitized_element():
+    u = UnitizedElement(dsum_word(3, 2), 2)
+    for bad in (2, QI(1)):
+        for op in (lambda: u * bad, lambda: u + bad, lambda: bad * u, lambda: bad + u):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+    # a bare body is no unitized element either; it refuses the product as a scalar
+    with pytest.raises(TypeError):
+        u * dsum_word(3, 2)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        u + dsum_word(3, 2)
+    t = delta_phi(dsum_word(4, 1))
+    for body in (5, None, AlgebraElement.from_word(W.gen(2, 1)), t.component(2, 2)):
+        with pytest.raises(TypeError, match="^the body must be a direct sum, got "):
+            UnitizedElement(body)
+    # both kinds of body are taken: an element and a tensor
+    assert UnitizedElement(t, 1).body is t
 
 
 # -- cancellation law -----------------------------------------------------------------------

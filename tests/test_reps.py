@@ -9,7 +9,8 @@ import pytest
 
 from freebialg import reps as R
 from freebialg import words as W
-from freebialg.corpus import random_reduced_word
+from freebialg.algebra import AlgebraElement, TensorElement
+from freebialg.corpus import random_exact_scalar, random_reduced_word
 from freebialg.scalars import QI
 
 
@@ -293,7 +294,9 @@ def test_indices_that_are_not_ints_are_refused(i):
     # the index, the word and the radius (2.0 == 2 matches the start pair)
     z = W.gen(4, 1)
     start = (W.unit(2), W.unit(2))
-    on_f4 = R.SuppVector.basis_vector(R.GroupBasis(4), z)
+    on_f2 = AlgebraElement.from_word(W.unit(2))
+    on_f4 = AlgebraElement.from_word(z)
+    on_pairs = TensorElement.from_pair(W.unit(2), W.unit(2))
     base = R.coset_normal_form(2, 1, W.unit(2))
     on_cosets = R.SuppVector.basis_vector(R.CosetBasis(2, 1), base)
     for n in (i, 2.5, 2.0, 0, None):
@@ -310,10 +313,15 @@ def test_indices_that_are_not_ints_are_refused(i):
             lambda: R.claim_probe_pd(2, n, 1, 1, 2),
             lambda: R.fixed_vector_dim(n, 1, 1, 2),
             lambda: R.CosetBasis(n, 1),
-            lambda: R.GroupBasis(n),
-            lambda: R.PairGroupBasis(n, 2),
-            lambda: R.PairGroupBasis(2, n),
+            lambda: R.lambda_action(n, W.unit(2), on_f2),
+            lambda: R.tensor_rep_action(n, 2, z, on_pairs),
+            lambda: R.tensor_rep_action(2, n, z, on_pairs),
             lambda: R.U_apply(n, 2, W.unit(2), on_f4),
+            lambda: R.U_apply(2, n, W.unit(2), on_f4),
+            # the rank is named ahead of a vector of another space
+            lambda: R.lambda_action(n, W.unit(2), on_cosets),
+            lambda: R.tensor_rep_action(2, n, z, on_cosets),
+            lambda: R.U_apply(n, 2, W.unit(2), on_cosets),
             lambda: R.L_action(n, 1, W.unit(2), on_cosets),
         ):
             with pytest.raises(ValueError, match=rank_msg):
@@ -335,6 +343,14 @@ def test_L_action_examples():
     assert R.L_action(2, 1, W.unit(2), v) == v
 
 
+def test_L_action_keeps_the_coefficient_mode():
+    basis = R.CosetBasis(2, 1)
+    base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
+    v = R.SuppVector(basis, {base: 0.5 + 1j}, exact=False)
+    got = R.L_action(2, 1, W.gen(2, 2), v)
+    assert not got.exact and got == R.SuppVector(basis, {moved: 0.5 + 1j}, exact=False)
+
+
 def test_L_action_is_group_action():
     rng = random.Random(21)
     for _ in range(200):
@@ -350,34 +366,104 @@ def test_L_action_is_group_action():
 
 
 def test_lambda_action_examples():
-    basis = R.GroupBasis(2)
-    xi1 = R.SuppVector.basis_vector(basis, W.unit(2))
-    assert R.lambda_action(2, W.gen(2, 1), xi1) == R.SuppVector.basis_vector(
-        basis, W.gen(2, 1)
-    )
-    v = R.SuppVector.basis_vector(basis, W.gen(2, 2, -1))
+    xi1 = AlgebraElement.from_word(W.unit(2))
+    assert R.lambda_action(2, W.gen(2, 1), xi1) == AlgebraElement.from_word(W.gen(2, 1))
+    v = AlgebraElement.from_word(W.gen(2, 2, -1))
     assert R.lambda_action(
         2, W.gen(2, 1, -1), R.lambda_action(2, W.gen(2, 1), v)
     ) == v
-    assert R.lambda_action(2, W.gen(2, 1) * W.gen(2, 2), v) == R.SuppVector.basis_vector(
-        basis, W.gen(2, 1)
+    assert R.lambda_action(2, W.gen(2, 1) * W.gen(2, 2), v) == AlgebraElement.from_word(
+        W.gen(2, 1)
     )
+    # an approximate vector stays approximate
+    approx = (xi1 + v.scale(2)).to_approx()
+    moved = R.lambda_action(2, W.gen(2, 2), approx)
+    assert not moved.exact
+    assert moved == (AlgebraElement.from_word(W.gen(2, 2)) + xi1.scale(2)).to_approx()
 
 
 def test_tensor_rep_action_examples():
-    basis = R.PairGroupBasis(2, 2)
-    v = R.SuppVector.basis_vector(basis, (W.unit(2), W.unit(2)))
+    v = TensorElement.from_pair(W.unit(2), W.unit(2))
     moved = R.tensor_rep_action(2, 2, W.gen(4, 1), v)
-    assert moved == R.SuppVector.basis_vector(basis, (W.gen(2, 1), W.gen(2, 1)))
+    assert moved == TensorElement.from_pair(W.gen(2, 1), W.gen(2, 1))
     assert R.tensor_rep_action(2, 2, W.unit(4), v) == v
     kernel = W.kernel_witness(2, 2, 1, 2, 1, 2)
-    w = R.SuppVector.basis_vector(basis, (W.gen(2, 2), W.gen(2, 1, -1)))
+    w = TensorElement.from_pair(W.gen(2, 2), W.gen(2, 1, -1))
     assert R.tensor_rep_action(2, 2, kernel, w) == w
+    assert R.tensor_rep_action(2, 2, kernel, w.to_approx()) == w.to_approx()
+
+
+def _random_vector(rng, ranks, exact):
+    """A random element of the group algebra of ``F_n`` (one rank) or of
+    ``F_n x F_m`` (two ranks), with up to four terms."""
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        words = tuple(random_reduced_word(rng, r, 3) for r in ranks)
+        c = random_exact_scalar(rng)
+        pairs.append((words if len(ranks) == 2 else words[0], c if exact else complex(c) / 3))
+    if len(ranks) == 2:
+        return TensorElement(ranks, pairs, exact)
+    return AlgebraElement(ranks[0], pairs, exact)
+
+
+# the label maps that built the three actions before they were engine products
+
+
+def _reference_lambda_action(n, x, v):
+    return AlgebraElement(n, [(W.multiply(x, g), c) for g, c in v.terms.items()], v.exact)
+
+
+def _reference_tensor_rep_action(n, m, z, v):
+    p, q = W.phi(n, m, z)
+    pairs = [((W.multiply(p, g), W.multiply(q, h)), c) for (g, h), c in v.terms.items()]
+    return TensorElement((n, m), pairs, v.exact)
+
+
+def _reference_U_apply(n, m, x, v):
+    return TensorElement((n, m), [(R.U_map(n, m, x, g), c) for g, c in v.terms.items()], v.exact)
+
+
+def test_actions_match_their_label_maps():
+    """Each action is the engine's product; it gives the terms, in the same
+    order, that its label map gives, in either coefficient mode."""
+    rng = random.Random(23)
+    for case in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        exact = case % 2 == 0
+        x = random_reduced_word(rng, n, 3)
+        z = random_reduced_word(rng, n * m, 3)
+        v = _random_vector(rng, (n,), exact)
+        pv = _random_vector(rng, (n, m), exact)
+        nv = _random_vector(rng, (n * m,), exact)
+        # a kernel word shares the pair image of the unit, so U_apply merges their terms
+        if n > 1 and m > 1:
+            kernel = W.kernel_witness(n, m, 1, 2, 1, 2)
+            nv = nv + AlgebraElement(n * m, [(kernel, 1), (W.unit(n * m), -2)], exact)
+        for got, want in (
+            (R.lambda_action(n, x, v), _reference_lambda_action(n, x, v)),
+            (R.tensor_rep_action(n, m, z, pv), _reference_tensor_rep_action(n, m, z, pv)),
+            (R.U_apply(n, m, x, nv), _reference_U_apply(n, m, x, nv)),
+        ):
+            assert type(got) is type(want) and got.space == want.space
+            assert got.exact == exact
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_U_apply_of_a_basis_vector_is_the_basis_map():
+    """Two routes: the linear map on a basis element, through the engine,
+    and the label map :func:`U_map` on its word."""
+    rng = random.Random(24)
+    for _ in range(200):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        x = random_reduced_word(rng, n, 3)
+        g = random_reduced_word(rng, n * m, 4)
+        got = R.U_apply(n, m, x, AlgebraElement.from_word(g))
+        assert got == TensorElement.from_pair(*R.U_map(n, m, x, g))
 
 
 def test_actions_refuse_a_wrong_basis_or_rank():
     coset = R.SuppVector.basis_vector(R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
-    group = R.SuppVector.basis_vector(R.GroupBasis(2), W.unit(2))
+    group = AlgebraElement.from_word(W.unit(2))
     g3 = W.gen(3, 1)
     with pytest.raises(ValueError, match=re.escape("not over the coset basis of F2/<g2>")):
         R.L_action(2, 2, W.gen(2, 1), coset)
@@ -391,6 +477,17 @@ def test_actions_refuse_a_wrong_basis_or_rank():
         R.tensor_rep_action(2, 2, W.gen(4, 1), group)
     with pytest.raises(ValueError, match="vector is not over the group basis of F4"):
         R.U_apply(2, 2, W.unit(2), group)
+    # a vector of another space, of the right rank, is refused as well
+    pair = TensorElement.from_pair(W.unit(2), W.unit(2))
+    for call, text in (
+        (lambda: R.lambda_action(2, W.gen(2, 1), coset), "group basis of F2"),
+        (lambda: R.lambda_action(2, W.gen(2, 1), pair), "group basis of F2"),
+        (lambda: R.tensor_rep_action(2, 2, W.gen(4, 1), coset), "pair basis of F2 x F2"),
+        (lambda: R.tensor_rep_action(2, 1, W.gen(2, 1), pair), "pair basis of F2 x F1"),
+        (lambda: R.U_apply(2, 2, W.unit(2), pair), "group basis of F4"),
+    ):
+        with pytest.raises(ValueError, match=f"^vector is not over the {text}$"):
+            call()
 
 
 # -- matrix coefficients and fixed vectors ------------------------------------------------------
@@ -478,13 +575,8 @@ def test_fixed_vector_dim_matches_the_coset_walk():
 
 
 def test_basis_descriptors_check_their_ranks_and_index():
-    for make, error in (
-        (lambda: R.CosetBasis(2, 5), "generator index 5 out of range for F2"),
-        (lambda: R.GroupBasis(0), "finite rank must be a positive integer, got 0"),
-        (lambda: R.PairGroupBasis(2.5, 1), "finite rank must be a positive integer, got 2.5"),
-    ):
-        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            make()
+    with pytest.raises(ValueError, match="^generator index 5 out of range for F2$"):
+        R.CosetBasis(2, 5)
     # an acting index out of range is refused by the basis the action names
     e0 = R.SuppVector.basis_vector(R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
     with pytest.raises(ValueError, match="^generator index 3 out of range for F2$"):
@@ -591,11 +683,8 @@ def test_U_map_examples():
 
 
 def test_U_apply_merges_collisions():
-    basis = R.GroupBasis(4)
     kernel = W.kernel_witness(2, 2, 1, 2, 1, 2)
-    v = R.SuppVector.basis_vector(basis, kernel) - R.SuppVector.basis_vector(
-        basis, W.unit(4)
-    )
+    v = AlgebraElement.from_word(kernel) - AlgebraElement.from_word(W.unit(4))
     assert R.U_apply(2, 2, W.unit(2), v).is_zero
 
 
@@ -659,37 +748,48 @@ def test_orbit_bfs_refusals():
 # -- vectors -------------------------------------------------------------------------------------------
 
 
+def _cosets(n, i, *words):
+    return [R.coset_normal_form(n, i, w) for w in words]
+
+
 def test_supp_vector_inner_product():
-    basis = R.GroupBasis(2)
-    v = R.SuppVector(basis, {W.unit(2): QI(0, 1), W.gen(2, 1): QI(2)})
-    w = R.SuppVector(basis, {W.unit(2): QI(3)})
+    basis = R.CosetBasis(2, 1)
+    base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
+    v = R.SuppVector(basis, {base: QI(0, 1), moved: QI(2)})
+    w = R.SuppVector(basis, {base: QI(3)})
     assert v.inner(w) == QI(0, -3)
     assert v.inner(v) == QI(5)
 
 
 def test_supp_vector_inner_product_conjugates_its_first_argument():
     # the loop runs over the smaller support, whichever argument holds it
-    basis = R.GroupBasis(2)
-    v = R.SuppVector(basis, {W.unit(2): QI(0, 1), W.gen(2, 1): QI(2)})
-    w = R.SuppVector(basis, {W.unit(2): QI(3)})
+    basis = R.CosetBasis(2, 1)
+    base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
+    v = R.SuppVector(basis, {base: QI(0, 1), moved: QI(2)})
+    w = R.SuppVector(basis, {base: QI(3)})
     assert w.inner(v) == QI(0, 3) == v.inner(w).conjugate()
-    with pytest.raises(ValueError, match="vectors live over different bases"):
-        v.inner(R.SuppVector.basis_vector(R.GroupBasis(3), W.unit(3)))
+    for other in (R.CosetBasis(2, 2), R.CosetBasis(3, 1)):
+        (label,) = _cosets(other.n, other.i, W.unit(other.n))
+        with pytest.raises(ValueError, match="vectors live over different bases"):
+            v.inner(R.SuppVector.basis_vector(other, label))
 
 
 @pytest.mark.parametrize(
     "basis,label,text",
     [
         (R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.gen(2, 2)), "e[g2]"),
-        (R.GroupBasis(2), W.gen(2, 1), "eg1"),
-        (R.PairGroupBasis(2, 2), (W.gen(2, 1), W.unit(2)), "e(g1(x)1)"),
+        (
+            R.CosetPairBasis(R.CosetBasis(2, 2), R.CosetBasis(2, 1)),
+            (R.coset_normal_form(2, 2, W.gen(2, 1)), R.coset_normal_form(2, 1, W.unit(2))),
+            "e([g1](x)[1])",
+        ),
         (
             R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(2, 2)),
             (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(2, 2, W.gen(2, 1))),
             "e([g2](x)[g1])",
         ),
     ],
-    ids=["CosetBasis", "GroupBasis", "PairGroupBasis", "CosetPairBasis"],
+    ids=["CosetBasis", "CosetPairBasis-trivial-slot", "CosetPairBasis"],
 )
 def test_supp_vector_text_on_every_basis(basis, label, text):
     """A pair label prints as its two slots joined by ``(x)`` in parentheses."""
@@ -700,18 +800,17 @@ def test_supp_vector_text_on_every_basis(basis, label, text):
 
 
 def test_supp_vector_basis_mismatch():
-    v = R.SuppVector.basis_vector(R.GroupBasis(2), W.unit(2))
-    w = R.SuppVector.basis_vector(R.GroupBasis(3), W.unit(3))
-    with pytest.raises(ValueError):
-        v + w
+    v = R.SuppVector.basis_vector(R.CosetBasis(2, 1), *_cosets(2, 1, W.unit(2)))
+    for basis in (R.CosetBasis(2, 2), R.CosetBasis(3, 1)):
+        w = R.SuppVector.basis_vector(basis, *_cosets(basis.n, basis.i, W.unit(basis.n)))
+        with pytest.raises(ValueError, match="elements live in different spaces"):
+            v + w
 
 
 @pytest.mark.parametrize(
     "basis,label",
     [
         (R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.gen(2, 2))),
-        (R.GroupBasis(2), W.gen(2, 2)),
-        (R.PairGroupBasis(2, 3), (W.gen(2, 1), W.gen(3, 3, -1))),
         (
             R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(3, 2)),
             (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(3, 2, W.gen(3, 1))),
@@ -734,7 +833,6 @@ def test_vectors_have_no_product_and_no_star(basis, label):
 
 # each pair basis with a label of it and a label with one slot of the wrong rank
 _PAIR_BASES = [
-    (R.PairGroupBasis(2, 3), (W.gen(2, 1), W.gen(3, 3, -1)), (W.gen(2, 1), W.gen(2, 2))),
     (
         R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(3, 2)),
         (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(3, 2, W.gen(3, 1))),

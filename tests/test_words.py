@@ -279,6 +279,30 @@ def test_splitting_maps_validate_ranks():
             call()
 
 
+def test_one_rank_normaliser():
+    """``_rank`` passes a ``Rank`` through and interns an int; where the rank
+    must be given as an int, a ``Rank`` and ``None`` are refused by name."""
+    from freebialg.algebra import standard_delta_compat_check, varphi_inf_alg
+
+    for r in (Rank(2), INFINITE):
+        assert W._rank(r) is r
+    assert W._rank(2) is W._rank(Rank(2).n) is W.gen(2, 1).ambient
+    assert W.gen(Rank(3), 2) == W.gen(3, 2) and W.unit(Rank(3)) == W.unit(3)
+    zero_inf = AlgebraElement.zero(INFINITE)
+    for bad in (Rank(2), INFINITE, None):
+        msg = f"^finite rank must be a positive integer, got {re.escape(repr(bad))}$"
+        for call in (
+            lambda: W._finite_rank(bad),
+            lambda: W.ball_size(bad, 1),
+            # the unit word has no letter to split, so only the check refuses it
+            lambda: W.phi_inf(bad, W.unit(INFINITE)),
+            lambda: varphi_inf_alg(bad, zero_inf),
+            lambda: standard_delta_compat_check(bad, 2, AlgebraElement.zero(4)),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+
 # -- kernel witness ---------------------------------------------------------------
 
 
@@ -1206,8 +1230,7 @@ def test_trusted_ball_words_are_valid():
 
 
 def test_wrong_ambient_still_raises():
-    g = R.GroupBasis(2)
-    v = R.SuppVector.basis_vector(g, W.unit(2))
+    v = AlgebraElement.from_word(W.unit(2))
     for bad in (W.gen(3, 1), W.gen(INFINITE, 1)):
         with pytest.raises(ValueError):
             W.phi(1, 2, bad)
@@ -1216,7 +1239,7 @@ def test_wrong_ambient_still_raises():
         with pytest.raises(ValueError):
             R.coset_normal_form(2, 1, bad)
         with pytest.raises(ValueError):
-            g.check(bad)
+            v.coefficient(bad)
         with pytest.raises(ValueError):
             R.lambda_action(2, bad, v)
     # the word of the right rank is accepted by each
@@ -1224,5 +1247,5 @@ def test_wrong_ambient_still_raises():
     assert W.phi(1, 2, good) == (W.gen(1, 1), good)
     assert R.f_eval(R.PDFunction(2, 1), good) == 1
     assert R.coset_normal_form(2, 1, good).rep.is_unit
-    assert g.check(good) is good
-    assert R.lambda_action(2, good, v) == R.SuppVector.basis_vector(g, good)
+    assert not v.coefficient(good)
+    assert R.lambda_action(2, good, v) == AlgebraElement.from_word(good)
