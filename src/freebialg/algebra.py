@@ -425,7 +425,12 @@ def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
     tensor product of the rank-``n`` and rank-``m`` algebras.  Distinct words
     may collide in the image, so coefficients accumulate.
     """
-    if a.ambient.n != n * m:
+    try:
+        fits = a.ambient.n == n * m
+    except TypeError:  # a rank with no product, such as ``None``, is named
+        _finite_rank(n), _finite_rank(m)
+        raise
+    if not fits:
         raise ValueError(f"element lives in {a.ambient}, expected F{n * m}")
     return _extend(partial(phi, n, m), a, (_rank(n), _rank(m)))
 

@@ -131,8 +131,9 @@ class _DirectSum(_Linear):
         if len(key) != (len(self._space) if type(self._space) is tuple else 1):
             raise ValueError(f"component key {key} does not give one rank per slot")
         key = key[0] if len(key) == 1 else key
-        got = self.components.get(key)
-        return self._component.zero(key, self.exact) if got is None else got
+        terms = {label: c for label, c in self.terms.items() if _grade(label) == key}
+        space = tuple(map(_rank, key)) if type(key) is tuple else _rank(key)
+        return self._component._wrap(space, terms, self.exact)
 
     def keys(self):
         return sorted({_grade(label) for label in self.terms})

@@ -356,19 +356,31 @@ def _intertwiner(rng, tol):
         yield reps.intertwine_check(2, 2, x, h, g), (x, h, g)
 
 
+def _gram_case(f, ball, label):
+    """``(ok, certificate)`` of one Gram matrix by both exact routes; the
+    certificate is ``v = (...)`` with ``v^T G v < 0``, or says that only the
+    label route failed.  No tolerance is read."""
+    ok, cert = reps.gram_exact_check(f, ball, label)
+    if cert is None:
+        return ok, "entries differ from the coset labels"
+    return ok, "v = (" + ", ".join(map(str, cert)) + ")"
+
+
 @_counted("reps.gram-psd")
 def _gram_psd(rng, tol):
     for n in (2, 3):
         ball = enumerate_ball(n, 2)
         for i in range(1, n + 1):
-            mn, ok = reps.gram_psd(reps.PDFunction(n, i), ball, tol)
-            yield ok, ("f_eval", n, i, mn)
+            label = lambda w, i=i: reps._coset_label(w.syllables, i)
+            ok, cert = _gram_case(reps.PDFunction(n, i), ball, label)
+            yield ok, ("f_eval", n, i, cert)
     ball4 = enumerate_ball(4, 2)
     for i in (1, 2):
         for j in (1, 2):
             ev = lambda z, i=i, j=j: reps.f_pullback_eval(2, i, 2, j, z)
-            mn, ok = reps.gram_psd(ev, ball4, tol)
-            yield ok, ("f_pullback_eval", 2, i, 2, j, mn)
+            label = lambda z, i=i, j=j: reps._pullback_label(2, 2, i, j, z)
+            ok, cert = _gram_case(ev, ball4, label)
+            yield ok, ("f_pullback_eval", 2, i, 2, j, cert)
 
 
 @_counted("reps.action-laws")

@@ -3,14 +3,16 @@ coset permutation actions, regular representations, the pulled-back tensor
 action, and the claim probes built on them.
 
 Everything here is basis combinatorics over finitely supported vectors with
-exact coefficients; floating point appears only in the Gram-matrix
-eigenvalue routine.  Probes report disagreements instead of asserting the
-claimed identities, so a discrepancy is data rather than a test failure.
+exact coefficients; floating point appears only in ``gram_psd``, the float
+cross-check of the exact Gram verdicts.  Probes report disagreements instead
+of asserting the claimed identities, so a discrepancy is data rather than a
+test failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from .algebra import DEFAULT_TOL, AlgebraElement, TensorElement, _Linear, _label_str
@@ -39,6 +41,8 @@ __all__ = [
     "f_pullback_eval",
     "claim_probe_pd",
     "gram_psd",
+    "gram_psd_certificate",
+    "gram_exact_check",
     "coset_normal_form",
     "L_action",
     "gns_coeff_check",
@@ -114,35 +118,127 @@ def claim_probe_pd(
     return out
 
 
+def _gram_rows(f: Callable[[ReducedWord], float], words: list) -> list[list]:
+    """The lower triangle of the Gram matrix ``[f(s^-1 t)]`` over ``words``,
+    row by row.  The evaluator must be real symmetric (``f(w^-1) = f(w)``),
+    which holds for the indicators used here, so these entries fix the matrix."""
+    if not words:
+        raise ValueError("sample must be nonempty")
+    rows = []
+    for a, s in enumerate(words):
+        s_inv = s.inverse()
+        rows.append([f(multiply(s_inv, t)) for t in words[: a + 1]])
+    return rows
+
+
 def gram_psd(
     f: Callable[[ReducedWord], float],
     sample: Iterable[ReducedWord],
     tol: float = DEFAULT_TOL,
 ) -> tuple[float, bool]:
     """Minimum eigenvalue of the Gram matrix ``[f(s^-1 t)]`` over the sample,
-    and whether it clears ``-tol``.  The evaluator must be real symmetric
-    (``f(w^-1) = f(w)``), which holds for the indicators used here.
-
-    The matrix is then symmetric, so only its lower triangle is evaluated;
+    and whether it clears ``-tol``: the float cross-check of
+    :func:`gram_psd_certificate`.  Only the lower triangle is evaluated;
     ``eigvalsh`` reads no other entry.
 
     >>> from freebialg.words import gen, unit
     >>> gram_psd(PDFunction(2, 1), [unit(2), gen(2, 2)])
     (1.0, True)
     """
-    import numpy as np  # here alone, so importing freebialg does not load numpy
+    import numpy as np  # here alone, so no CLI command loads numpy
 
-    words = list(sample)
-    if not words:
-        raise ValueError("sample must be nonempty")
-    size = len(words)
+    rows = _gram_rows(f, list(sample))
+    size = len(rows)
     mat = np.zeros((size, size), dtype=float)
-    for a, s in enumerate(words):
-        s_inv = s.inverse()
-        mat[a, : a + 1] = [float(f(multiply(s_inv, t))) for t in words[: a + 1]]
+    for a, row in enumerate(rows):
+        mat[a, : a + 1] = row
     eigs = np.linalg.eigvalsh(mat, UPLO="L")
     min_eig = float(eigs[0])
     return min_eig, min_eig >= -tol
+
+
+def _psd_certificate(rows: list[list]) -> list[Fraction] | None:
+    """Symmetric elimination of the exact matrix ``G`` with lower triangle
+    ``rows``, pivoting in order on each diagonal entry.
+
+    ``None`` when every pivot is positive, or zero with nothing left in its
+    row: then ``G = L D L^T`` with ``D >= 0``.  Otherwise a vector ``v`` with
+    ``v^T G v < 0``: ``e_k`` for a negative pivot, ``e_j + t e_k`` for a zero
+    pivot ``k`` with an entry ``c`` at ``j`` (``t = -(G_jj + 1) / 2c`` gives
+    -1), carried back through the eliminations.  Entries stay ints until a
+    pivot other than 1 needs a ``Fraction``.
+    """
+    # the nonzero entries of each row of the block not yet eliminated
+    live: list[dict] = [{} for _ in rows]
+    for a, row in enumerate(rows):
+        for b, c in enumerate(row):
+            if c:
+                live[a][b] = live[b][a] = c
+    steps = []  # (pivot, {j: multiplier}) of each elimination, in order
+    for k, row in enumerate(live):
+        p = row.pop(k, 0)  # ``row`` now holds the entries right of the pivot
+        if p < 0:
+            u = {k: 1}
+        elif not row:
+            continue
+        elif p == 0:
+            j, c = next(iter(row.items()))
+            u = {j: 1, k: -Fraction(live[j].get(j, 0) + 1) / (2 * c)}
+        else:
+            mult = {j: c if p == 1 else Fraction(c, p) for j, c in row.items()}
+            for j, lj in mult.items():
+                rj = live[j]
+                del rj[k]
+                for l, cl in row.items():
+                    new = rj.get(l, 0) - lj * cl
+                    if new:
+                        rj[l] = new
+                    else:
+                        rj.pop(l, None)
+            steps.append((k, mult))
+            continue
+        for piv, mult in reversed(steps):
+            u[piv] = -sum(lj * u[j] for j, lj in mult.items() if j in u)
+        return [Fraction(u.get(a, 0)) for a in range(len(rows))]
+    return None
+
+
+def gram_psd_certificate(
+    f: Callable[[ReducedWord], int], sample: Iterable[ReducedWord]
+) -> list[Fraction] | None:
+    """Exact verdict on the Gram matrix ``G = [f(s^-1 t)]`` over the sample,
+    for a real symmetric evaluator with integer or rational values: ``None``
+    when ``G`` is positive semidefinite, else a vector ``v`` with
+    ``v^T G v < 0``.
+
+    >>> from freebialg.words import gen, unit
+    >>> gram_psd_certificate(PDFunction(2, 1), [unit(2), gen(2, 1), gen(2, 2)]) is None
+    True
+    """
+    return _psd_certificate(_gram_rows(f, list(sample)))
+
+
+def gram_exact_check(
+    f: Callable[[ReducedWord], int],
+    sample: Iterable[ReducedWord],
+    label: Callable[[ReducedWord], object],
+) -> tuple[bool, list[Fraction] | None]:
+    """Two exact routes to the positive semidefiniteness of ``G = [f(s^-1 t)]``
+    on one evaluation of its lower triangle.
+
+    Route 1 is the elimination of :func:`gram_psd_certificate`.  Route 2 asks
+    every entry to be 1 exactly when ``label(s) == label(t)`` and 0 otherwise;
+    ``G`` is then a sum of all-ones blocks, one per label.  Returns whether
+    both routes pass, and route 1's certificate (``None`` if it has none).
+    """
+    words = list(sample)
+    rows = _gram_rows(f, words)
+    labels = [label(s) for s in words]
+    blocks = all(
+        all(c == (ls == lt) for c, lt in zip(row, labels)) for row, ls in zip(rows, labels)
+    )
+    cert = _psd_certificate(rows)
+    return blocks and cert is None, cert
 
 
 def _coset_label(sylls: tuple, i: int) -> tuple:
@@ -153,6 +249,15 @@ def _coset_label(sylls: tuple, i: int) -> tuple:
     if sylls and sylls[-1][0] == i:
         return sylls[:-1]
     return sylls
+
+
+def _pullback_label(n: int, m: int, i: int, j: int, z: ReducedWord) -> tuple:
+    """The label of the left coset ``zH`` of ``H = phi^-1(<g_i> x <g_j>)``:
+    the pair of coset labels of the two words of ``phi(z)``.  ``phi`` is a
+    homomorphism, so two words lie in one coset of ``H`` exactly when their
+    labels are equal."""
+    p, q = phi(n, m, z)
+    return _coset_label(p.syllables, i), _coset_label(q.syllables, j)
 
 
 @dataclass(frozen=True)
@@ -331,10 +436,8 @@ def cyclicity_check(
     Each coset is compared by its label, so no :class:`Coset` is built.
     """
     z = _cyclicity_witness(n, m, i, j, x, y)
-    p, q = phi(n, m, z)
-    return _coset_label(p.syllables, i) == _coset_label(x.syllables, i) and (
-        _coset_label(q.syllables, j) == _coset_label(y.syllables, j)
-    )
+    target = _coset_label(x.syllables, i), _coset_label(y.syllables, j)
+    return _pullback_label(n, m, i, j, z) == target
 
 
 def lambda_action(n: int, x: ReducedWord, v: AlgebraElement) -> AlgebraElement:

@@ -434,7 +434,12 @@ def phi(n: int, m: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     >>> p.is_unit and q.is_unit
     True
     """
-    if z.ambient.n != n * m:
+    try:
+        fits = z.ambient.n == n * m
+    except TypeError:  # a rank with no product, such as ``None``, is named
+        _finite_rank(n), _finite_rank(m)
+        raise
+    if not fits:
         raise ValueError(f"expected a word of rank {n * m}, got ambient {z.ambient}")
     return _split(z, m, _rank(n), _rank(m))
 

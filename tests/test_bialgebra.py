@@ -105,6 +105,27 @@ def test_component_refuses_a_key_with_the_wrong_number_of_ranks():
     assert t.component(2, 3) == TensorElement.zero((2, 3))
 
 
+def test_component_is_the_entry_of_components():
+    rng = random.Random(8)
+    for _ in range(5):
+        x = random_direct_sum(rng, max_rank=12, max_len=3, parts=3)
+        t = delta_phi(x)
+        approx = DirectSumTensor(
+            {k: TensorElement(c.space, {l: complex(v) for l, v in c.terms.items()}, exact=False)
+             for k, c in t.components.items()}
+        )
+        for element in (x, t, coassoc_check(x)[0], approx):
+            comps = element.components
+            assert comps
+            for key, comp in comps.items():
+                got = element.component(*(key if type(key) is tuple else (key,)))
+                assert got == comp and got.space == comp.space and got.exact == comp.exact
+            slots = len(element.space) if type(element.space) is tuple else 1
+            absent = element.component(*(13,) * slots)
+            zero = type(comp).zero((13,) * slots if slots > 1 else 13, element.exact)
+            assert absent == zero and absent.space == zero.space and not absent.terms
+
+
 def test_delta_summand_count_is_ordered_divisor_count():
     for n in range(1, 25):
         t = delta_phi(dsum_word(n, 1))

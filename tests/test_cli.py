@@ -464,7 +464,7 @@ def test_cli_process_roundtrip():
 
 
 def test_import_and_delta_load_no_numpy():
-    # numpy serves the Gram eigenvalues alone, so no other command imports it
+    # numpy serves the float ``gram_psd`` alone; the Gram check is exact
     import freebialg
 
     src = str(Path(freebialg.__file__).resolve().parent.parent)
@@ -473,6 +473,10 @@ def test_import_and_delta_load_no_numpy():
         "import sys\n"
         "from freebialg.cli import main\n"
         "assert main(['delta', 'F6: g2']) == 0\n"
+        "for argv in (['verify', 'all'], ['probe', 'claims', '--radius', '2'],\n"
+        "             ['tensor-pd', '2', '2', '1', '1', '--radius', '3'],\n"
+        "             ['orbit', '2', '2', '--radius', '3']):\n"
+        "    assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     proc = subprocess.run(
@@ -646,6 +650,43 @@ def test_failure_record_names_a_replayable_case(
     cases = getattr(cli, generator)(random.Random(f"{seed}:{claim}"), 1e-9)
     ok, case = next(itertools.islice(cases, fail_at, None))
     assert ok and case == inputs
+
+
+def test_gram_failure_carries_an_exact_certificate(monkeypatch):
+    """A Gram matrix that is not positive semidefinite fails with an exact
+    vector ``v``, ``v^T G v < 0``, and no float; a matrix whose entries do not
+    follow the coset labels fails by the label route alone."""
+    from fractions import Fraction
+
+    from freebialg import cli, reps
+    from freebialg.words import enumerate_ball
+
+    def not_psd(n, i, m, j, z):  # 1 on the unit, 2 on the generators
+        return {0: 1, 1: 2}.get(sum(abs(e) for _, e in z.syllables), 0)
+
+    monkeypatch.setattr(reps, "f_pullback_eval", not_psd)
+    [result] = cli._run_checks(["reps.gram-psd"], 0, 1e9)  # no tolerance is read
+    assert result["status"] == "failed" and result["witness"]["case"] == 5
+    *inputs, cert = result["witness"]["counterexample"]
+    assert inputs == ["f_pullback_eval", 2, 1, 2, 1]
+    assert cert.startswith("v = (") and cert.endswith(")")
+    v = [Fraction(c) for c in cert[5:-1].split(", ")]
+    ball = enumerate_ball(4, 2)
+    quad = sum(
+        v[a] * not_psd(2, 1, 2, 1, s.inverse() * t) * v[b]
+        for a, s in enumerate(ball)
+        for b, t in enumerate(ball)
+    )
+    assert quad < 0
+    assert not any(type(x) is float for x in result["witness"]["counterexample"])
+
+    monkeypatch.undo()
+    monkeypatch.setattr(reps, "_pullback_label", lambda n, m, i, j, z: z)
+    [result] = cli._run_checks(["reps.gram-psd"], 0, 1e-9)
+    assert result["witness"] == {
+        "case": 5,
+        "counterexample": ["f_pullback_eval", 2, 1, 2, 1, "entries differ from the coset labels"],
+    }
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

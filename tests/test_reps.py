@@ -3,6 +3,7 @@ regular representations, orbit search, and the probes."""
 
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from freebialg import words as W
 from freebialg.algebra import AlgebraElement, TensorElement
 from freebialg.corpus import random_exact_scalar, random_reduced_word
 from freebialg.scalars import QI
+from freebialg.text import parse_word
 
 
 # -- indicator functions --------------------------------------------------------
@@ -192,6 +194,106 @@ def test_gram_psd_lower_triangle_matches_the_full_matrix():
 def test_gram_psd_requires_sample():
     with pytest.raises(ValueError):
         R.gram_psd(R.PDFunction(2, 1), [])
+
+
+def _gram_labels():
+    """The label routes of the nine matrices, in the order of ``_gram_inputs``."""
+    for n in (2, 3):
+        for i in range(1, n + 1):
+            yield lambda w, i=i: R._coset_label(w.syllables, i)
+    for i in (1, 2):
+        for j in (1, 2):
+            yield lambda z, i=i, j=j: R._pullback_label(2, 2, i, j, z)
+
+
+def _quad(f, sample, v):
+    """``v^T G v`` for ``G = [f(s^-1 t)]``, from the full matrix."""
+    return sum(
+        v[a] * f(s.inverse() * t) * v[b]
+        for a, s in enumerate(sample)
+        for b, t in enumerate(sample)
+    )
+
+
+def _table(values):
+    """An evaluator with the given values on words and 0 elsewhere."""
+    return lambda w: values.get(w, 0)
+
+
+def test_gram_certificate_agrees_with_eigvalsh_on_the_check_matrices():
+    for (f, sample), label in zip(_gram_inputs(), _gram_labels(), strict=True):
+        assert R.gram_psd(f, sample)[1]
+        assert R.gram_psd_certificate(f, sample) is None
+        assert R.gram_exact_check(f, sample, label) == (True, None)
+
+
+def test_gram_label_route_rejects_labels_that_do_not_fit():
+    ball = W.enumerate_ball(2, 2)
+    f = R.PDFunction(2, 1)
+    for label in (
+        lambda w: R._coset_label(w.syllables, 2),  # the other generator
+        lambda w: w,  # every word its own coset
+        lambda w: (),  # one coset
+    ):
+        # the matrix itself is positive semidefinite, so route 1 passes
+        assert R.gram_exact_check(f, ball, label) == (False, None)
+    pullback = lambda z: R.f_pullback_eval(2, 1, 2, 2, z)
+    wrong = lambda z: R._pullback_label(2, 2, 1, 1, z)
+    assert R.gram_exact_check(pullback, W.enumerate_ball(4, 2), wrong) == (False, None)
+
+
+def test_gram_certificate_rejects_a_negative_direction():
+    g1 = W.gen(2, 1)
+    f = _table({W.unit(2): 1, g1: 2, g1.inverse(): 2})  # [[1, 2], [2, 1]]
+    sample = [W.unit(2), g1]
+    v = R.gram_psd_certificate(f, sample)
+    assert all(type(c) is Fraction for c in v)
+    assert _quad(f, sample, v) < 0
+    assert not R.gram_psd(f, sample)[1]
+    # route 1 alone fails: the entries are those of the one-coset label
+    assert R.gram_exact_check(f, sample, lambda w: ()) == (False, v)
+
+
+@pytest.mark.parametrize(
+    "values,sample",
+    [
+        # [[0, 1], [1, 0]]: the first pivot is zero with an entry in its row
+        ({"g1": 1}, ["1", "g1"]),
+        # [[1, 1, 1], [1, 1, 0], [1, 0, 1]]: a zero pivot after one elimination
+        ({"1": 1, "g1": 1, "g2": 1}, ["1", "g1", "g2"]),
+    ],
+)
+def test_gram_certificate_finds_a_zero_pivot_with_a_live_row(values, sample):
+    word = lambda text: parse_word(text, 2)
+    table = {}
+    for text, c in values.items():
+        table[word(text)] = table[word(text).inverse()] = c
+    f, sample = _table(table), [word(t) for t in sample]
+    v = R.gram_psd_certificate(f, sample)
+    assert v is not None and _quad(f, sample, v) < 0
+    assert not R.gram_psd(f, sample)[1]
+
+
+def test_psd_certificate_matches_eigvalsh_on_random_integer_matrices():
+    # small integer matrices of size <= 5: a negative eigenvalue lies far below -1e-9
+    rng = random.Random(11)
+    for _ in range(600):
+        size = rng.randint(1, 5)
+        if rng.random() < 0.5:  # B^T B, then perhaps one diagonal entry lowered
+            b = [[rng.randint(-1, 1) for _ in range(size)] for _ in range(rng.randint(1, size))]
+            mat = [[sum(r[x] * r[y] for r in b) for y in range(size)] for x in range(size)]
+            mat[0][0] -= rng.randint(0, 1)
+        else:
+            mat = [[0] * size for _ in range(size)]
+            for x in range(size):
+                for y in range(x + 1):
+                    mat[x][y] = mat[y][x] = rng.randint(-1, 2)
+        v = R._psd_certificate([row[: x + 1] for x, row in enumerate(mat)])
+        psd = np.linalg.eigvalsh(np.array(mat, dtype=float))[0] >= -1e-9
+        assert (v is None) == psd, mat
+        if v is not None:
+            quad = sum(v[x] * mat[x][y] * v[y] for x in range(size) for y in range(size))
+            assert quad < 0, (mat, v)
 
 
 # -- cosets --------------------------------------------------------------------------

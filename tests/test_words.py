@@ -279,6 +279,26 @@ def test_splitting_maps_validate_ranks():
             call()
 
 
+def test_splitting_maps_name_a_rank_with_no_product():
+    from freebialg.algebra import varphi_alg
+
+    z = W.gen(4, 1)
+    a = AlgebraElement.from_word(z)
+    for bad in (None, Rank(2)):
+        msg = f"^finite rank must be a positive integer, got {re.escape(repr(bad))}$"
+        for call in (
+            lambda: W.phi(bad, 2, z),
+            lambda: W.phi(2, bad, z),
+            lambda: varphi_alg(bad, 2, a),
+            lambda: varphi_alg(2, bad, a),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                call()
+    # a rank that has a product keeps the mismatch message
+    with pytest.raises(ValueError, match="^expected a word of rank 0, got ambient F4$"):
+        W.phi(0, 2, z)
+
+
 def test_one_rank_normaliser():
     """``_rank`` passes a ``Rank`` through and interns an int; where the rank
     must be given as an int, a ``Rank`` and ``None`` are refused by name."""
