@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -391,7 +392,7 @@ def _action_laws(rng, tol):
         x = random_reduced_word(rng, n, 4)
         y = random_reduced_word(rng, n, 4)
         coset = reps.coset_normal_form(n, i, random_reduced_word(rng, n, 3))
-        v = reps.SuppVector.basis_vector(reps.CosetBasis(n, i), coset)
+        v = reps.SuppVector.basis_vector(reps.PDFunction(n, i), coset)
         composed = reps.L_action(n, i, x, reps.L_action(n, i, y, v))
         direct = reps.L_action(n, i, x * y, v)
         yield composed == direct, ("L_action", n, i, x, y, coset)
@@ -653,7 +654,14 @@ def run(argv: list[str]) -> tuple[dict, int]:
 
 def main(argv: list[str] | None = None) -> int:
     fmt, (report, code, text) = _invoke(sys.argv[1:] if argv is None else argv)
-    print(text if fmt == "text" else json.dumps(report, sort_keys=True))
+    try:
+        print(text if fmt == "text" else json.dumps(report, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what the exit flush would write to
+        # devnull, so no second error is raised at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

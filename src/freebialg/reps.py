@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .algebra import DEFAULT_TOL, AlgebraElement, TensorElement, _Linear, _label_str
+from .algebra import DEFAULT_TOL, AlgebraElement, TensorElement, _Linear
 from .algebra import apply_tensor_right, varphi_alg
 from .scalars import ONE, QI, ZERO
 from .words import (
@@ -33,9 +33,6 @@ from .words import cyclicity_witness as _cyclicity_witness
 
 __all__ = [
     "PDFunction",
-    "Coset",
-    "CosetBasis",
-    "CosetPairBasis",
     "SuppVector",
     "f_eval",
     "f_pullback_eval",
@@ -66,7 +63,12 @@ def _in_cyclic(w: ReducedWord, i: int) -> bool:
 @dataclass(frozen=True)
 class PDFunction:
     """Indicator of the cyclic subgroup generated by ``g_i`` inside the
-    rank-``n`` free group; positive definite, value 1 on powers of ``g_i``."""
+    rank-``n`` free group; positive definite, value 1 on powers of ``g_i``.
+
+    It is also the basis descriptor of the coset space ``l^2(F_n/<g_i>)``:
+    a basis label is the canonical representative of its coset, a word of
+    ``F_n`` that does not end in a ``g_i`` syllable (see
+    :func:`coset_normal_form`)."""
 
     n: int
     i: int
@@ -76,6 +78,13 @@ class PDFunction:
 
     def __call__(self, w: ReducedWord) -> int:
         return f_eval(self, w)
+
+    def check(self, label):
+        """``label`` itself if it is a canonical coset representative."""
+        if isinstance(label, ReducedWord) and label.ambient.n == self.n:
+            if _coset_label(label.syllables, self.i) is label.syllables:
+                return label
+        raise ValueError(f"label {label!r} does not belong to {self}")
 
 
 def f_eval(f: PDFunction, w: ReducedWord) -> int:
@@ -260,66 +269,31 @@ def _pullback_label(n: int, m: int, i: int, j: int, z: ReducedWord) -> tuple:
     return _coset_label(p.syllables, i), _coset_label(q.syllables, j)
 
 
-@dataclass(frozen=True)
-class Coset:
-    """A left coset of the cyclic subgroup ``<g_i>`` in canonical form: the
-    representative never ends in a ``g_i`` syllable."""
+def coset_normal_form(n: int, i: int, w: ReducedWord) -> ReducedWord:
+    """The canonical representative of the coset ``w<g_i>``: ``w`` with its
+    maximal trailing power of ``g_i`` stripped.  Two words give equal
+    representatives exactly when they differ by a right factor in ``<g_i>``.
 
-    n: int
-    i: int
-    rep: ReducedWord
-
-    def __post_init__(self):
-        _check_index(self.n, self.i)
-        if self.rep.ambient.n != self.n:
-            raise ValueError(f"word lives in {self.rep.ambient}, expected F{self.n}")
-        sylls = self.rep.syllables
-        if _coset_label(sylls, self.i) is not sylls:
-            raise ValueError("coset representative not in canonical form")
-
-    def __str__(self):
-        return f"[{self.rep}]"
-
-
-def coset_normal_form(n: int, i: int, w: ReducedWord) -> Coset:
-    """Strip the maximal trailing power of ``g_i``; two words land on equal
-    cosets exactly when they differ by a right factor in ``<g_i>``."""
+    >>> from freebialg.words import gen
+    >>> print(coset_normal_form(2, 1, gen(2, 2) * gen(2, 1, 3)))
+    g2
+    """
+    _check_index(n, i)
+    if w.ambient.n != n:
+        raise ValueError(f"word lives in {w.ambient}, expected F{n}")
     sylls = w.syllables
     label = _coset_label(sylls, i)
-    return Coset(n, i, w if label is sylls else ReducedWord._new(w.ambient, label))
+    return w if label is sylls else ReducedWord._new(w.ambient, label)
 
 
-# -- basis descriptors and vectors ------------------------------------------
-
-
-@dataclass(frozen=True)
-class CosetBasis:
-    n: int
-    i: int
-
-    def __post_init__(self):
-        _check_index(self.n, self.i)
-
-    def check(self, label):
-        if not isinstance(label, Coset) or (label.n, label.i) != (self.n, self.i):
-            raise ValueError(f"label {label!r} does not belong to {self}")
-        return label
-
-
-@dataclass(frozen=True)
-class CosetPairBasis:
-    left: CosetBasis
-    right: CosetBasis
-
-    def check(self, label):
-        if not isinstance(label, (tuple, list)) or len(label) != 2:
-            raise ValueError(f"label {label!r} does not belong to {self}")
-        return (self.left.check(label[0]), self.right.check(label[1]))
+# -- coset vectors -------------------------------------------------------------
 
 
 class SuppVector(_Linear):
-    """A finitely supported vector over a coset basis or a pair of them, in
-    either coefficient mode; permutation actions on these never truncate."""
+    """A finitely supported vector of ``l^2(F_n/<g_i>)``, in either
+    coefficient mode: its basis descriptor is a :class:`PDFunction` and its
+    labels are canonical coset representatives.  Permutation actions on
+    these never truncate."""
 
     __slots__ = ()
     basis = _Linear.space  # the basis descriptor, under its public name
@@ -346,11 +320,10 @@ class SuppVector(_Linear):
         """Push the vector through a basis-label map, merging collisions."""
         return SuppVector(self.basis, ((fn(k), v) for k, v in self.terms.items()), self.exact)
 
-    def inner(self, other: "SuppVector") -> QI:
+    def inner(self, other: "SuppVector") -> QI | complex:
         """Standard inner product, conjugate linear in the first argument."""
-        if self.basis != other.basis:
-            raise ValueError("vectors live over different bases")
-        total = ZERO
+        self._require_compatible(other)
+        total = ZERO if self.exact else 0j
         mine, theirs = self.terms, other.terms
         small, big = (mine, theirs) if len(mine) <= len(theirs) else (theirs, mine)
         for k in small:
@@ -361,10 +334,7 @@ class SuppVector(_Linear):
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(
-            f"{c}*e({_label_str(lbl)})" if type(lbl) is tuple else f"{c}*e{lbl}"
-            for lbl, c in self.terms.items()
-        )
+        return " + ".join(f"{c}*e[{w}]" for w, c in self.terms.items())
 
 
 # -- actions -----------------------------------------------------------------
@@ -372,11 +342,12 @@ class SuppVector(_Linear):
 
 def L_action(n: int, i: int, x: ReducedWord, v: SuppVector) -> SuppVector:
     """Left translation on coset basis vectors: ``e_[w] -> e_[x w]``."""
-    if v.basis != CosetBasis(n, i):
+    basis = PDFunction(n, i)  # checked ahead of the vector
+    if not isinstance(v, SuppVector) or v.basis != basis:
         raise ValueError(f"vector is not over the coset basis of F{n}/<g{i}>")
     if x.ambient.n != n:
         raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
-    return v.map_labels(lambda c: coset_normal_form(n, i, multiply(x, c.rep)))
+    return v.map_labels(lambda c: coset_normal_form(n, i, multiply(x, c)))
 
 
 def gns_coeff_check(n: int, i: int, w: ReducedWord) -> bool:
@@ -433,7 +404,7 @@ def cyclicity_check(
     The action permutes basis vectors, so the test compares labels: the base
     label is the pair of trivial cosets, which the pair image ``(p, q)`` of
     the witness moves to ``([p], [q])``, and the target is ``([x], [y])``.
-    Each coset is compared by its label, so no :class:`Coset` is built.
+    Each coset is compared by its label, so no coset vector is built.
     """
     z = _cyclicity_witness(n, m, i, j, x, y)
     target = _coset_label(x.syllables, i), _coset_label(y.syllables, j)

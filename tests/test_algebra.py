@@ -372,7 +372,7 @@ def _draw(kind, rng):
     i = rng.randint(1, 2)
     label = lambda: R.coset_normal_form(2, i, random_reduced_word(rng, 2, 4))
     vec = lambda: R.SuppVector(
-        R.CosetBasis(2, i),
+        R.PDFunction(2, i),
         [(label(), random_exact_scalar(rng)) for _ in range(rng.randint(1, 4))],
     )
     return vec(), vec()
@@ -485,10 +485,11 @@ def test_one_term_constructors_match_the_public_constructor():
     with pytest.raises(TypeError):
         AlgebraElement.from_word(w, 0.5)
 
-    basis = R.CosetBasis(3, 2)
+    basis = R.PDFunction(3, 2)
     label = R.coset_normal_form(3, 2, w)
     _assert_trusted(R.SuppVector.basis_vector(basis, label), R.SuppVector(basis, {label: 1}))
-    for bad in (R.coset_normal_form(3, 1, w), w):
+    # a representative of another subgroup's coset, and a word ending in g2
+    for bad in (R.coset_normal_form(3, 1, w), w * W.gen(3, 2)):
         with pytest.raises(ValueError):
             R.SuppVector.basis_vector(basis, bad)
 
@@ -655,7 +656,7 @@ def test_basis_element_checkers_build_no_linear_element(monkeypatch):
     coset = R.coset_normal_form(2, 1, W.gen(2, 2))
     for build in (
         lambda: AlgebraElement.from_word(W.gen(2, 1)),
-        lambda: R.SuppVector.basis_vector(R.CosetBasis(2, 1), coset),
+        lambda: R.SuppVector.basis_vector(R.PDFunction(2, 1), coset),
         lambda: _DirectSum({}),
     ):
         with pytest.raises(AssertionError):

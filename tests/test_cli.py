@@ -427,14 +427,18 @@ def test_json_determinism():
     assert json.dumps(run(args)[0], sort_keys=True) == json.dumps(run(args)[0], sort_keys=True)
 
 
-def test_cli_process_roundtrip():
-    # the child process imports the same freebialg as the tests, installed or not
+def _child_env():
+    """The environment of a child process that imports the same freebialg
+    as the tests, installed or not."""
     import freebialg
 
     src = str(Path(freebialg.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
 
+
+def test_cli_process_roundtrip():
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "freebialg", "counit", "F1: g1"],
         capture_output=True,
@@ -463,12 +467,28 @@ def test_cli_process_roundtrip():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "words"], ["delta", "F6: g2"]], ids=["verify", "delta"])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(argv):
+    """A reader that has gone away gets no output, the process exits 1, and
+    nothing is written to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "freebialg", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+
+
 def test_import_and_delta_load_no_numpy():
     # numpy serves the float ``gram_psd`` alone; the Gram check is exact
-    import freebialg
-
-    src = str(Path(freebialg.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys\n"
         "from freebialg.cli import main\n"
@@ -483,7 +503,7 @@ def test_import_and_delta_load_no_numpy():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -650,6 +670,36 @@ def test_failure_record_names_a_replayable_case(
     cases = getattr(cli, generator)(random.Random(f"{seed}:{claim}"), 1e-9)
     ok, case = next(itertools.islice(cases, fail_at, None))
     assert ok and case == inputs
+
+
+def test_action_laws_failure_record_reads_back(monkeypatch):
+    """A failing coset case renders its coset as the representative word,
+    which ``parse_word`` reads back over the case's rank, and rerunning the
+    generator from ``(seed, claim)`` reaches the same case at that index."""
+    import itertools
+    import random
+
+    from freebialg import cli, reps
+
+    real, calls = reps.L_action, []
+
+    def wrong_third_call(n, i, x, v):
+        # each coset case acts three times; the third is the direct side
+        calls.append(None)
+        got = real(n, i, x, v)
+        return got.scale(2) if len(calls) == 3 * 4 else got
+
+    monkeypatch.setattr(reps, "L_action", wrong_third_call)
+    [result] = cli._run_checks(["reps.action-laws"], 7, 1e-9)
+    monkeypatch.undo()
+
+    assert result["status"] == "failed" and result["witness"]["case"] == 2 * 3
+    name, n, i, x, y, coset = result["witness"]["counterexample"]
+    assert name == "L_action"
+    cases = cli._action_laws(random.Random("7:reps.action-laws"), 1e-9)
+    ok, case = next(itertools.islice(cases, 2 * 3, None))
+    assert ok and case == ("L_action", n, i, parse_word(x, n), parse_word(y, n), parse_word(coset, n))
+    assert reps.PDFunction(n, i).check(parse_word(coset, n)) == case[-1]
 
 
 def test_gram_failure_carries_an_exact_certificate(monkeypatch):

@@ -301,12 +301,15 @@ def test_psd_certificate_matches_eigvalsh_on_random_integer_matrices():
 
 def test_coset_normal_form_examples():
     c = R.coset_normal_form(2, 1, W.gen(2, 2) * W.gen(2, 1, 3))
-    assert str(c.rep) == "g2"
+    assert str(c) == "g2"
     c = R.coset_normal_form(2, 1, W.gen(2, 1, -2))
-    assert c.rep.is_unit
+    assert c.is_unit
     w = W.reduce(3, [(2, 1), (3, 1), (2, -1)])
     c = R.coset_normal_form(3, 2, w)
-    assert str(c.rep) == "g2*g3"
+    assert str(c) == "g2*g3"
+    # a representative already canonical is returned as it is
+    w = W.gen(2, 1) * W.gen(2, 2)
+    assert R.coset_normal_form(2, 1, w) is w
 
 
 def test_coset_equality_iff_same_right_coset():
@@ -325,10 +328,26 @@ def test_coset_equality_iff_same_right_coset():
 
 
 def test_coset_rejects_noncanonical_rep():
-    with pytest.raises(ValueError):
-        R.Coset(2, 1, W.gen(2, 1))
-    with pytest.raises(ValueError):
-        R.Coset(2, 1, W.gen(2, 2) * W.gen(2, 1, -2))
+    """The coset basis takes a canonical representative alone: a word that
+    ends in a ``g_i`` syllable, a word of another rank or anything that is
+    not a word is refused by name."""
+    basis = R.PDFunction(2, 1)
+    for bad in (
+        W.gen(2, 1),
+        W.gen(2, 1, -3),
+        W.gen(2, 2) * W.gen(2, 1, -2),
+        W.gen(3, 2),
+        W.unit(W.INFINITE),
+        (W.gen(2, 2),),
+        "g2",
+    ):
+        with pytest.raises(ValueError, match=r"^label .* does not belong to PDFunction\(n=2, i=1\)$"):
+            basis.check(bad)
+        with pytest.raises(ValueError, match="does not belong to PDFunction"):
+            R.SuppVector.basis_vector(basis, bad)
+    # a word ending in another generator is canonical for this subgroup
+    for good in (W.unit(2), W.gen(2, 2), W.gen(2, 1) * W.gen(2, 2, -1)):
+        assert basis.check(good) is good
 
 
 def test_coset_checks_its_rank_index_and_representative():
@@ -341,20 +360,20 @@ def test_coset_checks_its_rank_index_and_representative():
         ((2, 1, W.gen(W.INFINITE, 2)), "word lives in Finf, expected F2"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            R.Coset(*args)
-    # coset_normal_form builds its result through the same constructor
-    c = R.coset_normal_form(2, 1, W.gen(2, 2) * W.gen(2, 1))
-    assert c == R.Coset(2, 1, W.gen(2, 2))
+            R.coset_normal_form(*args)
 
 
 def test_coset_normal_form_matches_the_public_constructor():
+    """Every representative is a word of the ball's rank that the coset
+    basis accepts, and a basis vector on it equals the public constructor's."""
     for i in (1, 2, 3):
+        basis = R.PDFunction(3, i)
         for w in W.enumerate_ball(3, 3):
             c = R.coset_normal_form(3, i, w)
-            public = R.Coset(3, i, c.rep)
-            assert type(c) is R.Coset
-            assert c == public and hash(c) == hash(public)
-            assert (c.n, c.i) == (3, i)
+            assert type(c) is W.ReducedWord and c.ambient == W.Rank(3)
+            assert basis.check(c) is c
+            assert R.SuppVector.basis_vector(basis, c) == R.SuppVector(basis, {c: 1})
+            assert R.coset_normal_form(3, i, c) is c
 
 
 def test_coset_normal_form_checks_the_index():
@@ -384,13 +403,9 @@ def test_indices_that_are_not_ints_are_refused(i):
     with pytest.raises(ValueError, match=msg):
         R.gns_coeff_check(2, i, W.gen(2, 1))
     with pytest.raises(ValueError, match=msg):
-        R.Coset(2, i, W.gen(2, 2))
-    with pytest.raises(ValueError, match=msg):
         R.fixed_vector_dim(2, i, 1, 2)
     with pytest.raises(ValueError, match=msg):
         R.fixed_vector_dim(2, 1, i, 2)
-    with pytest.raises(ValueError, match=msg):
-        R.CosetBasis(2, i)
     # nor is a rank that is not exactly a positive int, or None where the rank
     # must be finite: it is reported as a rank, by every entry point, ahead of
     # the index, the word and the radius (2.0 == 2 matches the start pair)
@@ -400,12 +415,13 @@ def test_indices_that_are_not_ints_are_refused(i):
     on_f4 = AlgebraElement.from_word(z)
     on_pairs = TensorElement.from_pair(W.unit(2), W.unit(2))
     base = R.coset_normal_form(2, 1, W.unit(2))
-    on_cosets = R.SuppVector.basis_vector(R.CosetBasis(2, 1), base)
+    on_cosets = R.SuppVector.basis_vector(R.PDFunction(2, 1), base)
+    with pytest.raises(ValueError, match=msg):
+        R.L_action(2, i, W.unit(2), on_cosets)
     for n in (i, 2.5, 2.0, 0, None):
         rank_msg = f"^finite rank must be a positive integer, got {n}$"
         for call in (
             lambda: R.PDFunction(n, 1),
-            lambda: R.Coset(n, 1, W.gen(2, 2)),
             lambda: R.coset_normal_form(n, 1, W.gen(2, 2)),
             lambda: R.orbit_bfs(n, 2, start, 1),
             lambda: R.orbit_bfs(2, n, start, -1),
@@ -414,7 +430,6 @@ def test_indices_that_are_not_ints_are_refused(i):
             lambda: R.claim_probe_pd(n, 2, 1, 1, 2),
             lambda: R.claim_probe_pd(2, n, 1, 1, 2),
             lambda: R.fixed_vector_dim(n, 1, 1, 2),
-            lambda: R.CosetBasis(n, 1),
             lambda: R.lambda_action(n, W.unit(2), on_f2),
             lambda: R.tensor_rep_action(n, 2, z, on_pairs),
             lambda: R.tensor_rep_action(2, n, z, on_pairs),
@@ -434,7 +449,7 @@ def test_indices_that_are_not_ints_are_refused(i):
 
 
 def test_L_action_examples():
-    basis = R.CosetBasis(2, 1)
+    basis = R.PDFunction(2, 1)
     e0 = R.SuppVector.basis_vector(basis, R.coset_normal_form(2, 1, W.unit(2)))
     assert R.L_action(2, 1, W.gen(2, 1), e0) == e0
     moved = R.L_action(2, 1, W.gen(2, 2), e0)
@@ -446,7 +461,7 @@ def test_L_action_examples():
 
 
 def test_L_action_keeps_the_coefficient_mode():
-    basis = R.CosetBasis(2, 1)
+    basis = R.PDFunction(2, 1)
     base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
     v = R.SuppVector(basis, {base: 0.5 + 1j}, exact=False)
     got = R.L_action(2, 1, W.gen(2, 2), v)
@@ -458,13 +473,31 @@ def test_L_action_is_group_action():
     for _ in range(200):
         n = rng.randint(2, 3)
         i = rng.randint(1, n)
-        basis = R.CosetBasis(n, i)
+        basis = R.PDFunction(n, i)
         v = R.SuppVector.basis_vector(
             basis, R.coset_normal_form(n, i, random_reduced_word(rng, n, 3))
         )
         x = random_reduced_word(rng, n, 4)
         y = random_reduced_word(rng, n, 4)
         assert R.L_action(n, i, x, R.L_action(n, i, y, v)) == R.L_action(n, i, x * y, v)
+
+
+def test_L_action_lands_on_the_coset_of_x_w():
+    """``L_action(x)`` moves ``e_[w]`` to one basis vector whose label is a
+    canonical representative and lies in ``x w <g_i>``: membership is read
+    off the indicator's syllable pattern, not the label route."""
+    for n in (1, 2, 3):
+        inner, outer = W.enumerate_ball(n, 2), W.enumerate_ball(n, 3)
+        for i in range(1, n + 1):
+            basis = R.PDFunction(n, i)
+            for w in outer:
+                e_w = R.SuppVector.basis_vector(basis, R.coset_normal_form(n, i, w))
+                for x in inner:
+                    got = R.L_action(n, i, x, e_w)
+                    [(c, coeff)] = got.terms.items()
+                    assert coeff == QI(1)
+                    assert c.is_unit or c.syllables[-1].gen != i
+                    assert R.f_eval(basis, W.multiply(x, w).inverse() * c) == 1
 
 
 def test_lambda_action_examples():
@@ -564,13 +597,15 @@ def test_U_apply_of_a_basis_vector_is_the_basis_map():
 
 
 def test_actions_refuse_a_wrong_basis_or_rank():
-    coset = R.SuppVector.basis_vector(R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
+    coset = R.SuppVector.basis_vector(R.PDFunction(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
     group = AlgebraElement.from_word(W.unit(2))
     g3 = W.gen(3, 1)
     with pytest.raises(ValueError, match=re.escape("not over the coset basis of F2/<g2>")):
         R.L_action(2, 2, W.gen(2, 1), coset)
     with pytest.raises(ValueError, match="acting word lives in F3, expected F2"):
         R.L_action(2, 1, g3, coset)
+    with pytest.raises(ValueError, match=r"^vector is not over the coset basis of F2/<g1>$"):
+        R.L_action(2, 1, W.gen(2, 1), group)
     with pytest.raises(ValueError, match="vector is not over the group basis of F3"):
         R.lambda_action(3, g3, group)
     with pytest.raises(ValueError, match="acting word lives in F3, expected F2"):
@@ -643,17 +678,17 @@ def test_fixed_vector_dims():
 
 
 def _reference_fixed_vector_dim(n, i, j, radius):
-    """The count walked over ``Coset`` values built by ``coset_normal_form``,
-    stepping by the word ``g_j`` and visiting the window in word order."""
+    """The count walked over the representative words ``coset_normal_form``
+    returns, stepping by the word ``g_j`` and visiting the window in word order."""
     window = {R.coset_normal_form(n, i, w) for w in W.enumerate_ball(n, radius)}
     gj = W.gen(n, j)
 
     def step(c):
-        return R.coset_normal_form(n, i, W.multiply(gj, c.rep))
+        return R.coset_normal_form(n, i, W.multiply(gj, c))
 
     visited = set()
     cycles = 0
-    for start in sorted(window, key=lambda c: c.rep.sort_key()):
+    for start in sorted(window, key=W.ReducedWord.sort_key):
         if start in visited:
             continue
         path = [start]
@@ -678,9 +713,9 @@ def test_fixed_vector_dim_matches_the_coset_walk():
 
 def test_basis_descriptors_check_their_ranks_and_index():
     with pytest.raises(ValueError, match="^generator index 5 out of range for F2$"):
-        R.CosetBasis(2, 5)
+        R.PDFunction(2, 5)
     # an acting index out of range is refused by the basis the action names
-    e0 = R.SuppVector.basis_vector(R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
+    e0 = R.SuppVector.basis_vector(R.PDFunction(2, 1), R.coset_normal_form(2, 1, W.unit(2)))
     with pytest.raises(ValueError, match="^generator index 3 out of range for F2$"):
         R.L_action(2, 3, W.gen(2, 1), e0)
 
@@ -697,22 +732,18 @@ def test_cyclicity_check_examples():
 
 
 def _cyclicity_via_vectors(n, m, i, j, x, y):
-    """The cyclicity check along the vector route: move the base basis
-    vector of the coset-pair space by the witness and compare it with the
-    target basis vector."""
-    basis = R.CosetPairBasis(R.CosetBasis(n, i), R.CosetBasis(m, j))
-    base = (R.coset_normal_form(n, i, W.unit(n)), R.coset_normal_form(m, j, W.unit(m)))
+    """The cyclicity check along the vector route: the witness moves the base
+    tensor ``e_[1] (x) e_[1]`` by the coset actions of its pair image, slot by
+    slot, and an elementary tensor of basis vectors equals the target
+    ``e_[x] (x) e_[y]`` exactly when both slots do."""
     p, q = W.phi(n, m, R._cyclicity_witness(n, m, i, j, x, y))
-    moved = R.SuppVector.basis_vector(basis, base).map_labels(
-        lambda lbl: (
-            R.coset_normal_form(n, i, W.multiply(p, lbl[0].rep)),
-            R.coset_normal_form(m, j, W.multiply(q, lbl[1].rep)),
-        )
-    )
-    target = R.SuppVector.basis_vector(
-        basis, (R.coset_normal_form(n, i, x), R.coset_normal_form(m, j, y))
-    )
-    return moved == target
+    slots = []
+    for rank, k, image, target in ((n, i, p, x), (m, j, q, y)):
+        basis = R.PDFunction(rank, k)
+        base = R.SuppVector.basis_vector(basis, W.unit(rank))
+        want = R.SuppVector.basis_vector(basis, R.coset_normal_form(rank, k, target))
+        slots.append(R.L_action(rank, k, image, base) == want)
+    return all(slots)
 
 
 def _off_by_one_letter(n, m, i, j, x, y):
@@ -855,7 +886,7 @@ def _cosets(n, i, *words):
 
 
 def test_supp_vector_inner_product():
-    basis = R.CosetBasis(2, 1)
+    basis = R.PDFunction(2, 1)
     base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
     v = R.SuppVector(basis, {base: QI(0, 1), moved: QI(2)})
     w = R.SuppVector(basis, {base: QI(3)})
@@ -865,65 +896,66 @@ def test_supp_vector_inner_product():
 
 def test_supp_vector_inner_product_conjugates_its_first_argument():
     # the loop runs over the smaller support, whichever argument holds it
-    basis = R.CosetBasis(2, 1)
+    basis = R.PDFunction(2, 1)
     base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
     v = R.SuppVector(basis, {base: QI(0, 1), moved: QI(2)})
     w = R.SuppVector(basis, {base: QI(3)})
     assert w.inner(v) == QI(0, 3) == v.inner(w).conjugate()
-    for other in (R.CosetBasis(2, 2), R.CosetBasis(3, 1)):
-        (label,) = _cosets(other.n, other.i, W.unit(other.n))
-        with pytest.raises(ValueError, match="vectors live over different bases"):
-            v.inner(R.SuppVector.basis_vector(other, label))
+    # a vector of another coset space, or an element of another type
+    others = [
+        R.SuppVector.basis_vector(b, *_cosets(b.n, b.i, W.unit(b.n)))
+        for b in (R.PDFunction(2, 2), R.PDFunction(3, 1))
+    ]
+    others += [AlgebraElement.from_word(W.unit(2)), TensorElement.from_pair(W.unit(2), W.unit(2))]
+    for other in others:
+        with pytest.raises(ValueError, match="^elements live in different spaces$"):
+            v.inner(other)
 
 
-@pytest.mark.parametrize(
-    "basis,label,text",
-    [
-        (R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.gen(2, 2)), "e[g2]"),
-        (
-            R.CosetPairBasis(R.CosetBasis(2, 2), R.CosetBasis(2, 1)),
-            (R.coset_normal_form(2, 2, W.gen(2, 1)), R.coset_normal_form(2, 1, W.unit(2))),
-            "e([g1](x)[1])",
-        ),
-        (
-            R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(2, 2)),
-            (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(2, 2, W.gen(2, 1))),
-            "e([g2](x)[g1])",
-        ),
-    ],
-    ids=["CosetBasis", "CosetPairBasis-trivial-slot", "CosetPairBasis"],
-)
-def test_supp_vector_text_on_every_basis(basis, label, text):
-    """A pair label prints as its two slots joined by ``(x)`` in parentheses."""
-    v = R.SuppVector.basis_vector(basis, label)
-    assert str(v) == "1*" + text
-    assert str(3 * v) == "3*" + text
+def test_supp_vector_inner_product_in_approximate_mode():
+    """Two approximate vectors pair to a complex number; a vector of the
+    other coefficient mode is refused as ``+`` refuses it."""
+    basis = R.PDFunction(2, 1)
+    base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
+    exact = R.SuppVector(basis, {base: QI(0, 1), moved: QI(2)})
+    approx = R.SuppVector(basis, {base: 1j, moved: 2.0}, exact=False)
+    for a, b in ((exact, approx), (approx, exact)):
+        with pytest.raises(ValueError, match="^cannot mix exact and approximate elements$"):
+            a.inner(b)
+    for other, want in (
+        (approx, 5),
+        (R.SuppVector(basis, {moved: 1.0}, exact=False), 2),
+        (R.SuppVector(basis, {}, exact=False), 0),
+    ):
+        got = approx.inner(other)
+        assert got == want and type(got) is complex
+
+
+def test_supp_vector_text():
+    """A coset vector prints each label as its representative word in brackets."""
+    basis = R.PDFunction(2, 1)
+    base, moved = _cosets(2, 1, W.unit(2), W.gen(2, 2))
+    v = R.SuppVector.basis_vector(basis, moved)
+    assert str(v) == "1*e[g2]"
+    assert str(3 * v) == "3*e[g2]"
     assert str(v - v) == "0"
+    assert str(R.SuppVector.basis_vector(basis, base)) == "1*e[1]"
 
 
 def test_supp_vector_basis_mismatch():
-    v = R.SuppVector.basis_vector(R.CosetBasis(2, 1), *_cosets(2, 1, W.unit(2)))
-    for basis in (R.CosetBasis(2, 2), R.CosetBasis(3, 1)):
+    v = R.SuppVector.basis_vector(R.PDFunction(2, 1), *_cosets(2, 1, W.unit(2)))
+    for basis in (R.PDFunction(2, 2), R.PDFunction(3, 1)):
         w = R.SuppVector.basis_vector(basis, *_cosets(basis.n, basis.i, W.unit(basis.n)))
         with pytest.raises(ValueError, match="elements live in different spaces"):
             v + w
 
 
-@pytest.mark.parametrize(
-    "basis,label",
-    [
-        (R.CosetBasis(2, 1), R.coset_normal_form(2, 1, W.gen(2, 2))),
-        (
-            R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(3, 2)),
-            (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(3, 2, W.gen(3, 1))),
-        ),
-    ],
-    ids=lambda x: type(x).__name__,
-)
-def test_vectors_have_no_product_and_no_star(basis, label):
+def test_vectors_have_no_product_and_no_star():
     """A vector is scaled by scalars only: the product of two vectors and
-    the star involution are refused on every basis, with the vector's basis
-    named, and scalars act on either side."""
+    the star involution are refused, with the vector's basis named, and
+    scalars act on either side."""
+    basis = R.PDFunction(2, 1)
+    label = R.coset_normal_form(2, 1, W.gen(2, 2))
     v = R.SuppVector.basis_vector(basis, label)
     with pytest.raises(TypeError, match=re.escape(f"SuppVector over {basis}")):
         v * v
@@ -933,38 +965,35 @@ def test_vectors_have_no_product_and_no_star(basis, label):
     assert (2 * v).inner(v) == QI(2)
 
 
-# each pair basis with a label of it and a label with one slot of the wrong rank
-_PAIR_BASES = [
-    (
-        R.CosetPairBasis(R.CosetBasis(2, 1), R.CosetBasis(3, 2)),
-        (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(3, 2, W.gen(3, 1))),
-        (R.coset_normal_form(2, 1, W.gen(2, 2)), R.coset_normal_form(2, 2, W.gen(2, 1))),
-    ),
-]
+# -- names the benchmark tracer wraps ------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "basis,label",
-    [
-        (basis, label)
-        for basis, good, wrong_rank in _PAIR_BASES
-        for label in (good[0], (1, 2), good[:1], good + good[:1], wrong_rank)
-    ],
-    ids=[
-        f"{type(basis).__name__}-{kind}"
-        for basis, _, _ in _PAIR_BASES
-        for kind in ("bare", "ints", "1-tuple", "3-tuple", "wrong-rank")
-    ],
-)
-def test_pair_bases_refuse_malformed_labels(basis, label):
-    """A pair label is a tuple or list of two slots; anything else, or a
-    slot of the wrong basis, is refused by name as on the one-slot bases."""
-    with pytest.raises(ValueError, match=r"label .* does not belong to \w*Basis"):
-        R.SuppVector.basis_vector(basis, label)
+def test_bench_tracer_names_resolve():
+    """``bench/tracer.py`` wraps library names given as strings; each must
+    resolve, so a rename fails here and not only in a traced benchmark run.
+    The modules are the ones already imported: importing ``freebialg`` anew
+    would give the other tests' objects classes of another module."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+    from types import SimpleNamespace
 
-
-@pytest.mark.parametrize("basis,good,_", _PAIR_BASES, ids=lambda x: type(x).__name__)
-def test_pair_bases_store_list_labels_as_tuples(basis, good, _):
-    v = R.SuppVector.basis_vector(basis, list(good))
-    assert [type(k) for k in v.terms] == [tuple]
-    assert v == R.SuppVector.basis_vector(basis, good)
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    layers = ("scalars", "words", "algebra", "bialgebra", "reps", "morphisms", "corpus", "text", "cli")
+    program = SimpleNamespace(**{name: importlib.import_module(f"freebialg.{name}") for name in layers})
+    entries = tracer.wrap_spec(program)
+    missing = [(layer, owner, attr) for layer, owner, attr, _, _ in entries if not hasattr(owner, attr)]
+    assert entries and not missing
+    # the names the per-layer reps metrics read
+    names = {f"{layer}.{key}" for layer, _, _, _, key in entries}
+    assert {
+        "reps.coset_normal_form",
+        "reps.suppvector.built",
+        "reps.SuppVector.inner",
+        "reps.claim_probe_pd",
+        "reps.orbit_bfs",
+        "reps.gram_psd",
+    } <= names
