@@ -28,6 +28,7 @@ from .words import (
     _check_count,
     _finite_rank,
     _rank,
+    _split,
     cancellation_witness_left,
     cancellation_witness_right,
     multiply,
@@ -68,9 +69,19 @@ def factor_pairs(n: int) -> list[tuple[int, int]]:
     return small + large[::-1]
 
 
+# rank n -> (l, Rank(m), Rank(l)) for each (m, l) of factor_pairs(n), built on first use
+_PLANS: dict[int, list] = {}
+
+
 def _splittings(w: ReducedWord) -> list:
-    """The pair images of ``w`` under every splitting of its rank."""
-    return [phi(m, l, w) for m, l in factor_pairs(w.ambient.n)]
+    """The pair images of ``w`` under every splitting of its rank: ``phi(m, l, w)``
+    for each ``(m, l)`` of :func:`factor_pairs`, with ``phi``'s checks met by
+    the plan's construction."""
+    n = w.ambient.n
+    plan = _PLANS.get(n)
+    if plan is None:
+        plan = _PLANS[n] = [(l, _rank(m), _rank(l)) for m, l in factor_pairs(n)]
+    return [_split(w, l, p, q) for l, p, q in plan]
 
 
 class _DirectSum(_Linear):

@@ -22,8 +22,11 @@ from .words import (
     ReducedWord,
     _check_count,
     _check_index,
+    _check_words,
     _finite_rank,
+    _phi_ranks,
     _power_times,
+    _split_syllables,
     enumerate_ball,
     gen,
     multiply,
@@ -54,9 +57,8 @@ __all__ = [
 ]
 
 
-def _in_cyclic(w: ReducedWord, i: int) -> bool:
-    """Whether ``w`` is a power of ``g_i`` (the unit included)."""
-    sylls = w.syllables
+def _in_cyclic(sylls: tuple, i: int) -> bool:
+    """Whether the word with syllables ``sylls`` is a power of ``g_i`` (the unit included)."""
     return not sylls or (len(sylls) == 1 and sylls[0].gen == i)
 
 
@@ -87,10 +89,20 @@ class PDFunction:
         raise ValueError(f"label {label!r} does not belong to {self}")
 
 
+def _check_word_rank(w: ReducedWord, n: int, what: str = "word") -> None:
+    """Raise unless ``w`` is a word of rank ``n``."""
+    try:
+        fits = w.ambient.n == n
+    except AttributeError:
+        _check_words(w)
+        raise
+    if not fits:
+        raise ValueError(f"{what} lives in {w.ambient}, expected F{n}")
+
+
 def f_eval(f: PDFunction, w: ReducedWord) -> int:
-    if w.ambient.n != f.n:
-        raise ValueError(f"word lives in {w.ambient}, expected F{f.n}")
-    return 1 if _in_cyclic(w, f.i) else 0
+    _check_word_rank(w, f.n)
+    return 1 if _in_cyclic(w.syllables, f.i) else 0
 
 
 def f_pullback_eval(n: int, i: int, m: int, j: int, z: ReducedWord) -> int:
@@ -98,7 +110,8 @@ def f_pullback_eval(n: int, i: int, m: int, j: int, z: ReducedWord) -> int:
     the pair image of ``z`` against the indicators on each factor."""
     _check_index(n, i)
     _check_index(m, j)
-    p, q = phi(n, m, z)
+    _phi_ranks(n, m, z)
+    p, q = _split_syllables(z.syllables, m)
     return 1 if _in_cyclic(p, i) and _in_cyclic(q, j) else 0
 
 
@@ -264,9 +277,10 @@ def _pullback_label(n: int, m: int, i: int, j: int, z: ReducedWord) -> tuple:
     """The label of the left coset ``zH`` of ``H = phi^-1(<g_i> x <g_j>)``:
     the pair of coset labels of the two words of ``phi(z)``.  ``phi`` is a
     homomorphism, so two words lie in one coset of ``H`` exactly when their
-    labels are equal."""
-    p, q = phi(n, m, z)
-    return _coset_label(p.syllables, i), _coset_label(q.syllables, j)
+    labels are equal.  ``phi``'s checks run, but no word is built."""
+    _phi_ranks(n, m, z)
+    p, q = _split_syllables(z.syllables, m)
+    return _coset_label(p, i), _coset_label(q, j)
 
 
 def coset_normal_form(n: int, i: int, w: ReducedWord) -> ReducedWord:
@@ -279,8 +293,7 @@ def coset_normal_form(n: int, i: int, w: ReducedWord) -> ReducedWord:
     g2
     """
     _check_index(n, i)
-    if w.ambient.n != n:
-        raise ValueError(f"word lives in {w.ambient}, expected F{n}")
+    _check_word_rank(w, n)
     sylls = w.syllables
     label = _coset_label(sylls, i)
     return w if label is sylls else ReducedWord._new(w.ambient, label)
@@ -345,8 +358,7 @@ def L_action(n: int, i: int, x: ReducedWord, v: SuppVector) -> SuppVector:
     basis = PDFunction(n, i)  # checked ahead of the vector
     if not isinstance(v, SuppVector) or v.basis != basis:
         raise ValueError(f"vector is not over the coset basis of F{n}/<g{i}>")
-    if x.ambient.n != n:
-        raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
+    _check_word_rank(x, n, "acting word")
     return v.map_labels(lambda c: coset_normal_form(n, i, multiply(x, c)))
 
 
@@ -356,8 +368,9 @@ def gns_coeff_check(n: int, i: int, w: ReducedWord) -> bool:
     independent routes (coset label vs. syllable pattern).  ``w`` moves
     ``e_[1]`` to ``e_[w]``, so the coefficient is 1 iff the label of ``w`` is
     the empty label of the base coset."""
+    indicator = f_eval(PDFunction(n, i), w)  # checks the rank, the index and the word
     coeff = 1 if _coset_label(w.syllables, i) == () else 0
-    return coeff == f_eval(PDFunction(n, i), w)
+    return coeff == indicator
 
 
 def fixed_vector_dim(n: int, i: int, j: int, radius: int) -> int:
@@ -421,8 +434,7 @@ def lambda_action(n: int, x: ReducedWord, v: AlgebraElement) -> AlgebraElement:
     rank = _finite_rank(n)
     if not isinstance(v, AlgebraElement) or v.ambient != rank:
         raise ValueError(f"vector is not over the group basis of F{n}")
-    if x.ambient != rank:
-        raise ValueError(f"acting word lives in {x.ambient}, expected F{n}")
+    _check_word_rank(x, n, "acting word")
     return AlgebraElement.from_word(x, exact=v.exact) * v
 
 

@@ -86,8 +86,9 @@ def _rank(n) -> Rank:
     return r
 
 
-# ``_rank``/``_finite_rank``, ``_check_index`` and ``_check_count`` are the package's
-# one definition of a valid rank, generator index and count (radius, cutoff, length)
+# ``_rank``/``_finite_rank``, ``_check_index``, ``_check_count`` and ``_check_words``
+# are the package's one definition of a valid rank, generator index, count (radius,
+# cutoff, length) and word argument
 def _finite_rank(n) -> Rank:
     """``_rank(n)`` for a rank that must be an int: ``None`` and a ``Rank`` are refused."""
     if type(n) is not int:
@@ -97,8 +98,19 @@ def _finite_rank(n) -> Rank:
 
 def _check_index(n: int, i: int) -> None:
     """Raise unless ``n`` is a finite rank (checked first) with a generator ``g_i``."""
-    if not _finite_rank(n).allows(i):
+    # ``Rank``'s tests written out, so a valid call takes one frame
+    if type(n) is not int or n < 1:
+        _finite_rank(n)  # raises, naming the rank
+    if type(i) is not int or not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for F{n}")
+
+
+def _check_words(*values) -> None:
+    """Raise for the first of ``values`` that is no ``ReducedWord``.  Callers
+    call it once an attribute lookup has failed, so hot paths test nothing."""
+    for value in values:
+        if not isinstance(value, ReducedWord):
+            raise TypeError(f"expected a ReducedWord, got {value!r}")
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -388,37 +400,69 @@ def inverse(w: ReducedWord) -> ReducedWord:
     return w.inverse()
 
 
+# ``_SPLITS[m][k]`` is the pair ``(i, j)`` with ``k = m*(i-1) + j`` and
+# ``1 <= j <= m``, for ``m`` and ``i`` up to ``_TABLE_GENS``: a fixed 7,200
+# entries over 576 shared pairs.  A larger ``k`` or ``m`` takes ``divmod``.
+_PAIRS = [[(i, j) for j in range(_TABLE_GENS + 1)] for i in range(_TABLE_GENS + 1)]
+_SPLITS = [[None] + [_PAIRS[i][j] for i in range(1, _TABLE_GENS + 1) for j in range(1, m + 1)]
+           for m in range(_TABLE_GENS + 1)]
+
+
+def _split_syllables(
+    sylls: tuple[Syllable, ...], m: int
+) -> tuple[tuple[Syllable, ...], tuple[Syllable, ...]]:
+    """The syllables of the pair image of a reduced word with syllables
+    ``sylls``: ``g_k^e``, ``k = m*(i-1) + j``, goes to ``(g_i^e, g_j^e)``.
+
+    Each slot keeps its last syllable open as ``g_a^x`` and closes it when the
+    generator changes; when it cancels, the syllable below is reopened, since
+    it may merge with the next one.  ``e`` is never 0 in a reduced word.
+    """
+    rows = _SYLLABLES
+    table = _SPLITS[m] if m <= _TABLE_GENS else ()
+    top = len(table)
+    left: list[Syllable] = []
+    right: list[Syllable] = []
+    a = x = b = y = 0  # the open syllables g_a^x and g_b^y; a == 0: none
+    for k, e in sylls:
+        if k < top:
+            i, j = table[k]
+        else:
+            i, j = divmod(k - 1, m)
+            i += 1
+            j += 1
+        if i == a:
+            x += e
+            if not x:
+                a, x = left.pop() if left else (0, 0)
+        else:
+            if a:
+                left.append(rows[a][x] if a <= _TABLE_GENS and -_TABLE_EXP <= x <= _TABLE_EXP
+                            else _tuple_new(Syllable, (a, x)))
+            a, x = i, e
+        if j == b:
+            y += e
+            if not y:
+                b, y = right.pop() if right else (0, 0)
+        else:
+            if b:
+                right.append(rows[b][y] if b <= _TABLE_GENS and -_TABLE_EXP <= y <= _TABLE_EXP
+                             else _tuple_new(Syllable, (b, y)))
+            b, y = j, e
+    if a:
+        left.append(rows[a][x] if a <= _TABLE_GENS and -_TABLE_EXP <= x <= _TABLE_EXP
+                    else _tuple_new(Syllable, (a, x)))
+    if b:
+        right.append(rows[b][y] if b <= _TABLE_GENS and -_TABLE_EXP <= y <= _TABLE_EXP
+                     else _tuple_new(Syllable, (b, y)))
+    return tuple(left), tuple(right)
+
+
 def _split(
     z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank
 ) -> tuple[ReducedWord, ReducedWord]:
-    # g_k with k = m*(i-1) + j, 1 <= j <= m, goes to the pair (g_i, g_j).
-    # Each slot merges as _push does, written out because this loop is the
-    # hottest in the package; e is never 0 in a reduced word.  An unmerged
-    # syllable reads the table of _syllable inline.
-    rows = _SYLLABLES
-    left: list[Syllable] = []
-    right: list[Syllable] = []
-    for k, e in z.syllables:
-        i, j = divmod(k - 1, m)
-        i += 1
-        j += 1
-        if left and left[-1][0] == i:
-            merged = left.pop()[1] + e
-            if merged:
-                left.append(_syllable(i, merged))
-        elif i <= _TABLE_GENS and -_TABLE_EXP <= e <= _TABLE_EXP:
-            left.append(rows[i][e])
-        else:
-            left.append(_tuple_new(Syllable, (i, e)))
-        if right and right[-1][0] == j:
-            merged = right.pop()[1] + e
-            if merged:
-                right.append(_syllable(j, merged))
-        elif j <= _TABLE_GENS and -_TABLE_EXP <= e <= _TABLE_EXP:
-            right.append(rows[j][e])
-        else:
-            right.append(_tuple_new(Syllable, (j, e)))
-    return ReducedWord._new(left_rank, tuple(left)), ReducedWord._new(right_rank, tuple(right))
+    left, right = _split_syllables(z.syllables, m)
+    return ReducedWord._new(left_rank, left), ReducedWord._new(right_rank, right)
 
 
 def phi(n: int, m: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
@@ -434,14 +478,25 @@ def phi(n: int, m: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     >>> p.is_unit and q.is_unit
     True
     """
+    p, q = _phi_ranks(n, m, z)
+    return _split(z, m, p, q)
+
+
+def _phi_ranks(n: int, m: int, z: ReducedWord) -> tuple[Rank, Rank]:
+    """The ranks of the two words of ``phi(n, m, z)``, after :func:`phi`'s
+    checks on all three arguments; a caller that needs only the syllables
+    checks here and splits with :func:`_split_syllables`."""
     try:
         fits = z.ambient.n == n * m
     except TypeError:  # a rank with no product, such as ``None``, is named
         _finite_rank(n), _finite_rank(m)
         raise
+    except AttributeError:
+        _check_words(z)
+        raise
     if not fits:
         raise ValueError(f"expected a word of rank {n * m}, got ambient {z.ambient}")
-    return _split(z, m, _rank(n), _rank(m))
+    return _rank(n), _rank(m)
 
 
 def phi_inf(n: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
@@ -547,7 +602,12 @@ def cyclicity_witness(
     """
     _check_index(n, i)
     _check_index(m, j)
-    if x.ambient.n != n or y.ambient.n != m:
+    try:
+        fits = x.ambient.n == n and y.ambient.n == m
+    except AttributeError:
+        _check_words(x, y)
+        raise
+    if not fits:
         raise ValueError("ambient mismatch with declared ranks")
     head = y.syllables
     xp = _power_times(1, -_exponent_sum(head), x.syllables)

@@ -50,6 +50,27 @@ def test_f_pullback_eval_checks_indices_as_pd_function_does():
             assert str(got.value) == str(want.value)
 
 
+def test_word_arguments_that_are_not_words_are_refused():
+    x, y = W.gen(2, 1), W.gen(2, 2)
+    v = R.SuppVector.basis_vector(R.PDFunction(2, 1), W.unit(2))
+    u = AlgebraElement.from_word(W.unit(2))
+    for bad in ("g2", None, (1, 1)):
+        msg = f"^expected a ReducedWord, got {re.escape(repr(bad))}$"
+        for call in (
+            lambda: R.coset_normal_form(2, 1, bad),
+            lambda: R.PDFunction(2, 1)(bad),
+            lambda: R.gns_coeff_check(2, 1, bad),
+            lambda: R.L_action(2, 1, bad, v),
+            lambda: R.lambda_action(2, bad, u),
+            lambda: R.cyclicity_check(2, 2, 1, 1, bad, y),
+            lambda: R.cyclicity_check(2, 2, 1, 1, x, bad),
+            lambda: R.f_pullback_eval(2, 1, 2, 1, bad),
+            lambda: W.phi(2, 2, bad),
+        ):
+            with pytest.raises(TypeError, match=msg):
+                call()
+
+
 def test_f_pullback_examples():
     assert R.f_pullback_eval(2, 1, 3, 2, W.gen(6, 2)) == 1
     assert R.f_pullback_eval(2, 1, 3, 2, W.unit(6)) == 1

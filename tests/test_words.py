@@ -245,11 +245,91 @@ def split_cases(draw):
 @example((1, 30, W.reduce(30, [(30, 9), (25, -12), (2, 5)])))
 @example((30, 1, W.reduce(30, [(30, 9), (25, -12), (30, 4)])))
 @example((2, 2, W.reduce(4, [(1, 8), (2, 1), (3, -9), (4, -1)])))
+# g3*g4^-1 cancels in the first slot and g4^-1*g2 in the second: each slot
+# reopens the syllable below, and the first merges it with the next one
+@example((2, 2, W.reduce(4, [(1, 1), (3, 1), (4, -1), (2, 1)])))
+# the last table entries of m = 2 and m = 24, the first past them, and m = 25
+@example((30, 2, W.reduce(60, [(48, 1), (49, -1), (47, 2), (50, 1)])))
+@example((2, 24, W.reduce(48, [(48, 3), (47, -1), (24, 2), (25, 1)])))
+@example((2, 25, W.reduce(50, [(50, 1), (25, -2), (26, 1), (1, 1)])))
 @given(split_cases())
 def test_phi_matches_the_letter_split(case):
     n, m, z = case
     p, q = W.phi(n, m, z)
     assert (p.syllables, q.syllables) == split_by_letters(z, m, n, m)
+
+
+def test_split_reopens_the_syllable_below_a_cancellation():
+    z = W.reduce(4, [(1, 1), (3, 1), (4, -1), (2, 1)])
+    assert str(z) == "g1*g3*g4^-1*g2"
+    assert W.phi(2, 2, z) == (W.gen(2, 1, 2), W.gen(2, 1, 2))
+
+
+def test_split_table_has_a_fixed_size():
+    # rows for m <= _TABLE_GENS only, each of the k = m*(i-1) + j with i <= _TABLE_GENS
+    assert len(W._SPLITS) == W._TABLE_GENS + 1
+    for m in range(1, W._TABLE_GENS + 1):
+        assert W._SPLITS[m][1:] == [(k // m + 1, k % m + 1) for k in range(m * W._TABLE_GENS)]
+    size = [len(row) for row in W._SPLITS]
+    # a generator or an m far past the table takes divmod and leaves the table as it was
+    p, q = W.phi_inf(2, W.gen(INFINITE, 10**12))
+    assert (p, q) == (W.gen(INFINITE, 5 * 10**11), W.gen(2, 2))
+    p, q = W.phi_inf(3, W.gen(INFINITE, 10**12, -7))
+    assert (p, q) == (W.gen(INFINITE, (10**12 - 1) // 3 + 1, -7), W.gen(3, 1, -7))
+    p, q = W.phi(10**6, 10**6, W.gen(10**12, 10**12 - 1))
+    assert (p, q) == (W.gen(10**6, 10**6), W.gen(10**6, 10**6 - 1))
+    assert [len(row) for row in W._SPLITS] == size
+
+
+@st.composite
+def words_of_rank_up_to_60(draw):
+    n = draw(st.integers(1, SPLIT_RANK))
+    exps = st.integers(-SPLIT_EXP, SPLIT_EXP)
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), exps), max_size=10))
+    return W.reduce(n, pairs)
+
+
+@example(W.reduce(4, [(1, 1), (3, 1), (4, -1), (2, 1)]))
+@example(W.unit(60))
+@given(words_of_rank_up_to_60())
+def test_splittings_are_phi_over_every_factor_pair(w):
+    from freebialg.bialgebra import _splittings, factor_pairs
+
+    assert _splittings(w) == [W.phi(m, l, w) for m, l in factor_pairs(w.ambient.n)]
+
+
+# ranks, ambients and word arguments that phi refuses, each with another check to fail
+PHI_REFUSALS = [
+    (2.0, 2, W.gen(4, 1)),
+    (2, 2.0, W.gen(4, 1)),
+    (None, 2, W.gen(4, 1)),
+    (2, None, W.gen(4, 1)),
+    (Rank(2), 2, W.gen(4, 1)),
+    (True, 4, W.gen(4, 1)),
+    (-1, -4, W.gen(4, 1)),
+    (0, 2, W.gen(4, 1)),
+    (2, 2, W.gen(6, 1)),
+    (2, 3, W.gen(INFINITE, 1)),
+    (2, 2, "g2"),
+    (2, 2, None),
+]
+
+
+@pytest.mark.parametrize("n, m, z", PHI_REFUSALS)
+def test_pullback_labels_keep_the_refusals_of_phi(n, m, z):
+    with pytest.raises((ValueError, TypeError)) as want:
+        W.phi(n, m, z)
+    with pytest.raises(want.type) as got:
+        R._pullback_label(n, m, 1, 1, z)
+    assert str(got.value) == str(want.value)
+    # the indicator checks each rank with its index first, naming a bad rank as phi does
+    ranks_ok = all(type(r) is int and r > 0 for r in (n, m))
+    with pytest.raises(want.type if ranks_ok else ValueError) as got:
+        R.f_pullback_eval(n, 1, m, 1, z)
+    if ranks_ok:
+        assert str(got.value) == str(want.value)
+    else:
+        assert str(got.value).startswith("finite rank must be a positive integer, got ")
 
 
 # infinite-rank words over the first SPLIT_RANK generators
@@ -719,8 +799,10 @@ def test_witnesses_build_only_the_words_they_return(built):
             for i in (1, 2):
                 for j in (1, 2):
                     assert _count(built, W.cyclicity_witness, 2, 2, i, j, x, y) == 1
-                    # the witness and the two words of its pair image
-                    assert _count(built, R.cyclicity_check, 2, 2, i, j, x, y) == 3
+                    # the witness only: its pair image is split as syllables
+                    assert _count(built, R.cyclicity_check, 2, 2, i, j, x, y) == 1
+    for z in W.enumerate_ball(4, 2):
+        assert _count(built, R.f_pullback_eval, 2, 1, 2, 2, z) == 0
 
 
 # -- enumerate_ball ---------------------------------------------------------------------
