@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import partial
 
 from .scalars import ONE, QI, ZERO
-from .words import INFINITE, Rank, ReducedWord, _finite_rank, _rank, multiply, phi, phi_inf
+from .words import INFINITE, Rank, ReducedWord, _check_words, _finite_rank, _rank
+from .words import multiply, phi, phi_inf
 
 __all__ = [
     "DEFAULT_TOL",
@@ -71,7 +72,8 @@ def _multiply_slots(k1: tuple, k2: tuple) -> tuple:
 
 def _grade(label):
     """The rank of a word, or the tuple of ranks of a word tuple."""
-    return tuple([w.ambient.n for w in label]) if type(label) is tuple else label.ambient.n
+    # a word is the tuple ``(ambient, syllables)`` and a rank the tuple ``(n,)``
+    return tuple([w[0][0] for w in label]) if type(label) is tuple else label[0][0]
 
 
 def _max_deviation(a: "_Linear", b: "_Linear") -> float:
@@ -339,6 +341,7 @@ class AlgebraElement(_Linear):
             c = _exact_scalar(coeff)
             if c:
                 return cls._wrap(w.ambient, {w: c}, True)
+        _check_words(w)
         return cls(w.ambient, {w: coeff}, exact)
 
     @classmethod
@@ -429,6 +432,10 @@ def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
         fits = a.ambient.n == n * m
     except TypeError:  # a rank with no product, such as ``None``, is named
         _finite_rank(n), _finite_rank(m)
+        raise
+    except AttributeError:
+        if not isinstance(a, AlgebraElement):
+            raise TypeError(f"expected an AlgebraElement, got {a!r}")
         raise
     if not fits:
         raise ValueError(f"element lives in {a.ambient}, expected F{n * m}")

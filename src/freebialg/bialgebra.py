@@ -77,7 +77,7 @@ def _splittings(w: ReducedWord) -> list:
     """The pair images of ``w`` under every splitting of its rank: ``phi(m, l, w)``
     for each ``(m, l)`` of :func:`factor_pairs`, with ``phi``'s checks met by
     the plan's construction."""
-    n = w.ambient.n
+    n = w[0][0]  # the rank of the word ``(ambient, syllables)``
     plan = _PLANS.get(n)
     if plan is None:
         plan = _PLANS[n] = [(l, _rank(m), _rank(l)) for m, l in factor_pairs(n)]

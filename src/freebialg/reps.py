@@ -24,9 +24,8 @@ from .words import (
     _check_index,
     _check_words,
     _finite_rank,
-    _phi_ranks,
+    _phi_syllables,
     _power_times,
-    _split_syllables,
     enumerate_ball,
     gen,
     multiply,
@@ -110,8 +109,7 @@ def f_pullback_eval(n: int, i: int, m: int, j: int, z: ReducedWord) -> int:
     the pair image of ``z`` against the indicators on each factor."""
     _check_index(n, i)
     _check_index(m, j)
-    _phi_ranks(n, m, z)
-    p, q = _split_syllables(z.syllables, m)
+    p, q = _phi_syllables(n, m, z)
     return 1 if _in_cyclic(p, i) and _in_cyclic(q, j) else 0
 
 
@@ -278,8 +276,7 @@ def _pullback_label(n: int, m: int, i: int, j: int, z: ReducedWord) -> tuple:
     the pair of coset labels of the two words of ``phi(z)``.  ``phi`` is a
     homomorphism, so two words lie in one coset of ``H`` exactly when their
     labels are equal.  ``phi``'s checks run, but no word is built."""
-    _phi_ranks(n, m, z)
-    p, q = _split_syllables(z.syllables, m)
+    p, q = _phi_syllables(n, m, z)
     return _coset_label(p, i), _coset_label(q, j)
 
 
@@ -456,7 +453,12 @@ def orbit_bfs(
     _finite_rank(n), _finite_rank(m)
     _check_count("radius", radius, 0)
     g0, h0 = start
-    if g0.ambient.n != n or h0.ambient.n != m:
+    try:
+        fits = g0.ambient.n == n and h0.ambient.n == m
+    except AttributeError:
+        _check_words(g0, h0)
+        raise
+    if not fits:
         raise ValueError("start pair does not match the declared ranks")
     moves = []
     for k in range(1, n * m + 1):

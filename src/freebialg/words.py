@@ -12,7 +12,7 @@ groups follow the index decomposition ``k = m*(i-1) + j`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -37,17 +37,54 @@ __all__ = [
     "ball_size",
 ]
 
+# ``_build(cls, fields)`` builds a rank or word from its tuple of fields
+# without the checks of ``cls.__new__``
+_build = tuple.__new__
 
-@dataclass(frozen=True)
-class Rank:
-    """Number of free generators; ``n=None`` encodes countably infinite rank."""
 
-    n: int | None = None
+def _refuse(symbol: str, reflected: bool = False):
+    """A binary operator that raises ``TypeError``.  Tuple's ``+`` and ``*``
+    would concatenate or repeat a rank or a word, and returning
+    ``NotImplemented`` would fall back to them."""
 
-    def __post_init__(self):
+    def refuse(self, other):
+        a, b = (other, self) if reflected else (self, other)
+        names = f"'{type(a).__name__}' and '{type(b).__name__}'"
+        raise TypeError(f"unsupported operand type(s) for {symbol}: {names}")
+
+    return refuse
+
+
+class Rank(tuple):
+    """Number of free generators; ``n=None`` encodes countably infinite rank.
+
+    A rank is the tuple ``(n,)``, so its hash and equality are tuple's own:
+    ``hash(Rank(n)) == hash((n,))``, and ``Rank(2) == (2,)``.  Sums and
+    products of ranks are refused, as for any value that is not a number.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int | None = None):
         # an exact type test: bool is an int subclass, but True is no rank
-        if self.n is not None and (type(self.n) is not int or self.n < 1):
-            raise ValueError(f"finite rank must be a positive integer, got {self.n!r}")
+        if n is not None and (type(n) is not int or n < 1):
+            raise ValueError(f"finite rank must be a positive integer, got {n!r}")
+        return _build(cls, (n,))
+
+    def __init__(self, n: int | None = None):
+        """Nothing to do: ``__new__`` built the rank.  Taking the arguments
+        keeps a wrapper that forwards them to ``__init__`` working."""
+
+    n = property(itemgetter(0), doc="The number of generators; ``None`` if infinite.")
+
+    __add__, __radd__ = _refuse("+"), _refuse("+", True)
+    __mul__, __rmul__ = _refuse("*"), _refuse("*", True)
+
+    def __repr__(self):
+        return f"Rank(n={self[0]!r})"
+
+    def __reduce__(self):
+        return Rank, (self[0],)
 
     @property
     def is_infinite(self) -> bool:
@@ -107,7 +144,8 @@ def _check_index(n: int, i: int) -> None:
 
 def _check_words(*values) -> None:
     """Raise for the first of ``values`` that is no ``ReducedWord``.  Callers
-    call it once an attribute lookup has failed, so hot paths test nothing."""
+    call it once an attribute lookup or an exact type test has failed, so
+    hot paths pay at most that test."""
     for value in values:
         if not isinstance(value, ReducedWord):
             raise TypeError(f"expected a ReducedWord, got {value!r}")
@@ -161,98 +199,93 @@ def _bad_syllable(ambient: Rank, g, e) -> ValueError:
     return ValueError(f"generator index {g} out of range for {ambient}")
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedWord:
+class ReducedWord(tuple):
     """A freely reduced word; the empty syllable sequence is the group unit.
+
+    A word is the tuple ``(ambient, syllables)``: building one is one
+    ``tuple.__new__`` call, and its hash and equality are tuple's own, so
+    ``hash(w) == hash(((n,), w.syllables))``.  As a consequence a word equals
+    the plain tuple ``(w.ambient, w.syllables)``.  Code handed a value not
+    yet known to be a word reads ``.ambient`` and ``.syllables``, or tests
+    its type, before it indexes or unpacks it: a str such as ``"g2"`` unpacks
+    too.  Words carry no ``__dict__``, take no weak references and refuse
+    assignment.
 
     Public construction checks the ambient and every syllable.  Library
     operations whose output is reduced by construction build words with
-    :meth:`_new`, which skips the checks.  Words are slotted: they carry no
-    ``__dict__`` and take no weak references.
+    :meth:`_new`, which skips the checks.
 
     >>> w = reduce(Rank(2), [(1, 1), (2, 1), (2, -1), (1, 1)])
     >>> str(w)
     'g1^2'
     """
 
-    ambient: Rank
-    syllables: tuple[Syllable, ...] = ()
-    # the hash, cached on first use; not part of equality, hash or repr
-    _hash: int | None = field(default=None, init=False, compare=False, hash=False, repr=False)
+    __slots__ = ()
 
-    @staticmethod
-    def _new(ambient: Rank, syllables: tuple[Syllable, ...]) -> "ReducedWord":
-        # trusted: ``syllables`` is a tuple of Syllable, already reduced and
-        # in range for ``ambient``
-        w = _object_new(ReducedWord)
-        _set_ambient(w, ambient)
-        _set_syllables(w, syllables)
-        _set_hash(w, None)
-        return w
-
-    def __post_init__(self):
-        if not isinstance(self.ambient, Rank):
-            raise ValueError(f"ambient must be a Rank, got {self.ambient!r}")
+    def __new__(cls, ambient: Rank, syllables: Iterable[tuple[int, int]] = ()):
+        if not isinstance(ambient, Rank):
+            raise ValueError(f"ambient must be a Rank, got {ambient!r}")
         sylls = []
         prev = 0
-        for g, e in self.syllables:
-            if type(e) is not int or not self.ambient.allows(g):
-                raise _bad_syllable(self.ambient, g, e)
+        for g, e in syllables:
+            if type(e) is not int or not ambient.allows(g):
+                raise _bad_syllable(ambient, g, e)
             if e == 0:
                 raise ValueError("zero exponent in reduced word")
             if g == prev:
                 raise ValueError("adjacent syllables share a generator; word not reduced")
             sylls.append(_syllable(g, e))
             prev = g
-        object.__setattr__(self, "syllables", tuple(sylls))
+        return _build(cls, (ambient, tuple(sylls)))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.syllables == other.syllables and (
-            self.ambient is other.ambient or self.ambient == other.ambient
-        )
+    def __init__(self, ambient: Rank, syllables: Iterable[tuple[int, int]] = ()):
+        """Nothing to do: ``__new__`` built the word.  Taking the arguments
+        keeps a wrapper that forwards them to ``__init__`` working."""
 
-    def __hash__(self):
-        # the same value as the dataclass field hash, so set and dict orders
-        # do not depend on how a word was built; ``Rank``'s dataclass hash is
-        # ``hash((n,))``, spelled out here to skip its Python-level call
-        h = self._hash
-        if h is None:
-            h = hash(((self.ambient.n,), self.syllables))
-            _set_hash(self, h)
-        return h
+    @staticmethod
+    def _new(ambient: Rank, syllables: tuple[Syllable, ...]) -> "ReducedWord":
+        # trusted: ``syllables`` is a tuple of Syllable, already reduced and
+        # in range for ``ambient``
+        return _build(ReducedWord, (ambient, syllables))
+
+    ambient = property(itemgetter(0), doc="The rank of the free group the word lies in.")
+    syllables = property(itemgetter(1), doc="The syllables ``g^e``, left to right.")
+
+    __add__, __radd__ = _refuse("+"), _refuse("+", True)
+    __rmul__ = _refuse("*", True)
+
+    def __repr__(self):
+        return f"ReducedWord(ambient={self[0]!r}, syllables={self[1]!r})"
 
     def __reduce__(self):
-        # copies and pickles leave the cached hash behind: ``hash(None)``,
-        # hence an infinite-rank word's hash, differs between processes
-        return ReducedWord._new, (self.ambient, self.syllables)
+        return ReducedWord._new, (self[0], self[1])
 
     # -- structure ---------------------------------------------------------
+    #
+    # ``self[0]`` is the ambient and ``self[1]`` the syllables: the methods
+    # index, which skips the properties' call
 
     @property
     def is_unit(self) -> bool:
-        return not self.syllables
+        return not self[1]
 
     @property
     def letter_length(self) -> int:
-        return sum(abs(s.exp) for s in self.syllables)
+        return sum(abs(s.exp) for s in self[1])
 
     @property
     def exponent_sum(self) -> int:
-        return _exponent_sum(self.syllables)
+        return _exponent_sum(self[1])
 
     def letters(self) -> Iterator[Syllable]:
         """Yield single-letter syllables ``g^{+-1}`` left to right."""
-        for g, e in self.syllables:
+        for g, e in self[1]:
             step = 1 if e > 0 else -1
             for _ in range(abs(e)):
                 yield _syllable(g, step)
 
     def sort_key(self):
-        return (self.letter_length, self.syllables)
+        return (self.letter_length, self[1])
 
     # -- group operations --------------------------------------------------
 
@@ -261,15 +294,15 @@ class ReducedWord:
 
     def inverse(self) -> "ReducedWord":
         return ReducedWord._new(
-            self.ambient,
-            tuple([_syllable(g, -e) for g, e in reversed(self.syllables)]),
+            self[0],
+            tuple([_syllable(g, -e) for g, e in reversed(self[1])]),
         )
 
     __invert__ = inverse
 
     def __pow__(self, k: int) -> "ReducedWord":
         if k == 0:
-            return ReducedWord._new(self.ambient, ())
+            return ReducedWord._new(self[0], ())
         base = self if k > 0 else self.inverse()
         out = base
         for _ in range(abs(k) - 1):
@@ -279,25 +312,18 @@ class ReducedWord:
     # -- text and JSON -----------------------------------------------------
 
     def __str__(self):
-        if not self.syllables:
+        if not self[1]:
             return "1"
         return "*".join(
-            f"g{g}" if e == 1 else f"g{g}^{e}" for g, e in self.syllables
+            f"g{g}" if e == 1 else f"g{g}^{e}" for g, e in self[1]
         )
 
     def to_json(self) -> list:
-        return [[g, e] for g, e in self.syllables]
+        return [[g, e] for g, e in self[1]]
 
     @classmethod
     def from_json(cls, ambient: Rank, data: list) -> "ReducedWord":
         return reduce(ambient, [(int(g), int(e)) for g, e in data])
-
-
-_object_new = object.__new__
-# the slot setters; a frozen word's own ``__setattr__`` refuses every write
-_set_ambient = ReducedWord.ambient.__set__
-_set_syllables = ReducedWord.syllables.__set__
-_set_hash = ReducedWord._hash.__set__
 
 
 def unit(ambient: Rank | int) -> ReducedWord:
@@ -373,10 +399,12 @@ def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     cancel from the end of ``w1`` and the start of ``w2``, and at most one
     pair merges.
     """
-    ambient = w1.ambient
-    if ambient is not w2.ambient and ambient != w2.ambient:
-        raise ValueError(f"ambient mismatch: {w1.ambient} vs {w2.ambient}")
-    left, right = w1.syllables, w2.syllables
+    if type(w1) is not ReducedWord or type(w2) is not ReducedWord:
+        _check_words(w1, w2)
+    ambient, left = w1
+    other, right = w2
+    if ambient is not other and ambient != other:
+        raise ValueError(f"ambient mismatch: {ambient} vs {other}")
     if not right:
         return w1
     if not left:
@@ -461,7 +489,8 @@ def _split_syllables(
 def _split(
     z: ReducedWord, m: int, left_rank: Rank, right_rank: Rank
 ) -> tuple[ReducedWord, ReducedWord]:
-    left, right = _split_syllables(z.syllables, m)
+    # ``z`` is a word: ``z[1]`` is its syllables
+    left, right = _split_syllables(z[1], m)
     return ReducedWord._new(left_rank, left), ReducedWord._new(right_rank, right)
 
 
@@ -478,31 +507,38 @@ def phi(n: int, m: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     >>> p.is_unit and q.is_unit
     True
     """
-    p, q = _phi_ranks(n, m, z)
-    return _split(z, m, p, q)
+    left, right = _phi_syllables(n, m, z)
+    return ReducedWord._new(_rank(n), left), ReducedWord._new(_rank(m), right)
 
 
-def _phi_ranks(n: int, m: int, z: ReducedWord) -> tuple[Rank, Rank]:
-    """The ranks of the two words of ``phi(n, m, z)``, after :func:`phi`'s
-    checks on all three arguments; a caller that needs only the syllables
-    checks here and splits with :func:`_split_syllables`."""
+def _phi_syllables(
+    n: int, m: int, z: ReducedWord
+) -> tuple[tuple[Syllable, ...], tuple[Syllable, ...]]:
+    """The syllables of the two words of ``phi(n, m, z)``, after :func:`phi`'s
+    checks on all three arguments; a caller that needs no word takes them
+    from here, and looks up no rank."""
+    if type(z) is not ReducedWord:
+        _check_words(z)
+    ambient, sylls = z
     try:
-        fits = z.ambient.n == n * m
+        fits = ambient[0] == n * m
     except TypeError:  # a rank with no product, such as ``None``, is named
         _finite_rank(n), _finite_rank(m)
         raise
-    except AttributeError:
-        _check_words(z)
-        raise
     if not fits:
-        raise ValueError(f"expected a word of rank {n * m}, got ambient {z.ambient}")
-    return _rank(n), _rank(m)
+        raise ValueError(f"expected a word of rank {n * m}, got ambient {ambient}")
+    if type(n) is not int or type(m) is not int or n < 1:
+        # the product fits, but a rank is no positive int, such as 2.0 or -2
+        _finite_rank(n), _finite_rank(m)
+    return _split_syllables(sylls, m)
 
 
 def phi_inf(n: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     """Infinite-rank analogue of :func:`phi`: ``g_{n*(i-1)+j} -> (g_i, g_j)``
     with the first component of infinite rank and the second of rank ``n``.
     """
+    if type(z) is not ReducedWord:
+        _check_words(z)
     if not z.ambient.is_infinite:
         raise ValueError(f"expected an infinite-rank word, got ambient {z.ambient}")
     return _split(z, n, INFINITE, _finite_rank(n))
@@ -531,6 +567,8 @@ def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
     second slot collects only first-column generators.  The letter map is
     injective, so ``z`` is reduced as built.
     """
+    if type(x) is not ReducedWord:
+        _check_words(x)
     if x.ambient.is_infinite:
         raise ValueError("lift requires a finite-rank word")
     n = x.ambient.n
@@ -545,6 +583,8 @@ def lift_second(y: ReducedWord, n: int) -> tuple[ReducedWord, ReducedWord]:
     generator.  Letters ``g_j^e`` of ``y`` map to first-row generators
     ``g_j^e`` of rank ``n*m``, so ``z`` has the syllables of ``y``.
     """
+    if type(y) is not ReducedWord:
+        _check_words(y)
     if y.ambient.is_infinite:
         raise ValueError("lift requires a finite-rank word")
     m = y.ambient.n
@@ -561,6 +601,8 @@ def cancellation_witness_left(
     ``z`` is the lift of ``y`` by :func:`lift_second`, with ``phi(z) =
     (g_1^s, y)`` for the exponent sum ``s`` of ``y``, so ``xp = g_1^-s * x``.
     """
+    if type(x) is not ReducedWord or type(y) is not ReducedWord:
+        _check_words(x, y)
     n, m = x.ambient.n, y.ambient.n
     if n is None or m is None:
         raise ValueError("cancellation witnesses require finite ranks")
@@ -577,6 +619,8 @@ def cancellation_witness_right(
     ``z`` is the lift of ``x`` by :func:`lift_first`, with ``phi(z) =
     (x, g_1^s)`` for the exponent sum ``s`` of ``x``, so ``yp = g_1^-s * y``.
     """
+    if type(x) is not ReducedWord or type(y) is not ReducedWord:
+        _check_words(x, y)
     n, m = x.ambient.n, y.ambient.n
     if n is None or m is None:
         raise ValueError("cancellation witnesses require finite ranks")
@@ -647,7 +691,7 @@ def enumerate_ball(
     for _ in range(radius):
         nxt = []
         for w in frontier:
-            sylls = w.syllables
+            sylls = w[1]  # the syllables of a word built here
             lg, le = sylls[-1] if sylls else (0, 0)
             for s in letters:
                 g, e = s

@@ -10,7 +10,7 @@ import pytest
 
 from freebialg import reps as R
 from freebialg import words as W
-from freebialg.algebra import AlgebraElement, TensorElement
+from freebialg.algebra import AlgebraElement, TensorElement, varphi_alg
 from freebialg.corpus import random_exact_scalar, random_reduced_word
 from freebialg.scalars import QI
 from freebialg.text import parse_word
@@ -54,9 +54,23 @@ def test_word_arguments_that_are_not_words_are_refused():
     x, y = W.gen(2, 1), W.gen(2, 2)
     v = R.SuppVector.basis_vector(R.PDFunction(2, 1), W.unit(2))
     u = AlgebraElement.from_word(W.unit(2))
-    for bad in ("g2", None, (1, 1)):
+    u4 = AlgebraElement.from_word(W.gen(4, 3))
+    # a word is the tuple (ambient, syllables), but a plain tuple is no word
+    for bad in ("g2", None, (1, 1), (W.Rank(2), ((1, 1),))):
         msg = f"^expected a ReducedWord, got {re.escape(repr(bad))}$"
         for call in (
+            lambda: W.phi_inf(2, bad),
+            lambda: W.multiply(bad, x),
+            lambda: W.multiply(x, bad),
+            lambda: W.lift_first(bad, 2),
+            lambda: W.lift_second(bad, 2),
+            lambda: W.cancellation_witness_left(bad, y),
+            lambda: W.cancellation_witness_right(x, bad),
+            lambda: R.U_apply(2, 2, bad, u4),
+            lambda: R.orbit_bfs(2, 2, (bad, y), 1),
+            lambda: R.orbit_bfs(2, 2, (x, bad), 1),
+            lambda: AlgebraElement.from_word(bad),
+            lambda: AlgebraElement.from_word(bad, exact=False),
             lambda: R.coset_normal_form(2, 1, bad),
             lambda: R.PDFunction(2, 1)(bad),
             lambda: R.gns_coeff_check(2, 1, bad),
@@ -69,6 +83,9 @@ def test_word_arguments_that_are_not_words_are_refused():
         ):
             with pytest.raises(TypeError, match=msg):
                 call()
+        # the split of an element takes an element, and names it
+        with pytest.raises(TypeError, match=f"^expected an AlgebraElement, got {re.escape(repr(bad))}$"):
+            varphi_alg(2, 2, bad)
 
 
 def test_f_pullback_examples():
