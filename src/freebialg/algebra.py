@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 
 from .scalars import ONE, QI, ZERO
-from .words import INFINITE, Rank, ReducedWord, _check_words, _finite_rank, _rank
+from .words import INFINITE, Rank, ReducedWord, _finite_rank, _rank, _word_rank
 from .words import multiply, phi, phi_inf
 
 __all__ = [
@@ -337,12 +337,12 @@ class AlgebraElement(_Linear):
 
     @classmethod
     def from_word(cls, w: ReducedWord, coeff=ONE, exact: bool = True):
-        if exact and isinstance(w, ReducedWord) and isinstance(w.ambient, Rank):
+        _word_rank(w)
+        if exact:
             c = _exact_scalar(coeff)
             if c:
-                return cls._wrap(w.ambient, {w: c}, True)
-        _check_words(w)
-        return cls(w.ambient, {w: coeff}, exact)
+                return cls._wrap(w[0], {w: c}, True)
+        return cls(w[0], {w: coeff}, exact)
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraElement":
@@ -415,6 +415,13 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     return TensorElement._merged((a.ambient, b.ambient), pairs, a.exact)
 
 
+def _element_rank(a) -> int | None:
+    """The generator count of the rank of ``a``, once ``a`` is known to be an element."""
+    if not isinstance(a, AlgebraElement):
+        raise TypeError(f"expected an AlgebraElement, got {a!r}")
+    return a.space[0]
+
+
 def _extend(split, a: AlgebraElement, ambients) -> TensorElement:
     # linear extension of a word splitting; colliding images accumulate
     pairs = [(split(w), c) for w, c in a.terms.items()]
@@ -428,25 +435,18 @@ def varphi_alg(n: int, m: int, a: AlgebraElement) -> TensorElement:
     tensor product of the rank-``n`` and rank-``m`` algebras.  Distinct words
     may collide in the image, so coefficients accumulate.
     """
-    try:
-        fits = a.ambient.n == n * m
-    except TypeError:  # a rank with no product, such as ``None``, is named
-        _finite_rank(n), _finite_rank(m)
-        raise
-    except AttributeError:
-        if not isinstance(a, AlgebraElement):
-            raise TypeError(f"expected an AlgebraElement, got {a!r}")
-        raise
-    if not fits:
+    ranks = _finite_rank(n), _finite_rank(m)
+    if _element_rank(a) != n * m:
         raise ValueError(f"element lives in {a.ambient}, expected F{n * m}")
-    return _extend(partial(phi, n, m), a, (_rank(n), _rank(m)))
+    return _extend(partial(phi, n, m), a, ranks)
 
 
 def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
     """Linear extension of ``phi_inf(n, .)`` on infinite-rank elements."""
-    if not a.ambient.is_infinite:
+    ranks = INFINITE, _finite_rank(n)
+    if _element_rank(a) is not None:
         raise ValueError(f"element lives in {a.ambient}, expected Finf")
-    return _extend(partial(phi_inf, n), a, (INFINITE, _finite_rank(n)))
+    return _extend(partial(phi_inf, n), a, ranks)
 
 
 def standard_delta(a: AlgebraElement) -> TensorElement:

@@ -339,10 +339,10 @@ def verify_cancellation(x: ReducedWord, y: ReducedWord) -> bool:
     """Reproduce the elementary tensor ``x (x) y`` exactly in both one-sided
     factorized forms supplied by the word-level witnesses; every coefficient
     is 1, so each form is compared as a word pair."""
-    n, m = x.ambient.n, y.ambient.n
     xp, z = cancellation_witness_left(x, y)
-    p, q = phi(n, m, z)
     yp, z2 = cancellation_witness_right(x, y)
+    n, m = x[0][0], y[0][0]  # the witnesses checked both words
+    p, q = phi(n, m, z)
     p2, q2 = phi(n, m, z2)
     return (multiply(p, xp), q) == (x, y) == (p2, multiply(q2, yp))
 

@@ -22,10 +22,11 @@ from .words import (
     ReducedWord,
     _check_count,
     _check_index,
-    _check_words,
+    _check_word_rank,
     _finite_rank,
     _phi_syllables,
     _power_times,
+    _word_rank,
     enumerate_ball,
     gen,
     multiply,
@@ -82,26 +83,15 @@ class PDFunction:
 
     def check(self, label):
         """``label`` itself if it is a canonical coset representative."""
-        if isinstance(label, ReducedWord) and label.ambient.n == self.n:
-            if _coset_label(label.syllables, self.i) is label.syllables:
+        if isinstance(label, ReducedWord) and label[0][0] == self.n:
+            if _coset_label(label[1], self.i) is label[1]:
                 return label
         raise ValueError(f"label {label!r} does not belong to {self}")
 
 
-def _check_word_rank(w: ReducedWord, n: int, what: str = "word") -> None:
-    """Raise unless ``w`` is a word of rank ``n``."""
-    try:
-        fits = w.ambient.n == n
-    except AttributeError:
-        _check_words(w)
-        raise
-    if not fits:
-        raise ValueError(f"{what} lives in {w.ambient}, expected F{n}")
-
-
 def f_eval(f: PDFunction, w: ReducedWord) -> int:
     _check_word_rank(w, f.n)
-    return 1 if _in_cyclic(w.syllables, f.i) else 0
+    return 1 if _in_cyclic(w[1], f.i) else 0
 
 
 def f_pullback_eval(n: int, i: int, m: int, j: int, z: ReducedWord) -> int:
@@ -291,9 +281,9 @@ def coset_normal_form(n: int, i: int, w: ReducedWord) -> ReducedWord:
     """
     _check_index(n, i)
     _check_word_rank(w, n)
-    sylls = w.syllables
+    sylls = w[1]
     label = _coset_label(sylls, i)
-    return w if label is sylls else ReducedWord._new(w.ambient, label)
+    return w if label is sylls else ReducedWord._new(w[0], label)
 
 
 # -- coset vectors -------------------------------------------------------------
@@ -366,7 +356,7 @@ def gns_coeff_check(n: int, i: int, w: ReducedWord) -> bool:
     ``e_[1]`` to ``e_[w]``, so the coefficient is 1 iff the label of ``w`` is
     the empty label of the base coset."""
     indicator = f_eval(PDFunction(n, i), w)  # checks the rank, the index and the word
-    coeff = 1 if _coset_label(w.syllables, i) == () else 0
+    coeff = 1 if _coset_label(w[1], i) == () else 0
     return coeff == indicator
 
 
@@ -384,7 +374,7 @@ def fixed_vector_dim(n: int, i: int, j: int, radius: int) -> int:
     once from whichever member comes first, or it is never counted.
     """
     _check_index(n, i), _check_index(n, j)
-    window = {_coset_label(w.syllables, i) for w in enumerate_ball(n, radius)}
+    window = {_coset_label(w[1], i) for w in enumerate_ball(n, radius)}
 
     def step(label: tuple) -> tuple:
         return _coset_label(_power_times(j, 1, label), i)
@@ -417,7 +407,7 @@ def cyclicity_check(
     Each coset is compared by its label, so no coset vector is built.
     """
     z = _cyclicity_witness(n, m, i, j, x, y)
-    target = _coset_label(x.syllables, i), _coset_label(y.syllables, j)
+    target = _coset_label(x[1], i), _coset_label(y[1], j)
     return _pullback_label(n, m, i, j, z) == target
 
 
@@ -453,12 +443,7 @@ def orbit_bfs(
     _finite_rank(n), _finite_rank(m)
     _check_count("radius", radius, 0)
     g0, h0 = start
-    try:
-        fits = g0.ambient.n == n and h0.ambient.n == m
-    except AttributeError:
-        _check_words(g0, h0)
-        raise
-    if not fits:
+    if (_word_rank(g0), _word_rank(h0)) != (n, m):
         raise ValueError("start pair does not match the declared ranks")
     moves = []
     for k in range(1, n * m + 1):

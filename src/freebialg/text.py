@@ -126,18 +126,10 @@ def _parse_gterm(sc: _Scanner, ambient: Rank) -> Syllable:
 
 
 def _parse_word(sc: _Scanner, ambient: Rank) -> ReducedWord:
-    if sc.peek() == "1":
-        sc.take("1")
+    if sc.take("1"):
         return unit(ambient)
     sylls = [_parse_gterm(sc, ambient)]
-    while True:
-        save = sc.pos
-        if not sc.take("*"):
-            break
-        if sc.peek() != "g":
-            # the '*' belonged to an enclosing context
-            sc.pos = save
-            break
+    while sc.take("*"):
         sylls.append(_parse_gterm(sc, ambient))
     return reduce(ambient, sylls)
 
@@ -188,13 +180,8 @@ def parse_element(text: str) -> AlgebraElement:
     sc = _Scanner(text)
     ambient = _parse_rank(sc)
     sc.expect(":")
-    if sc.peek() == "0":
-        # a lone '0' is the zero element; otherwise it starts a coefficient
-        save = sc.pos
-        sc.take("0")
-        if sc.at_end():
-            return AlgebraElement.zero(ambient)
-        sc.pos = save
+    if sc.text[sc.pos :].strip() == "0":  # else a '0' starts a coefficient
+        return AlgebraElement.zero(ambient)
     terms: list[tuple[ReducedWord, QI]] = []
     w, c = _parse_term(sc, ambient)
     terms.append((w, c))

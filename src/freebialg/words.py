@@ -123,9 +123,10 @@ def _rank(n) -> Rank:
     return r
 
 
-# ``_rank``/``_finite_rank``, ``_check_index``, ``_check_count`` and ``_check_words``
+# ``_rank``/``_finite_rank``, ``_check_index``, ``_check_count`` and ``_word_rank``
 # are the package's one definition of a valid rank, generator index, count (radius,
-# cutoff, length) and word argument
+# cutoff, length) and word argument.  An entry point checks in this order: its
+# ranks, indices and counts, then each word, then whether the word's rank fits
 def _finite_rank(n) -> Rank:
     """``_rank(n)`` for a rank that must be an int: ``None`` and a ``Rank`` are refused."""
     if type(n) is not int:
@@ -142,21 +143,26 @@ def _check_index(n: int, i: int) -> None:
         raise ValueError(f"generator index {i} out of range for F{n}")
 
 
-def _check_words(*values) -> None:
-    """Raise for the first of ``values`` that is no ``ReducedWord``.  Callers
-    call it once an attribute lookup or an exact type test has failed, so
-    hot paths pay at most that test."""
-    for value in values:
-        if not isinstance(value, ReducedWord):
-            raise TypeError(f"expected a ReducedWord, got {value!r}")
-
-
 def _check_count(name: str, value, least: int) -> None:
     """Raise unless ``value`` is exactly an ``int`` of at least ``least`` (0 or 1)."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+
+
+def _word_rank(w) -> int | None:
+    """The generator count of the rank of ``w`` (``None`` if infinite), after
+    the package's one test that a word argument is a ``ReducedWord``."""
+    if not isinstance(w, ReducedWord):
+        raise TypeError(f"expected a ReducedWord, got {w!r}")
+    return w[0][0]
+
+
+def _check_word_rank(w: ReducedWord, n: int, what: str = "word") -> None:
+    """Raise unless ``w`` is a word of rank ``n``."""
+    if _word_rank(w) != n:
+        raise ValueError(f"{what} lives in {w[0]}, expected F{n}")
 
 
 class Syllable(NamedTuple):
@@ -191,6 +197,11 @@ def _syllable(g: int, e: int) -> Syllable:
     return _tuple_new(Syllable, (g, e))
 
 
+def _word_as_syllables(w: ReducedWord) -> TypeError:
+    """The error for a word passed where its syllables belong (it would unpack)."""
+    return TypeError(f"expected syllables, got the word {w}; pass its syllables")
+
+
 def _bad_syllable(ambient: Rank, g, e) -> ValueError:
     """The error for a syllable ``g^e`` whose exponent is no int or whose
     index ``ambient`` does not allow."""
@@ -206,10 +217,9 @@ class ReducedWord(tuple):
     ``tuple.__new__`` call, and its hash and equality are tuple's own, so
     ``hash(w) == hash(((n,), w.syllables))``.  As a consequence a word equals
     the plain tuple ``(w.ambient, w.syllables)``.  Code handed a value not
-    yet known to be a word reads ``.ambient`` and ``.syllables``, or tests
-    its type, before it indexes or unpacks it: a str such as ``"g2"`` unpacks
-    too.  Words carry no ``__dict__``, take no weak references and refuse
-    assignment.
+    yet known to be a word passes it to ``_word_rank`` before it indexes or
+    unpacks it: a str such as ``"g2"`` unpacks too.  Words carry no
+    ``__dict__``, take no weak references and refuse assignment.
 
     Public construction checks the ambient and every syllable.  Library
     operations whose output is reduced by construction build words with
@@ -225,6 +235,8 @@ class ReducedWord(tuple):
     def __new__(cls, ambient: Rank, syllables: Iterable[tuple[int, int]] = ()):
         if not isinstance(ambient, Rank):
             raise ValueError(f"ambient must be a Rank, got {ambient!r}")
+        if isinstance(syllables, ReducedWord):
+            raise _word_as_syllables(syllables)
         sylls = []
         prev = 0
         for g, e in syllables:
@@ -384,6 +396,8 @@ def reduce(ambient: Rank | int, letters: Iterable[tuple[int, int]]) -> ReducedWo
     '1'
     """
     ambient = _rank(ambient)
+    if isinstance(letters, ReducedWord):
+        raise _word_as_syllables(letters)
     stack: list[Syllable] = []
     for g, e in letters:
         if type(e) is not int or not ambient.allows(g):
@@ -400,7 +414,7 @@ def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     pair merges.
     """
     if type(w1) is not ReducedWord or type(w2) is not ReducedWord:
-        _check_words(w1, w2)
+        _word_rank(w1), _word_rank(w2)
     ambient, left = w1
     other, right = w2
     if ambient is not other and ambient != other:
@@ -517,31 +531,22 @@ def _phi_syllables(
     """The syllables of the two words of ``phi(n, m, z)``, after :func:`phi`'s
     checks on all three arguments; a caller that needs no word takes them
     from here, and looks up no rank."""
-    if type(z) is not ReducedWord:
-        _check_words(z)
-    ambient, sylls = z
-    try:
-        fits = ambient[0] == n * m
-    except TypeError:  # a rank with no product, such as ``None``, is named
-        _finite_rank(n), _finite_rank(m)
-        raise
-    if not fits:
-        raise ValueError(f"expected a word of rank {n * m}, got ambient {ambient}")
-    if type(n) is not int or type(m) is not int or n < 1:
-        # the product fits, but a rank is no positive int, such as 2.0 or -2
-        _finite_rank(n), _finite_rank(m)
-    return _split_syllables(sylls, m)
+    # ``_finite_rank``'s tests written out, so a valid call takes no frame for them
+    if type(n) is not int or type(m) is not int or n < 1 or m < 1:
+        _finite_rank(n), _finite_rank(m)  # raises, naming the first bad rank
+    if _word_rank(z) != n * m:
+        raise ValueError(f"expected a word of rank {n * m}, got ambient {z[0]}")
+    return _split_syllables(z[1], m)
 
 
 def phi_inf(n: int, z: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
     """Infinite-rank analogue of :func:`phi`: ``g_{n*(i-1)+j} -> (g_i, g_j)``
     with the first component of infinite rank and the second of rank ``n``.
     """
-    if type(z) is not ReducedWord:
-        _check_words(z)
-    if not z.ambient.is_infinite:
-        raise ValueError(f"expected an infinite-rank word, got ambient {z.ambient}")
-    return _split(z, n, INFINITE, _finite_rank(n))
+    right = _finite_rank(n)
+    if _word_rank(z) is not None:
+        raise ValueError(f"expected an infinite-rank word, got ambient {z[0]}")
+    return _split(z, n, INFINITE, right)
 
 
 def kernel_witness(n: int, m: int, i: int, l: int, j: int, k: int) -> ReducedWord:
@@ -567,13 +572,12 @@ def lift_first(x: ReducedWord, m: int) -> tuple[ReducedWord, ReducedWord]:
     second slot collects only first-column generators.  The letter map is
     injective, so ``z`` is reduced as built.
     """
-    if type(x) is not ReducedWord:
-        _check_words(x)
-    if x.ambient.is_infinite:
+    right = _finite_rank(m)
+    n = _word_rank(x)
+    if n is None:
         raise ValueError("lift requires a finite-rank word")
-    n = x.ambient.n
-    y = ReducedWord._new(_finite_rank(m), _power_times(1, _exponent_sum(x.syllables), ()))
-    z = ReducedWord._new(_rank(n * m), _column(x.syllables, m, 1))
+    y = ReducedWord._new(right, _power_times(1, _exponent_sum(x[1]), ()))
+    z = ReducedWord._new(_rank(n * m), _column(x[1], m, 1))
     return y, z
 
 
@@ -583,13 +587,12 @@ def lift_second(y: ReducedWord, n: int) -> tuple[ReducedWord, ReducedWord]:
     generator.  Letters ``g_j^e`` of ``y`` map to first-row generators
     ``g_j^e`` of rank ``n*m``, so ``z`` has the syllables of ``y``.
     """
-    if type(y) is not ReducedWord:
-        _check_words(y)
-    if y.ambient.is_infinite:
+    left = _finite_rank(n)
+    m = _word_rank(y)
+    if m is None:
         raise ValueError("lift requires a finite-rank word")
-    m = y.ambient.n
-    x = ReducedWord._new(_finite_rank(n), _power_times(1, _exponent_sum(y.syllables), ()))
-    z = ReducedWord._new(_rank(n * m), y.syllables)
+    x = ReducedWord._new(left, _power_times(1, _exponent_sum(y[1]), ()))
+    z = ReducedWord._new(_rank(n * m), y[1])
     return x, z
 
 
@@ -601,13 +604,11 @@ def cancellation_witness_left(
     ``z`` is the lift of ``y`` by :func:`lift_second`, with ``phi(z) =
     (g_1^s, y)`` for the exponent sum ``s`` of ``y``, so ``xp = g_1^-s * x``.
     """
-    if type(x) is not ReducedWord or type(y) is not ReducedWord:
-        _check_words(x, y)
-    n, m = x.ambient.n, y.ambient.n
+    n, m = _word_rank(x), _word_rank(y)
     if n is None or m is None:
         raise ValueError("cancellation witnesses require finite ranks")
-    z = ReducedWord._new(_rank(n * m), y.syllables)
-    xp = ReducedWord._new(x.ambient, _power_times(1, -_exponent_sum(y.syllables), x.syllables))
+    z = ReducedWord._new(_rank(n * m), y[1])
+    xp = ReducedWord._new(x[0], _power_times(1, -_exponent_sum(y[1]), x[1]))
     return xp, z
 
 
@@ -619,13 +620,11 @@ def cancellation_witness_right(
     ``z`` is the lift of ``x`` by :func:`lift_first`, with ``phi(z) =
     (x, g_1^s)`` for the exponent sum ``s`` of ``x``, so ``yp = g_1^-s * y``.
     """
-    if type(x) is not ReducedWord or type(y) is not ReducedWord:
-        _check_words(x, y)
-    n, m = x.ambient.n, y.ambient.n
+    n, m = _word_rank(x), _word_rank(y)
     if n is None or m is None:
         raise ValueError("cancellation witnesses require finite ranks")
-    z = ReducedWord._new(_rank(n * m), _column(x.syllables, m, 1))
-    yp = ReducedWord._new(y.ambient, _power_times(1, -_exponent_sum(x.syllables), y.syllables))
+    z = ReducedWord._new(_rank(n * m), _column(x[1], m, 1))
+    yp = ReducedWord._new(y[0], _power_times(1, -_exponent_sum(x[1]), y[1]))
     return yp, z
 
 
@@ -646,15 +645,10 @@ def cyclicity_witness(
     """
     _check_index(n, i)
     _check_index(m, j)
-    try:
-        fits = x.ambient.n == n and y.ambient.n == m
-    except AttributeError:
-        _check_words(x, y)
-        raise
-    if not fits:
+    if (_word_rank(x), _word_rank(y)) != (n, m):
         raise ValueError("ambient mismatch with declared ranks")
-    head = y.syllables
-    xp = _power_times(1, -_exponent_sum(head), x.syllables)
+    head = y[1]
+    xp = _power_times(1, -_exponent_sum(head), x[1])
     tail = _column(xp, m, j)
     if head:
         # the head's generators lie in 1..m, and a tail syllable's only when

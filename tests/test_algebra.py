@@ -320,6 +320,21 @@ def test_approx_equality_within_tol():
     assert a != c
 
 
+def test_approximate_elements_print_convert_and_round_trip():
+    a = AlgebraElement(2, {W.gen(2, 1): 1 + 2j, W.gen(2, 2): 0.5 - 1.5j}, exact=False)
+    # a non-real approximate coefficient prints as a parenthesised complex number
+    assert str(a) == "F2: (1.0+2.0i)*g1 + (0.5-1.5i)*g2"
+    assert a.to_approx() is a
+    back = AlgebraElement.from_json(a.to_json())
+    assert not back.exact and back.terms == a.terms
+
+
+def test_elements_over_different_ranks_differ_and_scale_by_an_int():
+    a, b = AlgebraElement.from_word(W.gen(2, 1)), AlgebraElement.from_word(W.gen(3, 1))
+    assert a != b and not a == b
+    assert a * 2 == 2 * a == AlgebraElement(2, {W.gen(2, 1): 2})
+
+
 def test_approx_purges_below_tol():
     a = AlgebraElement(2, {W.gen(2, 1): 1e-12}, exact=False)
     assert a.is_zero

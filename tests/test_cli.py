@@ -88,6 +88,27 @@ def test_generator_index_errors_use_the_word_wording(text, message):
     assert (report, code) == ({"error": message}, 2)
 
 
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_element, "F2: g1*2", "expected a generator like 'g2' (at offset 7)"),
+        (lambda text: parse_word(text, 2), "g1*", "expected a generator like 'g2' (at offset 3)"),
+    ],
+)
+def test_a_star_after_a_generator_takes_a_generator(parse, text, message):
+    """Inside a word, ``*`` is followed by a generator: a coefficient comes
+    only before a word, so the parser does not step back over the ``*``."""
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_a_lone_zero_is_the_zero_element_whatever_the_spacing():
+    for text in ("F2:0", "F2:  0  ", "Finf: 0\n"):
+        assert parse_element(text).is_zero
+    assert parse_element("F2: 0 *g1").is_zero
+
+
 def test_zero_coefficient_terms_parse():
     assert parse_element("F2: 0*g1").is_zero
     assert parse_element("F2: 0*g1 + g2") == parse_element("F2: g2")

@@ -10,7 +10,8 @@ import pytest
 
 from freebialg import reps as R
 from freebialg import words as W
-from freebialg.algebra import AlgebraElement, TensorElement, varphi_alg
+from freebialg.algebra import AlgebraElement, TensorElement, varphi_alg, varphi_inf_alg
+from freebialg.bialgebra import verify_cancellation
 from freebialg.corpus import random_exact_scalar, random_reduced_word
 from freebialg.scalars import QI
 from freebialg.text import parse_word
@@ -80,12 +81,38 @@ def test_word_arguments_that_are_not_words_are_refused():
             lambda: R.cyclicity_check(2, 2, 1, 1, x, bad),
             lambda: R.f_pullback_eval(2, 1, 2, 1, bad),
             lambda: W.phi(2, 2, bad),
+            lambda: W.cyclicity_witness(2, 2, 1, 1, bad, y),
+            lambda: W.cyclicity_witness(2, 2, 1, 1, x, bad),
+            lambda: R.f_eval(R.PDFunction(2, 1), bad),
+            lambda: verify_cancellation(bad, y),
+            lambda: verify_cancellation(x, bad),
         ):
             with pytest.raises(TypeError, match=msg):
                 call()
         # the split of an element takes an element, and names it
         with pytest.raises(TypeError, match=f"^expected an AlgebraElement, got {re.escape(repr(bad))}$"):
             varphi_alg(2, 2, bad)
+        with pytest.raises(TypeError, match=f"^expected an AlgebraElement, got {re.escape(repr(bad))}$"):
+            varphi_inf_alg(2, bad)
+        # a bad rank is named ahead of the word or element
+        rank_msg = "^finite rank must be a positive integer, got None$"
+        for call in (
+            lambda: varphi_alg(None, 2, bad),
+            lambda: varphi_inf_alg(None, bad),
+            lambda: W.phi(2, None, bad),
+            lambda: W.phi_inf(None, bad),
+            lambda: W.lift_first(bad, None),
+            lambda: W.lift_second(bad, None),
+            lambda: R.orbit_bfs(None, 2, (bad, y), 1),
+        ):
+            with pytest.raises(ValueError, match=rank_msg):
+                call()
+        for call in (
+            lambda: W.cyclicity_witness(2, 2, 3, 1, bad, y),
+            lambda: R.coset_normal_form(2, 3, bad),
+        ):
+            with pytest.raises(ValueError, match="^generator index 3 out of range for F2$"):
+                call()
 
 
 def test_f_pullback_examples():

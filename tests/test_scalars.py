@@ -166,6 +166,20 @@ def test_floats_are_rejected():
     assert (QI(1) == 1.0) is False
 
 
+def test_operands_that_are_not_scalars_are_refused():
+    def names(a, b):
+        return f"'{type(a).__name__}' and '{type(b).__name__}'$"
+
+    other = object()
+    for symbol, call, a, b in (
+        ("-", lambda: QI(1) - other, QI(1), other),
+        ("-", lambda: other - QI(1), other, QI(1)),
+        (r"\*\* or pow\(\)", lambda: QI(1) ** 1.5, QI(1), 1.5),
+    ):
+        with pytest.raises(TypeError, match=f"^unsupported operand type\\(s\\) for {symbol}: {names(a, b)}"):
+            call()
+
+
 def test_values_are_immutable():
     q = QI(Fraction(1, 2), 3)
     for name in ("re", "im", "_a", "_d", "other"):

@@ -374,8 +374,8 @@ def test_splitting_maps_name_a_rank_with_no_product():
         ):
             with pytest.raises(ValueError, match=msg):
                 call()
-    # a rank that has a product keeps the mismatch message
-    with pytest.raises(ValueError, match="^expected a word of rank 0, got ambient F4$"):
+    # a rank that has a product is still named as a rank, ahead of the word
+    with pytest.raises(ValueError, match="^finite rank must be a positive integer, got 0$"):
         W.phi(0, 2, z)
 
 
@@ -1307,6 +1307,31 @@ def test_argument_checks_have_one_owner(name):
     assert "is not int" not in source
     for check in ("_rank", "_finite_rank", "_check_index", "_check_count", "_check_radius"):
         assert f"def {check}(" not in source
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_word_arguments_have_one_gate(name):
+    """``words`` alone defines the word-argument checks, and no module waits
+    for an attribute lookup or an operator on an argument to fail before it
+    checks it."""
+    source = inspect.getsource(importlib.import_module(f"freebialg.{name}"))
+    assert "except AttributeError" not in source
+    assert "except TypeError" not in source
+    if name != "words":
+        for check in ("_word_rank", "_check_word_rank", "_check_words"):
+            assert f"def {check}(" not in source
+
+
+def test_a_word_passed_as_its_syllables_is_refused_by_name():
+    w = W.reduce(2, [(1, 1), (2, -1)])
+    msg = r"^expected syllables, got the word g1\*g2\^-1; pass its syllables$"
+    for call in (lambda: W.reduce(2, w), lambda: ReducedWord(Rank(2), w)):
+        with pytest.raises(TypeError, match=msg):
+            call()
+    # the ambient is checked first, and the word's syllables are taken
+    with pytest.raises(ValueError, match="^ambient must be a Rank, got 2$"):
+        ReducedWord(2, w)
+    assert W.reduce(2, w.syllables) == ReducedWord(Rank(2), w.syllables) == w
 
 
 # -- words built without re-validation ----------------------------------------------------
