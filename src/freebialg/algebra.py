@@ -34,19 +34,16 @@ DEFAULT_TOL = 1e-9
 
 
 def _exact_scalar(c) -> QI:
-    if isinstance(c, QI):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return QI(c)
-    raise TypeError(
-        f"exact elements take QI, int or Fraction coefficients, got {type(c).__name__}"
-    )
+    q = QI._coerce(c)
+    if q is None:
+        raise TypeError(
+            f"exact elements take QI, int or Fraction coefficients, got {type(c).__name__}"
+        )
+    return q
 
 
 def _approx_scalar(c) -> complex:
-    if isinstance(c, (complex, float, int)):
-        return complex(c)
-    if isinstance(c, (QI, Fraction)):
+    if isinstance(c, (complex, float, int, QI, Fraction)):
         return complex(c)
     raise TypeError(f"cannot use {type(c).__name__} as an approximate coefficient")
 
@@ -350,11 +347,10 @@ class AlgebraElement(_Linear):
         pairs = []
         for entry in data["terms"]:
             w = ReducedWord.from_json(ambient, entry["word"])
-            re, im = entry["re"], entry["im"]
-            if isinstance(re, str):
-                pairs.append((w, QI(Fraction(re), Fraction(im))))
+            if isinstance(entry["re"], str):
+                pairs.append((w, QI.from_json(entry)))
             else:
-                pairs.append((w, complex(re, im)))
+                pairs.append((w, complex(entry["re"], entry["im"])))
         exact = all(isinstance(c, QI) for _, c in pairs)
         return cls(ambient, pairs, exact)
 
@@ -385,7 +381,7 @@ class TensorElement(_Tensor):
 
     @classmethod
     def from_pair(cls, w1: ReducedWord, w2: ReducedWord, coeff=1, exact: bool = True):
-        return cls((w1.ambient, w2.ambient), {(w1, w2): coeff}, exact)
+        return cls((_word_rank(w1), _word_rank(w2)), {(w1, w2): coeff}, exact)
 
     def flip(self) -> "TensorElement":
         """Swap the two tensor slots."""
@@ -402,11 +398,12 @@ class TripleTensorElement(_Tensor):
 
     @classmethod
     def from_triple(cls, w1, w2, w3, coeff=1, exact: bool = True):
-        return cls((w1.ambient, w2.ambient, w3.ambient), {(w1, w2, w3): coeff}, exact)
+        return cls(tuple(map(_word_rank, (w1, w2, w3))), {(w1, w2, w3): coeff}, exact)
 
 
 def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     """Bilinear outer product of two algebra elements."""
+    _element_rank(a), _element_rank(b)
     if a.exact != b.exact:
         raise ValueError("cannot tensor exact with approximate elements")
     pairs = [
@@ -451,8 +448,8 @@ def varphi_inf_alg(n: int, a: AlgebraElement) -> TensorElement:
 
 def standard_delta(a: AlgebraElement) -> TensorElement:
     """The diagonal comultiplication ``w -> w (x) w`` extended linearly."""
-    pairs = [((w, w), c) for w, c in a.terms.items()]
-    return TensorElement._merged((a.ambient, a.ambient), pairs, a.exact)
+    _element_rank(a)
+    return _extend(lambda w: (w, w), a, (a.ambient, a.ambient))
 
 
 def standard_delta_compat_check(n: int, m: int, a: AlgebraElement) -> bool:

@@ -19,6 +19,7 @@ from .algebra import (
     TripleTensorElement,
     varphi_inf_alg,
     _Linear,
+    _exact_scalar,
     _grade,
     _merge,
 )
@@ -89,13 +90,14 @@ class _DirectSum(_Linear):
     one term dict.  The space ``_space`` is ``None`` ("any finite rank") or
     one ``None`` per tensor slot.  The public constructor takes components
     ``key -> element of class _component`` keyed by rank (a tuple of ranks
-    for tensors); every operation is the one of :class:`_Linear`."""
+    for tensors), whose terms give its scalar mode (exact when there are none);
+    every operation is the one of :class:`_Linear`."""
 
     __slots__ = ()
     _space = None
     _component: type
 
-    def __init__(self, components=(), exact: bool | None = None):
+    def __init__(self, components=()):
         pairs = []
         modes = set()
         items = components.items() if hasattr(components, "items") else components
@@ -112,10 +114,7 @@ class _DirectSum(_Linear):
                 pairs.extend(el.terms.items())
         if len(modes) > 1:
             raise ValueError("components mix exact and approximate scalars")
-        if exact is None:
-            exact = modes.pop() if modes else True
-        elif modes and modes != {exact}:
-            raise ValueError("declared scalar mode contradicts the components")
+        exact = modes.pop() if modes else True
         # each component is checked and merged, so only equal keys can overlap
         self.space, self.terms, self.exact = self._space, _merge(pairs, exact), exact
 
@@ -289,10 +288,8 @@ class UnitizedElement:
             raise TypeError(f"the body must be a direct sum, got {type(body).__name__}")
         if not body.exact:
             raise ValueError("the unitization is modeled with exact scalars")
-        if not isinstance(unit_coeff, QI):
-            unit_coeff = QI(unit_coeff)
         self.body = body
-        self.unit_coeff = unit_coeff
+        self.unit_coeff = _exact_scalar(unit_coeff)
 
     @classmethod
     def adjoined_unit(cls) -> "UnitizedElement":

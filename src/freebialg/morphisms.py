@@ -42,7 +42,6 @@ class GradedEndo:
     have unit modulus so that inverse letters pick up the conjugate phase.
     """
 
-    name: str
     exact: bool
     gen_image: Callable[[int, int], tuple[int, QI | complex]]
 
@@ -79,12 +78,12 @@ class GradedEndo:
 
 
 def identity_endo() -> GradedEndo:
-    return GradedEndo("id", True, lambda n, i: (i, ONE))
+    return GradedEndo(True, lambda n, i: (i, ONE))
 
 
 def beta_endo() -> GradedEndo:
     """Exact involution reversing generator indices: ``g_i -> g_{n-i+1}``."""
-    return GradedEndo("beta", True, lambda n, i: (n - i + 1, ONE))
+    return GradedEndo(True, lambda n, i: (n - i + 1, ONE))
 
 
 def alpha_endo(t: float) -> GradedEndo:
@@ -93,7 +92,7 @@ def alpha_endo(t: float) -> GradedEndo:
     def image(n: int, i: int):
         return i, cmath.exp(1j * (t * math.log(n)))
 
-    return GradedEndo(f"alpha[{t}]", False, image)
+    return GradedEndo(False, image)
 
 
 def alpha(t: float, x: DirectSumElement) -> DirectSumElement:

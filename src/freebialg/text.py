@@ -76,7 +76,6 @@ class _Scanner:
         return int(self.text[start : self.pos])
 
     def read_int(self) -> int:
-        self.skip_ws()
         sign = -1 if self.take("-") else 1
         return sign * self.read_uint()
 
@@ -95,7 +94,6 @@ class _Scanner:
 
 
 def _parse_rank(sc: _Scanner) -> Rank:
-    sc.skip_ws()
     if not sc.take("F"):
         raise ParseError("expected a rank like 'F4' or 'Finf'", sc.pos)
     if sc.match_word("inf"):
@@ -147,7 +145,6 @@ def parse_word(text: str, ambient: Rank | int) -> ReducedWord:
 def _parse_coeff(sc: _Scanner) -> QI:
     if sc.take("("):
         re = sc.read_rational()
-        sc.skip_ws()
         if sc.take("+"):
             sign = 1
         elif sc.take("-"):

@@ -345,11 +345,9 @@ def unit(ambient: Rank | int) -> ReducedWord:
 def gen(ambient: Rank | int, i: int, exp: int = 1) -> ReducedWord:
     """The word ``g_i^exp`` (the unit when ``exp == 0``)."""
     ambient = _rank(ambient)
-    if exp == 0 and type(exp) is int and type(i) is int:
-        return ReducedWord._new(ambient, ())
     if type(exp) is not int or not ambient.allows(i):
         raise _bad_syllable(ambient, i, exp)
-    return ReducedWord._new(ambient, (_syllable(i, exp),))
+    return ReducedWord._new(ambient, (_syllable(i, exp),) if exp else ())
 
 
 def _exponent_sum(sylls: tuple[Syllable, ...]) -> int:

@@ -288,8 +288,22 @@ def test_direct_sum_constructor_refusals():
         DirectSumElement.from_algebra(inf)
     with pytest.raises(ValueError, match="component key 3 does not match F2"):
         DirectSumElement({3: a})
-    with pytest.raises(ValueError, match="declared scalar mode contradicts the components"):
-        DirectSumElement({2: a}, exact=False)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'exact'"):
+        DirectSumElement({2: a}, exact=False)  # the mode comes from the components
+
+
+def test_direct_sum_takes_its_mode_from_its_components():
+    from freebialg.bialgebra import DirectSumElement
+
+    a = AlgebraElement.from_word(W.gen(2, 1))
+    approx = AlgebraElement.from_word(W.gen(3, 1)).to_approx()
+    assert DirectSumElement({2: a}).exact and not DirectSumElement({3: approx}).exact
+    with pytest.raises(ValueError, match="components mix exact and approximate scalars"):
+        DirectSumElement({2: a, 3: approx})
+    # a sum with no terms is exact, whatever its components; zero(False) is the approximate one
+    assert DirectSumElement({}).exact and DirectSumElement({3: approx.scale(0.0)}).exact
+    zero, x = DirectSumElement.zero(False), DirectSumElement({3: approx})
+    assert not zero.exact and not zero.terms and zero + x == x
 
 
 # -- tensor and triple structure --------------------------------------------------------------
@@ -405,7 +419,8 @@ def _public(x, pairs, space=None):
     for label, c in pairs:
         groups.setdefault(_grade(label), []).append((label, c))
     comps = {key: x._component(key, group, x.exact) for key, group in groups.items()}
-    return type(x)(comps, x.exact)
+    empty = not any(comp.terms for comp in comps.values())
+    return type(x).zero(x.exact) if empty else type(x)(comps)
 
 
 def _assert_trusted(got, want, *operands):

@@ -3,6 +3,7 @@ axiom checkers."""
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -303,6 +304,17 @@ def test_unitized_requires_exact():
     x = random_direct_sum(rng, max_rank=3, max_len=2).to_approx()
     with pytest.raises(ValueError):
         UnitizedElement(x)
+
+
+def test_unitized_coefficient_is_an_exact_scalar():
+    body = dsum_word(3, 2)
+    for bad in ("1/2", 1.5, 1j):
+        msg = f"^exact elements take QI, int or Fraction coefficients, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=msg):
+            UnitizedElement(body, bad)
+    for good in (3, Fraction(1, 2), QI(1, 2)):
+        coeff = UnitizedElement(body, good).unit_coeff
+        assert type(coeff) is QI and coeff == good
 
 
 def test_unitized_refuses_what_is_not_a_unitized_element():

@@ -10,7 +10,15 @@ import pytest
 
 from freebialg import reps as R
 from freebialg import words as W
-from freebialg.algebra import AlgebraElement, TensorElement, varphi_alg, varphi_inf_alg
+from freebialg.algebra import (
+    AlgebraElement,
+    TensorElement,
+    TripleTensorElement,
+    standard_delta,
+    tensor,
+    varphi_alg,
+    varphi_inf_alg,
+)
 from freebialg.bialgebra import verify_cancellation
 from freebialg.corpus import random_exact_scalar, random_reduced_word
 from freebialg.scalars import QI
@@ -86,6 +94,9 @@ def test_word_arguments_that_are_not_words_are_refused():
             lambda: R.f_eval(R.PDFunction(2, 1), bad),
             lambda: verify_cancellation(bad, y),
             lambda: verify_cancellation(x, bad),
+            lambda: TensorElement.from_pair(bad, y),
+            lambda: TensorElement.from_pair(x, bad),
+            lambda: TripleTensorElement.from_triple(x, y, bad),
         ):
             with pytest.raises(TypeError, match=msg):
                 call()
@@ -94,6 +105,14 @@ def test_word_arguments_that_are_not_words_are_refused():
             varphi_alg(2, 2, bad)
         with pytest.raises(TypeError, match=f"^expected an AlgebraElement, got {re.escape(repr(bad))}$"):
             varphi_inf_alg(2, bad)
+        # so do the diagonal and the outer product
+        for call in (
+            lambda: standard_delta(bad),
+            lambda: tensor(bad, u),
+            lambda: tensor(u, bad),
+        ):
+            with pytest.raises(TypeError, match=f"^expected an AlgebraElement, got {re.escape(repr(bad))}$"):
+                call()
         # a bad rank is named ahead of the word or element
         rank_msg = "^finite rank must be a positive integer, got None$"
         for call in (
@@ -1028,6 +1047,44 @@ def test_vectors_have_no_product_and_no_star():
         v.star()
     assert v * 3 == 3 * v == R.SuppVector(basis, {label: 3})
     assert (2 * v).inner(v) == QI(2)
+
+
+# -- the mutant catalogue of tools/mutants.py -----------------------------------------------------
+
+
+def _load_mutants():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("_mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_mutant_catalogue_is_current():
+    """Each mutant applies at exactly one place and names test functions that
+    exist, so a refactor that moves its text or renames its tests fails here
+    and not only in a mutation run."""
+    mutants = _load_mutants()
+    names = [m.name for m in mutants.MUTANTS]
+    assert names and len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        assert (mutants.ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.new != m.old and m.tests, m.name
+        for node in m.tests:
+            file, _, func = node.partition("::")
+            func = func.split("[")[0]
+            source = (mutants.ROOT / file).read_text()
+            assert func and re.search(rf"^def {func}\(", source, re.M), node
+
+
+def test_a_mutant_whose_tests_do_not_run_is_an_error():
+    """pytest exits 4 on a node id that names no test: that is no kill."""
+    mutants = _load_mutants()
+    mutant = mutants.MUTANTS[0]._replace(tests=("tests/test_words.py::test_no_such_test",))
+    assert mutants.run_mutant(mutant) == "error"
 
 
 # -- names the benchmark tracer wraps ------------------------------------------------------------

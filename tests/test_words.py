@@ -1003,9 +1003,19 @@ def test_word_constructors_refuse_syllables_that_are_not_ints(syllable):
 
 def test_int_syllables_still_build_words():
     assert str(ReducedWord(Rank(2), [(1, 2), [2, -1]])) == "g1^2*g2^-1"
-    assert W.gen(2, 5, 0).is_unit  # exponent 0 is the unit, as before
+    with pytest.raises(ValueError, match="generator index 5 out of range for F2"):
+        W.gen(2, 5, 0)  # the index is checked before exponent 0 gives the unit
     with pytest.raises(ValueError, match="generator index 3 out of range for F2"):
         W.reduce(2, [(3, 1)])
+
+
+def test_gen_checks_its_index_before_its_exponent():
+    assert W.gen(2, 1, 0) == W.unit(2) and W.gen(INFINITE, 7, 0) == W.unit(INFINITE)
+    for i in (0, 3, True, 1.0):
+        with pytest.raises(ValueError, match="generator index|must be ints"):
+            W.gen(2, i, 0)
+    with pytest.raises(ValueError, match="generator index and exponent must be ints"):
+        W.gen(2, 1, 0.0)
 
 
 # -- shared syllables -----------------------------------------------------------
@@ -1376,7 +1386,7 @@ def test_trusted_unary_results_are_valid(w, g, e, k):
     assert_valid(W.inverse(w))
     assert_valid(w**k)
     assert_valid(W.unit(w.ambient))
-    if e == 0 or w.ambient.allows(g):
+    if w.ambient.allows(g):
         assert_valid(W.gen(w.ambient, g, e))
     else:
         with pytest.raises(ValueError):
