@@ -12,10 +12,11 @@ from __future__ import annotations
 import gc
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
-from .scalars import ONE, QI, ZERO
+from .scalars import ONE, QI, ZERO, _times_row as _qi_times_row
 from .words import INFINITE, Rank, ReducedWord, _finite_rank, _rank, _word_rank
-from .words import multiply, phi, phi_inf
+from .words import _times_row as _word_times_row, phi, phi_inf
 
 __all__ = [
     "DEFAULT_TOL",
@@ -61,10 +62,6 @@ def _label_key(x):
 
 def _to_json(x):
     return [y.to_json() for y in x] if type(x) is tuple else x.to_json()
-
-
-def _multiply_slots(k1: tuple, k2: tuple) -> tuple:
-    return tuple(map(multiply, k1, k2))
 
 
 def _grade(label):
@@ -118,6 +115,24 @@ def _merge(pairs, exact: bool) -> dict:
     for k in zeros:
         del acc[k]
     return acc.copy() if len(zeros) > len(acc) else acc
+
+
+def _complex_times_row(c: complex, row) -> list:
+    return [c * x for x in row]
+
+
+def _row_pairs(terms: dict, rows: dict, times):
+    """For each term ``(k1, c1)``, the ``(label, coefficient)`` pairs of its
+    product with the row of its grade in ``rows``: ``grade -> (labels,
+    coefficients)``, with one label list per slot for word tuples."""
+    for k1, c1 in terms.items():
+        row = rows.get(_grade(k1))
+        if row is not None:
+            labels, coeffs = row
+            if type(k1) is tuple:
+                yield zip(zip(*map(_word_times_row, k1, labels)), times(c1, coeffs))
+            else:
+                yield zip(_word_times_row(k1, labels), times(c1, coeffs))
 
 
 class _Linear:
@@ -233,16 +248,17 @@ class _Linear:
         if not isinstance(other, _Linear):
             return self.scale(other)
         self._require_compatible(other)
-        mul = _multiply_slots if type(self.space) is tuple else multiply
-        by_grade: dict = {}
+        rows: dict = {}
         for k2, c2 in other.terms.items():
-            by_grade.setdefault(_grade(k2), []).append((k2, c2))
-        # a generator: the pairs stream into the merge and are never all alive
-        return self._make(
-            (mul(k1, k2), c1 * c2)
-            for k1, c1 in self.terms.items()
-            for k2, c2 in by_grade.get(_grade(k1), ())
-        )
+            labels, coeffs = rows.setdefault(_grade(k2), ([], []))
+            labels.append(k2)
+            coeffs.append(c2)
+        if type(self.space) is tuple:
+            # one word list per slot
+            rows = {g: (list(zip(*labels)), coeffs) for g, (labels, coeffs) in rows.items()}
+        times = _qi_times_row if self.exact else _complex_times_row
+        # the rows stream into the merge, so the pairs are never all alive
+        return self._make(chain.from_iterable(_row_pairs(self.terms, rows, times)))
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .bialgebra import DirectSumElement
@@ -50,13 +49,13 @@ def random_reduced_word(
 
 
 def random_exact_scalar(rng: random.Random) -> QI:
-    """A small nonzero Gaussian rational: numerators in -3..3, denominators
-    1 or 2."""
+    """A small nonzero Gaussian rational ``a/d + (b/e)i``: numerators in
+    -3..3, denominators 1 or 2, drawn in the order ``a, d, b, e``."""
     while True:
-        re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        im = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        if re or im:
-            return QI(re, im)
+        a, d = rng.randint(-3, 3), rng.randint(1, 2)
+        b, e = rng.randint(-3, 3), rng.randint(1, 2)
+        if a or b:
+            return QI._new(a * e, b * d, d * e)
 
 
 def random_algebra_element(

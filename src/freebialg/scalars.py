@@ -193,6 +193,12 @@ class QI:
         return cls(Fraction(data["re"]), Fraction(data["im"]))
 
 
+def _times_row(c: QI, row) -> list:
+    """``[c * x for x in row]`` for a row of ``QI``, in one frame."""
+    a, b, d = c._a, c._b, c._d
+    return [_new(a * x._a - b * x._b, a * x._b + b * x._a, d * x._d) for x in row]
+
+
 def _difference(x: QI, y: QI) -> QI:
     d, e = x._d, y._d
     if d == e:

@@ -424,9 +424,10 @@ def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     i, k, end = len(left), 0, len(right)
     while i and k < end:
         g, e = left[i - 1]
-        if g != right[k].gen:
+        h, f = right[k]
+        if g != h:
             break
-        merged = e + right[k].exp
+        merged = e + f
         if merged:
             return ReducedWord._new(
                 ambient, left[: i - 1] + (_syllable(g, merged),) + right[k + 1 :]
@@ -434,6 +435,29 @@ def multiply(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
         i -= 1
         k += 1
     return ReducedWord._new(ambient, left[:i] + right[k:])
+
+
+def _times_row(w: ReducedWord, row):
+    """``[multiply(w, v) for v in row]`` for a word ``w`` and a sequence of
+    words ``v`` of its rank, reading ``w``'s side of the seam once.  A unit
+    ``w`` gives back ``row`` itself; where the seam joins two distinct
+    generators the product is the two syllable tuples joined, and only a
+    shared seam generator goes through :func:`multiply`."""
+    ambient, left = w
+    if not left:
+        return row
+    g = left[-1][0]
+    out = []
+    append = out.append
+    for v in row:
+        right = v[1]
+        if not right:
+            append(w)
+        elif right[0][0] != g:
+            append(_build(ReducedWord, (ambient, left + right)))
+        else:
+            append(multiply(w, v))
+    return out
 
 
 def inverse(w: ReducedWord) -> ReducedWord:

@@ -390,6 +390,18 @@ def _draw(kind, rng):
     if kind == "algebra":
         n = rng.randint(1, 4)
         return random_algebra_element(rng, n), random_algebra_element(rng, n)
+    if kind == "approximate-algebra":
+        return tuple(x.to_approx() for x in _draw("algebra", rng))
+    if kind == "triple":
+        ranks = [rng.randint(1, 3) for _ in range(3)]
+        triple = lambda: TripleTensorElement(
+            ranks,
+            [
+                (tuple(random_reduced_word(rng, r, 4) for r in ranks), random_exact_scalar(rng))
+                for _ in range(rng.randint(1, 6))
+            ],
+        )
+        return triple(), triple()
     if kind == "tensor":
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         pair = lambda: tensor(random_algebra_element(rng, n), random_algebra_element(rng, m))
@@ -533,17 +545,21 @@ def test_one_term_constructors_match_the_public_constructor():
 
 def _reference_product(x, y):
     graded = isinstance(x, _DirectSum)
+    zero = QI(0) if x.exact else 0j
     acc = {}
     for k1, c1 in x.items():
         for k2, c2 in y.items():
             if graded and _grade(k1) != _grade(k2):
                 continue
             label = _product(k1, k2)
-            acc[label] = acc.get(label, QI(0)) + c1 * c2
-    return {k: v for k, v in acc.items() if v}
+            acc[label] = acc.get(label, zero) + c1 * c2
+    return {k: v for k, v in acc.items() if (v if x.exact else abs(v) > DEFAULT_TOL)}
 
 
-@pytest.mark.parametrize("kind", ["algebra", "tensor", "direct-sum", "direct-sum-tensor"])
+@pytest.mark.parametrize(
+    "kind",
+    ["algebra", "approximate-algebra", "tensor", "triple", "direct-sum", "direct-sum-tensor"],
+)
 def test_products_match_a_reference_double_loop(kind, monkeypatch):
     import freebialg.algebra as A
 

@@ -6,6 +6,7 @@ formulas; the second is sympy's exact arithmetic (``Rational``, ``I``,
 ``(a + b*i) / d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebialg.scalars import I, ONE, QI, ZERO
+from freebialg.corpus import random_exact_scalar
+from freebialg.scalars import I, ONE, QI, ZERO, _times_row
 
 # -- strategies and the pair model ----------------------------------------------
 
@@ -144,6 +146,35 @@ def test_canonical_form_examples():
         assert (zero._a, zero._b, zero._d) == (0, 0, 1)
     assert canonical(QI(1, 2) * I) == QI(-2, 1)
     assert half != ONE and QI(Fraction(1, 3), Fraction(2, 3)) != QI(1, 2)
+
+
+@given(pairs, st.lists(pairs, max_size=6))
+def test_times_row_matches_the_product(x, row):
+    c, qs = QI(*x), [QI(*y) for y in row]
+    got = _times_row(c, qs)
+    assert got == [c * q for q in qs]
+    assert [(q._a, q._b, q._d) for q in got] == [(q._a, q._b, q._d) for q in map(c.__mul__, qs)]
+    for q in got:
+        canonical(q)
+
+
+def test_random_exact_scalar_matches_the_fraction_construction():
+    """The corpus builds ``a/d + (b/e)i`` from its four draws with one gcd;
+    the value, the stored triple and the generator's state afterwards are
+    those of the ``Fraction`` construction it replaced."""
+
+    def by_fractions(rng):
+        while True:
+            re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            im = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if re or im:
+                return QI(re, im)
+
+    rng, old = random.Random(20_000), random.Random(20_000)
+    for _ in range(20_000):
+        got, want = random_exact_scalar(rng), by_fractions(old)
+        assert got == want and (got._a, got._b, got._d) == (want._a, want._b, want._d)
+    assert rng.getstate() == old.getstate()
 
 
 @given(st.one_of(st.integers(-(10**20), 10**20), small, large))

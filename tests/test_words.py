@@ -1409,6 +1409,34 @@ def test_multiply_matches_reduce_of_concatenation(pair, c):
     assert W.multiply(a, a.inverse()).is_unit
 
 
+def _seam(w, v, product):
+    """How the seam of ``w * v`` reduces."""
+    if w.is_unit or v.is_unit:
+        return "unit"
+    (g, e), (h, f) = w.syllables[-1], v.syllables[0]
+    if g != h:
+        return "distinct"
+    if e + f:
+        return "merged"
+    return "cancelled" if product.is_unit else "partly cancelled"
+
+
+@pytest.mark.parametrize("ambient, radius, max_gen", [(2, 3, None), (INFINITE, 2, 4)])
+def test_times_row_matches_multiply_on_a_ball(ambient, radius, max_gen):
+    ball = W.enumerate_ball(ambient, radius, max_gen)
+    seams = set()
+    for w in ball:
+        got = W._times_row(w, ball)
+        want = [W.multiply(w, v) for v in ball]
+        assert got == want
+        for x, v, y in zip(got, ball, want):
+            assert_valid(x)
+            assert x.ambient is y.ambient
+            assert [tuple(s) for s in x.syllables] == [tuple(s) for s in y.syllables]
+            seams.add(_seam(w, v, y))
+    assert seams == {"unit", "distinct", "merged", "partly cancelled", "cancelled"}
+
+
 @given(finite_word)
 def test_trusted_split_results_are_valid(z):
     k = z.ambient.n

@@ -42,6 +42,9 @@ OUTCOMES = ("killed", "survived", "stale", "error")
 WORD_ARGUMENTS = "tests/test_reps.py::test_word_arguments_that_are_not_words_are_refused"
 LETTER_SPLIT = "tests/test_words.py::test_phi_matches_the_letter_split"
 REOPEN = "tests/test_words.py::test_split_reopens_the_syllable_below_a_cancellation"
+WORD_ROW = "tests/test_words.py::test_times_row_matches_multiply_on_a_ball"
+SCALAR_ROW = "tests/test_scalars.py::test_times_row_matches_the_product"
+PRODUCTS = "tests/test_algebra.py::test_products_match_a_reference_double_loop"
 
 
 class Mutant(NamedTuple):
@@ -261,6 +264,53 @@ MUTANTS = [
         "                b, y = right.pop() if right else (0, 0)",
         "                b, y = left.pop() if left else (0, 0)",
         (REOPEN, LETTER_SPLIT),
+    ),
+    # -- the row products: ``words._times_row``, ``scalars._times_row`` and ``_row_pairs`` --
+    Mutant(
+        "word-row-seam-test-inverted",
+        "src/freebialg/words.py",
+        "        elif right[0][0] != g:",
+        "        elif right[0][0] == g:",
+        (WORD_ROW, PRODUCTS),
+    ),
+    Mutant(
+        "word-row-unit-left-returns-itself",
+        "src/freebialg/words.py",
+        """    if not left:
+        return row
+    g = left[-1][0]""",
+        """    if not left:
+        return [w] * len(row)
+    g = left[-1][0]""",
+        (WORD_ROW, PRODUCTS),
+    ),
+    Mutant(
+        "scalar-row-sign-swapped",
+        "src/freebialg/scalars.py",
+        "_new(a * x._a - b * x._b, a * x._b + b * x._a, d * x._d)",
+        "_new(a * x._a + b * x._b, a * x._b + b * x._a, d * x._d)",
+        (SCALAR_ROW, PRODUCTS),
+    ),
+    Mutant(
+        "direct-sum-row-of-another-grade",
+        "src/freebialg/algebra.py",
+        "        row = rows.get(_grade(k1))",
+        "        row = next(iter(rows.values()))",
+        (PRODUCTS, "tests/test_algebra.py::test_products_whose_cross_terms_cancel"),
+    ),
+    Mutant(
+        "tensor-slot-rows-reversed",
+        "src/freebialg/algebra.py",
+        "zip(zip(*map(_word_times_row, k1, labels)),",
+        "zip(zip(*map(_word_times_row, k1, labels[::-1])),",
+        (PRODUCTS,),
+    ),
+    Mutant(
+        "corpus-scalar-parts-crossed",
+        "src/freebialg/corpus.py",
+        "QI._new(a * e, b * d, d * e)",
+        "QI._new(a * d, b * e, d * e)",
+        ("tests/test_scalars.py::test_random_exact_scalar_matches_the_fraction_construction",),
     ),
     # -- the tuple layout of ranks and words --
     Mutant(
