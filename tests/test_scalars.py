@@ -152,8 +152,8 @@ def test_canonical_form_examples():
 def test_times_row_matches_the_product(x, row):
     c, qs = QI(*x), [QI(*y) for y in row]
     got = _times_row(c, qs)
+    # QI equality compares the stored triples
     assert got == [c * q for q in qs]
-    assert [(q._a, q._b, q._d) for q in got] == [(q._a, q._b, q._d) for q in map(c.__mul__, qs)]
     for q in got:
         canonical(q)
 
