@@ -36,7 +36,7 @@ from .bialgebra import (
     verify_cancellation,
     wcs_check,
 )
-from .corpus import random_direct_sum, random_reduced_word
+from .corpus import _randint, random_direct_sum, random_reduced_word
 from .text import ParseError, parse_element, parse_word
 from .words import _check_index, _rank, ball_size, enumerate_ball, gen, kernel_witness, unit
 
@@ -185,7 +185,7 @@ def _kernel_words():
 @_counted("words.reduction-laws")
 def _reduction_laws(rng, tol):
     for _ in range(300):
-        n = rng.randint(1, 4)
+        n = _randint(rng, 1, 4)
         w = random_reduced_word(rng, n, 6)
         v = random_reduced_word(rng, n, 6)
         u = random_reduced_word(rng, n, 6)
@@ -198,7 +198,7 @@ def _reduction_laws(rng, tol):
 @_counted("words.phi-homomorphism")
 def _phi_homomorphism(rng, tol):
     for _ in range(300):
-        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        n, m = _randint(rng, 1, 3), _randint(rng, 1, 3)
         z1 = random_reduced_word(rng, n * m, 6)
         z2 = random_reduced_word(rng, n * m, 6)
         p, q = words.phi(n, m, z1 * z2)
@@ -219,7 +219,7 @@ def _kernel_witnesses(rng, tol):
 @_counted("words.lift-constructions")
 def _lift_constructions(rng, tol):
     for _ in range(300):
-        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        n, m = _randint(rng, 1, 3), _randint(rng, 1, 3)
         x = random_reduced_word(rng, n, 5)
         y, z = words.lift_first(x, m)
         p, q = words.phi(n, m, z)
@@ -239,7 +239,7 @@ def _cancellation_witnesses(rng, tol):
                 for y in enumerate_ball(m, 3):
                     yield verify_cancellation(x, y), (n, m, x, y)
     for _ in range(100):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        n, m = _randint(rng, 1, 4), _randint(rng, 1, 4)
         x = random_reduced_word(rng, n, 5)
         y = random_reduced_word(rng, m, 5)
         yield verify_cancellation(x, y), (n, m, x, y)
@@ -303,7 +303,7 @@ def _comodule(rng, tol):
 def _unitization(rng, tol):
     for _ in range(100):
         a, b = (
-            bialgebra.UnitizedElement(random_direct_sum(rng, max_rank=6, max_len=3), rng.randint(-2, 2))
+            bialgebra.UnitizedElement(random_direct_sum(rng, max_rank=6, max_len=3), _randint(rng, -2, 2))
             for _ in range(2)
         )
         delta, eps = bialgebra.unitized_delta, bialgebra.unitized_counit
@@ -387,8 +387,8 @@ def _gram_psd(rng, tol):
 @_counted("reps.action-laws")
 def _action_laws(rng, tol):
     for _ in range(200):
-        n = rng.randint(2, 3)
-        i = rng.randint(1, n)
+        n = _randint(rng, 2, 3)
+        i = _randint(rng, 1, n)
         x = random_reduced_word(rng, n, 4)
         y = random_reduced_word(rng, n, 4)
         coset = reps.coset_normal_form(n, i, random_reduced_word(rng, n, 3))

@@ -17,6 +17,19 @@ __all__ = [
 ]
 
 
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """``Random.randint(a, b)``'s value and stream for a ``random.Random``, in
+    one frame: CPython's ``_randbelow_with_getrandbits`` on ``getrandbits``."""
+    n = b - a + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def random_reduced_word(
     rng: random.Random, ambient: Rank | int, max_len: int, max_gen: int | None = None
 ) -> ReducedWord:
@@ -30,12 +43,12 @@ def random_reduced_word(
             raise ValueError("infinite rank needs max_gen")
         _check_count("max_gen", max_gen, 1)
         span = max_gen
-    length = rng.randint(0, max_len)
+    length = _randint(rng, 0, max_len)
     sylls: list[Syllable] = []
     for _ in range(length):
         while True:
-            g = rng.randint(1, span)
-            e = rng.choice((1, -1))
+            g = _randint(rng, 1, span)
+            e = (1, -1)[_randint(rng, 0, 1)]  # as ``choice((1, -1))`` indexes
             if not sylls:
                 break
             last = sylls[-1]
@@ -52,8 +65,8 @@ def random_exact_scalar(rng: random.Random) -> QI:
     """A small nonzero Gaussian rational ``a/d + (b/e)i``: numerators in
     -3..3, denominators 1 or 2, drawn in the order ``a, d, b, e``."""
     while True:
-        a, d = rng.randint(-3, 3), rng.randint(1, 2)
-        b, e = rng.randint(-3, 3), rng.randint(1, 2)
+        a, d = _randint(rng, -3, 3), _randint(rng, 1, 2)
+        b, e = _randint(rng, -3, 3), _randint(rng, 1, 2)
         if a or b:
             return QI._new(a * e, b * d, d * e)
 
@@ -61,11 +74,16 @@ def random_exact_scalar(rng: random.Random) -> QI:
 def random_algebra_element(
     rng: random.Random, n: int, max_len: int = 5, max_terms: int = 3
 ) -> AlgebraElement:
+    """Up to ``max_terms`` words of length at most ``max_len``, each with a
+    :func:`random_exact_scalar`; a word drawn again keeps its later scalar."""
+    ambient = _rank(n)
+    _check_count("max_terms", max_terms, 1)
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        w = random_reduced_word(rng, n, max_len)
+    for _ in range(_randint(rng, 1, max_terms)):
+        w = random_reduced_word(rng, ambient, max_len)
         terms[w] = random_exact_scalar(rng)
-    return AlgebraElement(n, terms)
+    # the words are built reduced and the scalars are nonzero
+    return AlgebraElement._wrap(ambient, terms, True)
 
 
 def random_direct_sum(
@@ -75,8 +93,12 @@ def random_direct_sum(
     max_terms: int = 3,
     parts: int = 2,
 ) -> DirectSumElement:
-    comps = []
+    """The sum of ``parts`` :func:`random_algebra_element` draws, each of a
+    rank drawn in ``1..max_rank``; parts of one rank merge."""
+    _check_count("max_rank", max_rank, 1)
+    _check_count("parts", parts, 0)
+    pairs = []
     for _ in range(parts):
-        n = rng.randint(1, max_rank)
-        comps.append((n, random_algebra_element(rng, n, max_len, max_terms)))
-    return DirectSumElement(comps)
+        n = _randint(rng, 1, max_rank)
+        pairs.extend(random_algebra_element(rng, n, max_len, max_terms).terms.items())
+    return DirectSumElement._merged(DirectSumElement._space, pairs, True)

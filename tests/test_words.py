@@ -1332,6 +1332,17 @@ def test_word_arguments_have_one_gate(name):
             assert f"def {check}(" not in source
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_seeded_draws_have_one_way(name):
+    """Every seeded draw goes through ``corpus._randint``, which only
+    ``corpus`` defines: a ``randint``, ``choice`` or ``randrange`` call on a
+    generator fails here."""
+    source = inspect.getsource(importlib.import_module(f"freebialg.{name}"))
+    for call in ("rng.randint(", "rng.choice(", "rng.randrange("):
+        assert call not in source
+    assert ("def _randint(" in source) == (name == "corpus")
+
+
 def test_a_word_passed_as_its_syllables_is_refused_by_name():
     w = W.reduce(2, [(1, 1), (2, -1)])
     msg = r"^expected syllables, got the word g1\*g2\^-1; pass its syllables$"

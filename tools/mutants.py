@@ -1,5 +1,5 @@
-"""Mutation checks for the argument gates, the word kernel and the single
-owners of the package's rules, kept outside the test suite.
+"""Mutation checks for the argument gates, the word kernel, the seeded draws
+and the single owners of the package's rules, kept outside the test suite.
 
 Each mutant is one exact text replacement in one file of ``src/``.  For each,
 the runner copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` into a
@@ -311,6 +311,35 @@ MUTANTS = [
         "QI._new(a * e, b * d, d * e)",
         "QI._new(a * d, b * e, d * e)",
         ("tests/test_scalars.py::test_random_exact_scalar_matches_the_fraction_construction",),
+    ),
+    # -- the seeded draws: ``randint``'s stream in one frame, trusted construction --
+    Mutant(
+        "randint-rejects-above-the-range-only",
+        "src/freebialg/corpus.py",
+        "    while r >= n:",
+        "    while r > n:",
+        ("tests/test_corpus.py::test_randint_is_random_randint",),
+    ),
+    Mutant(
+        "randint-one-bit-short",
+        "src/freebialg/corpus.py",
+        "    k = n.bit_length()",
+        "    k = n.bit_length() - 1",
+        ("tests/test_corpus.py::test_randint_is_random_randint",),
+    ),
+    Mutant(
+        "corpus-signs-reversed",
+        "src/freebialg/corpus.py",
+        "(1, -1)[_randint(rng, 0, 1)]",
+        "(-1, 1)[_randint(rng, 0, 1)]",
+        ("tests/test_corpus.py::test_random_reduced_word_draws_the_randint_corpus",),
+    ),
+    Mutant(
+        "direct-sum-parts-stored-unmerged",
+        "src/freebialg/corpus.py",
+        "    return DirectSumElement._merged(DirectSumElement._space, pairs, True)",
+        "    return DirectSumElement._wrap(DirectSumElement._space, dict(pairs), True)",
+        ("tests/test_corpus.py::test_random_direct_sum_draws_the_public_construction",),
     ),
     # -- the tuple layout of ranks and words --
     Mutant(
